@@ -17,6 +17,7 @@ MAGIC = b"DMSR"
 VERSION = 1
 _DTYPES = {0: "<f8", 1: "<f4"}
 _DTYPE_CODES = {"float64": 0, "float32": 1}
+_OPTIM_KEYS = ("lr", "beta1", "beta2", "eps")   # Adam settings, as optim.<name>
 
 
 class CheckpointError(ValueError):
@@ -38,16 +39,10 @@ def save_checkpoint(path, arrays, metadata):
     blob = [MAGIC, struct.pack("<HI", VERSION, len(arrays))]
     for name, arr in arrays.items():
         blob.append(_pack_entry(name, np.asarray(arr)))
-    meta = "".join(f"{k} = {_fmt(v)}\n" for k, v in metadata.items()).encode()
+    meta = "".join(f"{k} = {v}\n" for k, v in metadata.items()).encode()
     blob.append(struct.pack("<I", len(meta)))
     blob.append(meta)
     atomic_write(path, b"".join(blob))
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 class _Reader:
@@ -69,7 +64,11 @@ class _Reader:
 
 def load_checkpoint(path):
     """Returns (arrays: {name: ndarray}, metadata: {str: str})."""
-    r = _Reader(open(path, "rb").read())
+    try:
+        with open(path, "rb") as f:
+            r = _Reader(f.read())
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}")
     if r.take(4, "magic") != MAGIC:
         raise CheckpointError(f"{path}: not a DMSR checkpoint")
     version, count = r.unpack("<HI", "version/count")
@@ -106,30 +105,24 @@ def pack_state(model, optimizer=None, metadata=None):
     """Flatten model parameters (and optimizer moments) into the entry table."""
     arrays = {name: p.data for name, p in model.named_parameters()}
     meta = dict(metadata or {})
-    meta.update({k: v for k, v in model.cfg.to_flat_dict().items()})
+    meta.update(model.cfg.to_flat_dict())
     if optimizer is not None:
         for name, _ in optimizer.named_params:
             arrays[f"optim.m.{name}"] = optimizer.m[name]
             arrays[f"optim.v.{name}"] = optimizer.v[name]
         meta["optim.step"] = optimizer.step_count
-        meta["optim.lr"] = repr(optimizer.lr)
-        meta["optim.beta1"] = repr(optimizer.beta1)
-        meta["optim.beta2"] = repr(optimizer.beta2)
-        meta["optim.eps"] = repr(optimizer.eps)
+        meta.update({f"optim.{k}": getattr(optimizer, k) for k in _OPTIM_KEYS})
     return arrays, meta
 
 
 def config_from_metadata(metadata):
-    from .model import ModelConfig
-    kwargs = {}
-    for f in ("backbone",):
-        kwargs[f] = metadata[f"model.{f}"]
-    for f in ("num_blocks", "embed_dim", "window", "heads", "layers_per_block",
-              "k", "scale", "resample_factor"):
-        kwargs[f] = int(metadata[f"model.{f}"])
-    kwargs["mlp_ratio"] = float(metadata["model.mlp_ratio"])
-    kwargs["position_bias"] = metadata.get("model.position_bias", "False") == "True"
-    return ModelConfig(**kwargs)
+    from .model import ConfigError, ModelConfig, parse
+    try:
+        return ModelConfig.from_flat(metadata, parse)
+    except KeyError as e:
+        raise CheckpointError(f"metadata has no {e.args[0]}")
+    except ConfigError as e:
+        raise CheckpointError(f"bad model metadata: {e}")
 
 
 def restore_model(path):
@@ -150,11 +143,9 @@ def restore_model(path):
 
 def restore_optimizer(model, arrays, metadata):
     from .train import Adam
-    opt = Adam(model.named_parameters(),
-               lr=float(metadata.get("optim.lr", "0.001")),
-               beta1=float(metadata.get("optim.beta1", "0.9")),
-               beta2=float(metadata.get("optim.beta2", "0.999")),
-               eps=float(metadata.get("optim.eps", "1e-08")))
+    settings = {k: float(metadata[f"optim.{k}"])
+                for k in _OPTIM_KEYS if f"optim.{k}" in metadata}
+    opt = Adam(model.named_parameters(), **settings)
     opt.step_count = int(metadata.get("optim.step", "0"))
     for name, p in opt.named_params:
         m = arrays.get(f"optim.m.{name}")

@@ -10,6 +10,7 @@ import hashlib
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,48 +20,40 @@ from .data import (DataError, load_manifest_pairs, synth_split, synth_scene,
                    DatasetSplit)
 from .imageio import (ImageFormatError, atomic_write, load_pgm16, load_ppm,
                       save_pfm, save_pgm16, save_ppm)
-from .model import DmsrModel, ModelConfig, identity_field, apply_joint_filter, upsample_lr
+from .model import (BACKBONES, ConfigError, DmsrModel, ModelConfig, identity_field,
+                    apply_joint_filter, parse, upsample_lr)
 from .tensor import ShapeError, Tensor
 from .train import (Adam, TrainingDivergedError, bench, evaluate, psnr,
-                    train_epochs)
+                    train_epochs, worker_count)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-# every key maps to exactly one model/data/train field
-DEFAULTS = {
-    "model.backbone": "swin",
-    "model.num_blocks": 0,
-    "model.embed_dim": 32,
-    "model.window": 4,
-    "model.heads": 2,
-    "model.layers_per_block": 2,
-    "model.mlp_ratio": 2.0,
-    "model.k": 3,
-    "model.scale": 8,
-    "model.resample_factor": 4,
-    "model.position_bias": False,
-    "data.noise_sigma": 0.0,
-    "data.synth_height": 64,
-    "data.synth_width": 64,
-    "train.epochs": 20,
-    "train.seed": 0,
-    "train.lr": 0.001,
-    "train.beta1": 0.9,
-    "train.beta2": 0.999,
-    "train.eps": 1e-8,
+# data.* and train.* keys: default, valid range and its check. The model.*
+# keys are the fields of ModelConfig, which holds their defaults and checks.
+SETTINGS = {
+    "data.noise_sigma": (0.0, ">= 0", lambda v: v >= 0),
+    "data.synth_height": (64, ">= 1", lambda v: v >= 1),
+    "data.synth_width": (64, ">= 1", lambda v: v >= 1),
+    "train.epochs": (20, ">= 1", lambda v: v >= 1),
+    "train.seed": (0, ">= 0", lambda v: v >= 0),
+    "train.lr": (0.001, "> 0", lambda v: v > 0),
+    "train.beta1": (0.9, "in [0, 1)", lambda v: 0 <= v < 1),
+    "train.beta2": (0.999, "in [0, 1)", lambda v: 0 <= v < 1),
+    "train.eps": (1e-8, "> 0", lambda v: v > 0),
 }
-
-
-class ConfigError(ValueError):
-    pass
+# the field defaults, not a ModelConfig() instance: num_blocks 0 must stay
+# unresolved until the backbone is known
+DEFAULTS = {**{f"model.{f.name}": f.default for f in fields(ModelConfig)},
+            **{key: default for key, (default, _, _) in SETTINGS.items()}}
 
 
 def parse_config_file(path):
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
-    except OSError as e:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     out = {}
     for lineno, raw in enumerate(lines, 1):
@@ -72,81 +65,28 @@ def parse_config_file(path):
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, value)
+        try:
+            out[key] = parse(type(DEFAULTS[key]), value)
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: {key}: {e}")
     return out
 
 
-def _coerce(key, value):
-    kind = type(DEFAULTS[key])
-    try:
-        if kind is bool:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
-        return str(value)
-    except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {value!r} as {kind.__name__}")
-
-
 def effective_config(args):
-    """defaults < config file < command-line flags."""
+    """defaults < config file < command-line flags; data.* and train.*
+    values are checked here, model.* values by ModelConfig."""
     flat = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         flat.update(parse_config_file(args.config))
-    flag_map = {
-        "backbone": "model.backbone",
-        "blocks": "model.num_blocks",
-        "embed_dim": "model.embed_dim",
-        "window": "model.window",
-        "heads": "model.heads",
-        "k": "model.k",
-        "scale": "model.scale",
-        "noise_sigma": "data.noise_sigma",
-        "height": "data.synth_height",
-        "width": "data.synth_width",
-        "epochs": "train.epochs",
-        "seed": "train.seed",
-        "lr": "train.lr",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            flat[key] = value
+    flat.update((k, v) for k, v in vars(args).items() if k in DEFAULTS and v is not None)
+    for key, (_, valid, ok) in SETTINGS.items():
+        if not ok(flat[key]):
+            raise ConfigError(f"{key} must be {valid}, got {flat[key]!r}")
     return flat
 
 
-def model_config(flat):
-    try:
-        return ModelConfig(
-            backbone=flat["model.backbone"],
-            num_blocks=flat["model.num_blocks"],
-            embed_dim=flat["model.embed_dim"],
-            window=flat["model.window"],
-            heads=flat["model.heads"],
-            layers_per_block=flat["model.layers_per_block"],
-            mlp_ratio=flat["model.mlp_ratio"],
-            k=flat["model.k"],
-            scale=flat["model.scale"],
-            resample_factor=flat["model.resample_factor"],
-            position_bias=flat["model.position_bias"],
-        )
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
-def config_comment_lines(flat):
-    return [f"# {k} = {flat[k]!r}" if isinstance(flat[k], float)
-            else f"# {k} = {flat[k]}" for k in sorted(flat)]
-
-
 def _write_csv(path, header, rows, flat):
-    lines = config_comment_lines(flat) + [header]
+    lines = [f"# {k} = {flat[k]}" for k in sorted(flat)] + [header]
     lines += [",".join(_csv_cell(c) for c in row) for row in rows]
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
@@ -163,7 +103,7 @@ def _csv_cell(c):
 
 def cmd_train(args):
     flat = effective_config(args)
-    cfg = model_config(flat)
+    cfg = ModelConfig.from_flat(flat)
     seed = flat["train.seed"]
     os.makedirs(args.out, exist_ok=True)
 
@@ -193,6 +133,7 @@ def cmd_train(args):
                          beta1=flat["train.beta1"], beta2=flat["train.beta2"],
                          eps=flat["train.eps"])
         start_epoch = 0
+    flat.update(model.cfg.to_flat_dict())
 
     # divisibility must fail before step 0, not mid-epoch
     for pair in list(split.train) + list(split.eval):
@@ -265,6 +206,7 @@ def cmd_infer(args):
 def cmd_eval(args):
     flat = effective_config(args)
     model, _, metadata = restore_model(args.checkpoint)
+    flat.update(model.cfg.to_flat_dict())
     pairs = load_manifest_pairs(args.manifest, model.cfg.scale,
                                 flat["data.noise_sigma"], flat["train.seed"])
     per_pair, mean, ms = evaluate(model, pairs)
@@ -282,12 +224,14 @@ def cmd_bench(args):
     if args.checkpoint:
         model, _, _ = restore_model(args.checkpoint)
     else:
-        model = DmsrModel(model_config(flat), seed=flat["train.seed"])
+        model = DmsrModel(ModelConfig.from_flat(flat), seed=flat["train.seed"])
     cfg = model.cfg
-    div = math.lcm(cfg.scale, cfg.resample_factor * (cfg.window if
-                   cfg.backbone == "swin" else 1))
-    if args.width % div or args.height % div:
-        raise ConfigError(f"bench extents must be divisible by {div}")
+    flat.update(cfg.to_flat_dict())
+    try:
+        model.check_extents(args.height, args.width,
+                            args.height // cfg.scale, args.width // cfg.scale)
+    except ShapeError as e:
+        raise ConfigError(f"bench: {e}")
     samples, stats = bench(model, args.height, args.width, args.repeats,
                            seed=flat["train.seed"])
     print(f"backbone={cfg.backbone} B={cfg.num_blocks} k={cfg.k} scale={cfg.scale} "
@@ -305,12 +249,13 @@ def cmd_synth(args):
     flat = effective_config(args)
     os.makedirs(args.out, exist_ok=True)
     seed = flat["train.seed"]
+    scale = ModelConfig.from_flat(flat).scale
     children = np.random.SeedSequence(seed).spawn(args.count)
     lines = ["# pair_id guidance_path depth_path"]
     for i in range(args.count):
         pid = f"scene{i:03d}"
         pair = synth_scene(children[i], flat["data.synth_height"],
-                           flat["data.synth_width"], flat["model.scale"],
+                           flat["data.synth_width"], scale,
                            flat["data.noise_sigma"], pair_id=pid)
         save_ppm(os.path.join(args.out, f"{pid}_rgb.ppm"), pair.guidance)
         save_pgm16(os.path.join(args.out, f"{pid}_depth.pgm"), pair.depth_hr)
@@ -324,40 +269,49 @@ def cmd_synth(args):
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="dmsr",
                                 description="joint-filter depth map super-resolution")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def key_flag(sp, flag, key, **kw):     # typed like the key's default
+        sp.add_argument(flag, dest=key, type=type(DEFAULTS[key]), **kw)
+
     def common(sp):
         sp.add_argument("--config", help="flat key = value config file")
-        sp.add_argument("--seed", type=int, help="master RNG seed")
-        sp.add_argument("--noise-sigma", dest="noise_sigma", type=float,
-                        help="LR depth noise std in [0,1] units")
+        key_flag(sp, "--seed", "train.seed", help="master RNG seed")
+        key_flag(sp, "--noise-sigma", "data.noise_sigma",
+                 help="LR depth noise std in [0,1] units")
 
     t = sub.add_parser("train", help="train a model")
     common(t)
-    t.add_argument("--synthetic", type=int, metavar="N",
+    t.add_argument("--synthetic", type=positive_int, metavar="N",
                    help="train on N generated scenes")
     t.add_argument("--data", help="training manifest")
     t.add_argument("--eval-data", dest="eval_data", help="evaluation manifest")
-    t.add_argument("--backbone", choices=("swin", "naf"))
-    t.add_argument("--blocks", type=int, help="override block count")
-    t.add_argument("--embed-dim", dest="embed_dim", type=int)
-    t.add_argument("--window", type=int)
-    t.add_argument("--heads", type=int)
-    t.add_argument("--k", type=int, help="filter size (odd)")
-    t.add_argument("--scale", type=int, choices=(4, 8, 16))
-    t.add_argument("--height", type=int, help="synthetic scene height")
-    t.add_argument("--width", type=int, help="synthetic scene width")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--lr", type=float)
+    key_flag(t, "--backbone", "model.backbone", help=" or ".join(BACKBONES))
+    key_flag(t, "--blocks", "model.num_blocks", help="override block count")
+    key_flag(t, "--embed-dim", "model.embed_dim")
+    key_flag(t, "--window", "model.window")
+    key_flag(t, "--heads", "model.heads")
+    key_flag(t, "--k", "model.k", help="filter size (odd)")
+    key_flag(t, "--scale", "model.scale")
+    key_flag(t, "--height", "data.synth_height", help="synthetic scene height")
+    key_flag(t, "--width", "data.synth_width", help="synthetic scene width")
+    key_flag(t, "--epochs", "train.epochs")
+    key_flag(t, "--lr", "train.lr")
     t.add_argument("--resume", help="checkpoint to continue from")
     t.add_argument("--out", default="runs/latest", help="output directory")
     t.set_defaults(func=cmd_train)
 
     i = sub.add_parser("infer", help="super-resolve one depth map")
-    common(i)
     i.add_argument("checkpoint")
     i.add_argument("guidance", help="guidance RGB (PPM)")
     i.add_argument("depth_lr", help="low-resolution depth (16-bit PGM)")
@@ -378,22 +332,22 @@ def build_parser():
     b = sub.add_parser("bench", help="forward-pass latency")
     common(b)
     b.add_argument("--checkpoint")
-    b.add_argument("--backbone", choices=("swin", "naf"))
-    b.add_argument("--blocks", type=int)
-    b.add_argument("--k", type=int)
-    b.add_argument("--scale", type=int, choices=(4, 8, 16))
-    b.add_argument("--width", type=int, default=128)
-    b.add_argument("--height", type=int, default=128)
+    key_flag(b, "--backbone", "model.backbone", help=" or ".join(BACKBONES))
+    key_flag(b, "--blocks", "model.num_blocks")
+    key_flag(b, "--k", "model.k")
+    key_flag(b, "--scale", "model.scale")
+    b.add_argument("--width", type=positive_int, default=128)
+    b.add_argument("--height", type=positive_int, default=128)
     b.add_argument("--repeats", type=int, default=5)
     b.add_argument("--csv", help="repeat,ms CSV path")
     b.set_defaults(func=cmd_bench)
 
     s = sub.add_parser("synth", help="generate a synthetic dataset")
     common(s)
-    s.add_argument("count", type=int)
-    s.add_argument("--scale", type=int, choices=(4, 8, 16))
-    s.add_argument("--height", type=int)
-    s.add_argument("--width", type=int)
+    s.add_argument("count", type=positive_int)
+    key_flag(s, "--scale", "model.scale")
+    key_flag(s, "--height", "data.synth_height")
+    key_flag(s, "--width", "data.synth_width")
     s.add_argument("--out", default="data/synth")
     s.set_defaults(func=cmd_synth)
     return p
@@ -402,6 +356,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        worker_count()      # a bad DMSR_THREADS fails before any work starts
         return args.func(args)
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)

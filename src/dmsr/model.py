@@ -20,11 +20,32 @@ from .tensor import (Tensor, ShapeError, add, mul, sigmoid, reshape, tmean,
 
 BACKBONES = ("swin", "naf")
 DEFAULT_BLOCKS = {"swin": 4, "naf": 6}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+class ConfigError(ValueError):
+    """An invalid config value, flag or environment setting (CLI exit 2)."""
+
+
+def parse(kind, text):
+    """A config-file or checkpoint-metadata value as `kind` (str, int, float
+    or bool); raises ValueError when it does not parse."""
+    try:
+        return _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"cannot parse {text!r} as {kind.__name__}") from None
+
+
+def _require(ok, message):
+    if not ok:
+        raise ConfigError(message)
 
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters for either backbone."""
+    """Architecture hyperparameters for either backbone. Each field is the
+    config key `model.<field>`: its default, type and valid range live here
+    and nowhere else."""
 
     backbone: str = "swin"
     num_blocks: int = 0          # 0 -> backbone default (swin 4, naf 6)
@@ -39,16 +60,33 @@ class ModelConfig:
     position_bias: bool = False  # learned relative position bias in attention
 
     def __post_init__(self):
-        if self.backbone not in BACKBONES:
-            raise ValueError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
+        _require(self.backbone in BACKBONES,
+                 f"model.backbone must be one of {BACKBONES}, got {self.backbone!r}")
+        _require(self.num_blocks >= 0, f"model.num_blocks must be >= 0, got {self.num_blocks}")
         if self.num_blocks == 0:
             self.num_blocks = DEFAULT_BLOCKS[self.backbone]
-        if self.k < 1 or self.k % 2 == 0:
-            raise ValueError(f"filter size k must be odd, got {self.k}")
-        if self.scale not in (4, 8, 16):
-            raise ValueError(f"scale must be 4, 8 or 16, got {self.scale}")
-        if self.embed_dim % self.heads:
-            raise ValueError(f"embed_dim {self.embed_dim} not divisible by {self.heads} heads")
+        for name in ("embed_dim", "window", "heads", "layers_per_block", "resample_factor"):
+            value = getattr(self, name)
+            _require(value >= 1, f"model.{name} must be >= 1, got {value}")
+        _require(self.embed_dim % self.heads == 0,
+                 f"model.embed_dim {self.embed_dim} not divisible by {self.heads} heads")
+        _require(self.embed_dim * self.mlp_ratio >= 1, f"model.mlp_ratio {self.mlp_ratio} "
+                 f"leaves no MLP channel at embed_dim {self.embed_dim}")
+        _require(self.k >= 1 and self.k % 2 == 1,
+                 f"model.k must be odd and positive, got {self.k}")
+        _require(self.scale in (4, 8, 16), f"model.scale must be 4, 8 or 16, got {self.scale}")
+
+    @classmethod
+    def from_flat(cls, flat, convert=lambda kind, value: value):
+        """Build from the `model.<field>` keys of `flat`, each value passed
+        through convert(field type, value); KeyError names a missing key."""
+        kwargs = {}
+        for f in fields(cls):
+            try:
+                kwargs[f.name] = convert(f.type, flat[f"model.{f.name}"])
+            except ValueError as e:
+                raise ConfigError(f"model.{f.name}: {e}")
+        return cls(**kwargs)
 
     def to_flat_dict(self):
         return {f"model.{f.name}": getattr(self, f.name) for f in fields(self)}

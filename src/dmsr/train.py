@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import to_tensors
+from .model import ConfigError
 from .tensor import ShapeError, Tape, Tensor, absolute, sub, tmean
 
 # Published comparison-table numbers for x8 noisy upsampling on the full
@@ -92,11 +93,12 @@ def _order_rng(seed, epoch):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(epoch,)))
 
 
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("DMSR_THREADS", "1")))
-    except ValueError:
-        return 1
+def worker_count():
+    """Evaluation fan-out: DMSR_THREADS, a positive integer (unset: 1)."""
+    text = os.environ.get("DMSR_THREADS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ConfigError(f"DMSR_THREADS must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def evaluate(model, pairs):
@@ -109,7 +111,7 @@ def evaluate(model, pairs):
 
     ordered = sorted(pairs, key=lambda p: p.pair_id)
     start = time.perf_counter()
-    workers = _worker_count()
+    workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             scores = list(pool.map(one, ordered))
@@ -166,7 +168,7 @@ def bench(model, height, width, repeats, seed=0):
     """Per-image forward latency: one discarded warm-up then `repeats` timed
     runs on a fixed random input. Returns sample list and summary stats."""
     if repeats < 3:
-        raise ValueError("bench: need repeats >= 3")
+        raise ConfigError(f"bench: need repeats >= 3, got {repeats}")
     rng = np.random.default_rng(seed)
     s = model.cfg.scale
     guidance, depth_lr, _ = to_tensors(_bench_pair(rng, height, width, s))

@@ -98,3 +98,15 @@ def test_unsupported_version_rejected(tmp_path):
     p.write_bytes(b"DMSR" + (99).to_bytes(2, "little") + b"\x00" * 8)
     with pytest.raises(CheckpointError):
         load_checkpoint(str(p))
+
+
+@pytest.mark.parametrize("text,value", [("yes", True), ("no", False), ("True", True),
+                                        ("0", False)])
+def test_metadata_bool_parses_like_config_file(tmp_path, text, value):
+    from dmsr.cli import parse_config_file
+    meta = {k: str(v) for k, v in ModelConfig(**TINY).to_flat_dict().items()}
+    meta["model.position_bias"] = text
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"model.position_bias = {text}\n")
+    assert config_from_metadata(meta).position_bias is value
+    assert parse_config_file(str(cfgfile))["model.position_bias"] is value

@@ -249,3 +249,161 @@ def test_argparse_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
     assert exc.value.code == 2
+
+
+TINY_TRAIN = ["train", "--synthetic", "1", "--epochs", "1", *TINY_FLAGS]
+
+
+def _train_with_config(text):
+    def argv(tmp_path, trained):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(text + "\n")
+        return [*TINY_TRAIN, "--config", str(cfgfile), "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _train_with_flags(*flags):
+    return lambda tmp_path, trained: [*TINY_TRAIN, *flags, "--out", str(tmp_path / "o")]
+
+
+def _eval_with_metadata(key, value):
+    """`dmsr eval` of the trained checkpoint with one metadata key changed
+    (value None drops it)."""
+    def argv(tmp_path, trained):
+        from dmsr.checkpoint import load_checkpoint, save_checkpoint
+        arrays, meta = load_checkpoint(trained)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        path = str(tmp_path / "bad.dmsr")
+        save_checkpoint(path, arrays, meta)
+        return ["eval", path, str(tmp_path / "manifest.txt")]
+    return argv
+
+
+# (id, argv builder, DMSR_THREADS, exit code, the one stderr error line's start,
+#  a text it must contain)
+BAD_INPUTS = [
+    ("heads-0", _train_with_flags("--heads", "0"), None, 2, "error: config:", "model.heads"),
+    ("window-0", _train_with_flags("--window", "0"), None, 2, "error: config:",
+     "model.window"),
+    ("resample-factor-0", _train_with_config("model.resample_factor = 0"), None, 2,
+     "error: config:", "model.resample_factor"),
+    ("seed-negative", _train_with_flags("--seed", "-1"), None, 2, "error: config:",
+     "train.seed"),
+    ("mlp-ratio-0", _train_with_config("model.mlp_ratio = 0"), None, 2, "error: config:",
+     "model.mlp_ratio"),
+    ("blocks-negative", _train_with_flags("--blocks", "-2"), None, 2, "error: config:",
+     "model.num_blocks"),
+    ("lr-negative", _train_with_flags("--lr", "-1"), None, 2, "error: config:", "train.lr"),
+    ("noise-sigma-negative", _train_with_flags("--noise-sigma", "-1"), None, 2,
+     "error: config:", "data.noise_sigma"),
+    ("eps-0", _train_with_config("train.eps = 0"), None, 2, "error: config:", "train.eps"),
+    ("beta1-above-1", _train_with_config("train.beta1 = 1.5"), None, 2, "error: config:",
+     "train.beta1"),
+    ("synthetic-negative", _train_with_flags("--synthetic", "-1"), None, 2,
+     "dmsr train: error:", "--synthetic"),
+    ("metadata-key-missing", _eval_with_metadata("model.k", None), None, 3, "error: data:",
+     "model.k"),
+    ("metadata-unparsable", _eval_with_metadata("model.embed_dim", "eight"), None, 3,
+     "error: data:", "model.embed_dim"),
+    ("metadata-heads-0", _eval_with_metadata("model.heads", "0"), None, 3, "error: data:",
+     "model.heads"),
+    ("checkpoint-is-directory",
+     lambda tmp_path, trained: ["eval", str(tmp_path), str(tmp_path / "manifest.txt")],
+     None, 3, "error: data:", "checkpoint"),
+    ("bench-repeats-1",
+     lambda tmp_path, trained: ["bench", "--backbone", "naf", "--blocks", "1",
+                                "--width", "32", "--height", "32", "--repeats", "1"],
+     None, 2, "error: config:", "repeats"),
+    ("bench-extents-indivisible",
+     lambda tmp_path, trained: ["bench", "--blocks", "1", "--width", "40", "--height", "32",
+                                "--repeats", "3"],
+     None, 2, "error: config:", "not divisible by 16"),
+    ("threads-not-a-number", _train_with_flags(), "abc", 2, "error: config:", "DMSR_THREADS"),
+    ("threads-0", _train_with_flags(), "0", 2, "error: config:", "DMSR_THREADS"),
+]
+
+
+@pytest.mark.parametrize("builder,threads,code,prefix,names",
+                         [row[1:] for row in BAD_INPUTS], ids=[row[0] for row in BAD_INPUTS])
+def test_bad_input_exits_with_one_error_line(tmp_path, trained, builder, threads, code,
+                                             prefix, names):
+    env = dict(os.environ)
+    env.pop("DMSR_THREADS", None)
+    if threads is not None:
+        env["DMSR_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-m", "dmsr.cli", *builder(tmp_path, trained)],
+                          capture_output=True, text=True, env=env)
+    errors = [l for l in proc.stderr.splitlines() if "error:" in l]
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(errors) == 1, proc.stderr
+    assert errors[0].startswith(prefix) and names in errors[0], proc.stderr
+    assert not (tmp_path / "o" / "checkpoint.dmsr").exists()
+
+
+# What a default swin model trained with Adam writes: the checkpoint metadata
+# block and the config header of its CSVs. A schema edit that changes either
+# changes the on-disk format.
+DEFAULT_SWIN_METADATA = """\
+train.seed = 0
+data.noise_sigma = 0.0
+data.source = synthetic
+data.n_train = 1
+data.n_eval = 1
+train.epoch = 0
+model.backbone = swin
+model.num_blocks = 4
+model.embed_dim = 32
+model.window = 4
+model.heads = 2
+model.layers_per_block = 2
+model.mlp_ratio = 2.0
+model.k = 3
+model.scale = 8
+model.resample_factor = 4
+model.position_bias = False
+optim.step = 1
+optim.lr = 0.001
+optim.beta1 = 0.9
+optim.beta2 = 0.999
+optim.eps = 1e-08
+"""
+
+DEFAULT_SWIN_CSV_HEADER = """\
+# data.noise_sigma = 0.0
+# data.synth_height = 32
+# data.synth_width = 32
+# model.backbone = swin
+# model.embed_dim = 32
+# model.heads = 2
+# model.k = 3
+# model.layers_per_block = 2
+# model.mlp_ratio = 2.0
+# model.num_blocks = 4
+# model.position_bias = False
+# model.resample_factor = 4
+# model.scale = 8
+# model.window = 4
+# train.beta1 = 0.9
+# train.beta2 = 0.999
+# train.epochs = 1
+# train.eps = 1e-08
+# train.lr = 0.001
+# train.seed = 0
+"""
+
+
+def test_default_swin_metadata_and_csv_header_are_pinned(tmp_path):
+    import struct
+    out = str(tmp_path / "o")
+    assert main(["train", "--synthetic", "1", "--epochs", "1", "--height", "32",
+                 "--width", "32", "--out", out]) == 0
+    blob = open(os.path.join(out, "checkpoint.dmsr"), "rb").read()
+    meta = DEFAULT_SWIN_METADATA.encode()
+    assert blob.endswith(struct.pack("<I", len(meta)) + meta)
+    for name in ("steps.csv", "epochs.csv"):
+        lines = open(os.path.join(out, name)).read().splitlines(keepends=True)
+        assert "".join(l for l in lines if l.startswith("#")) == DEFAULT_SWIN_CSV_HEADER
