@@ -61,6 +61,12 @@ class _Reader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def text(self, n, what):
+        try:
+            return self.take(n, what).decode()
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{what} is not UTF-8: {e}")
+
 
 def load_checkpoint(path):
     """Returns (arrays: {name: ndarray}, metadata: {str: str})."""
@@ -77,7 +83,7 @@ def load_checkpoint(path):
     arrays = {}
     for _ in range(count):
         (nlen,) = r.unpack("<H", "name length")
-        name = r.take(nlen, "name").decode()
+        name = r.text(nlen, "name")
         code, ndim = r.unpack("<BB", "dtype/ndim")
         if code not in _DTYPES:
             raise CheckpointError(f"{path}: unknown dtype code {code}")
@@ -87,7 +93,7 @@ def load_checkpoint(path):
         arrays[name] = np.frombuffer(payload, dtype=_DTYPES[code]).reshape(shape).copy()
     (mlen,) = r.unpack("<I", "metadata length")
     metadata = {}
-    for line in r.take(mlen, "metadata").decode().splitlines():
+    for line in r.text(mlen, "metadata").splitlines():
         if not line.strip():
             continue
         if " = " not in line:
@@ -141,12 +147,21 @@ def restore_model(path):
     return model, arrays, metadata
 
 
+def metadata_value(metadata, key, kind, default=None):
+    """metadata[key] parsed as `kind`, or `default` when the key is absent."""
+    from .model import parse
+    try:
+        return parse(kind, metadata[key]) if key in metadata else default
+    except ValueError as e:
+        raise CheckpointError(f"bad metadata {key}: {e}")
+
+
 def restore_optimizer(model, arrays, metadata):
     from .train import Adam
-    settings = {k: float(metadata[f"optim.{k}"])
+    settings = {k: metadata_value(metadata, f"optim.{k}", float)
                 for k in _OPTIM_KEYS if f"optim.{k}" in metadata}
     opt = Adam(model.named_parameters(), **settings)
-    opt.step_count = int(metadata.get("optim.step", "0"))
+    opt.step_count = metadata_value(metadata, "optim.step", int, 0)
     for name, p in opt.named_params:
         m = arrays.get(f"optim.m.{name}")
         v = arrays.get(f"optim.v.{name}")

@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .checkpoint import (CheckpointError, pack_state, save_checkpoint,
+from .checkpoint import (CheckpointError, metadata_value, pack_state, save_checkpoint,
                          restore_model, restore_optimizer)
 from .data import (DataError, load_manifest_pairs, synth_split, synth_scene,
                    DatasetSplit)
@@ -106,27 +106,13 @@ def cmd_train(args):
     cfg = ModelConfig.from_flat(flat)
     seed = flat["train.seed"]
     os.makedirs(args.out, exist_ok=True)
-
-    if args.synthetic:
-        n_train = args.synthetic
-        n_eval = max(1, round(n_train * 449 / 1000))  # published split ratio
-        split = synth_split(n_train, n_eval, flat["data.synth_height"],
-                            flat["data.synth_width"], cfg.scale,
-                            flat["data.noise_sigma"], seed)
-    elif args.data:
-        train_pairs = load_manifest_pairs(args.data, cfg.scale,
-                                          flat["data.noise_sigma"], seed)
-        eval_pairs = (load_manifest_pairs(args.eval_data, cfg.scale,
-                                          flat["data.noise_sigma"], seed)
-                      if args.eval_data else [])
-        split = DatasetSplit(train_pairs, eval_pairs, seed)
-    else:
+    if not (args.synthetic or args.data):
         raise ConfigError("train needs --synthetic N or --data MANIFEST")
 
     if args.resume:
         model, arrays, metadata = restore_model(args.resume)
         optimizer = restore_optimizer(model, arrays, metadata)
-        start_epoch = int(metadata.get("train.epoch", "-1")) + 1
+        start_epoch = metadata_value(metadata, "train.epoch", int, -1) + 1
     else:
         model = DmsrModel(cfg, seed=seed)
         optimizer = Adam(model.named_parameters(), lr=flat["train.lr"],
@@ -134,6 +120,18 @@ def cmd_train(args):
                          eps=flat["train.eps"])
         start_epoch = 0
     flat.update(model.cfg.to_flat_dict())
+
+    # the data follow the model's scale, which a resumed checkpoint sets
+    scale, noise = model.cfg.scale, flat["data.noise_sigma"]
+    if args.synthetic:
+        n_eval = max(1, round(args.synthetic * 449 / 1000))  # published split ratio
+        split = synth_split(args.synthetic, n_eval, flat["data.synth_height"],
+                            flat["data.synth_width"], scale, noise, seed)
+    else:
+        train_pairs = load_manifest_pairs(args.data, scale, noise, seed)
+        eval_pairs = (load_manifest_pairs(args.eval_data, scale, noise, seed)
+                      if args.eval_data else [])
+        split = DatasetSplit(train_pairs, eval_pairs, seed)
 
     # divisibility must fail before step 0, not mid-epoch
     for pair in list(split.train) + list(split.eval):

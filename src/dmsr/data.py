@@ -53,13 +53,11 @@ def resize_matrix(n_in, n_out):
     centers = (np.arange(n_out) + 0.5) * scale - 0.5
     width = int(np.ceil(4.0 * s)) + 2
     left = np.floor(centers - 2.0 * s).astype(int) + 1
+    js = left[:, None] + np.arange(width)                    # (n_out, width) taps
+    w = _cubic_kernel((js - centers[:, None]) / s)
     m = np.zeros((n_out, n_in))
-    offsets = np.arange(width)
-    for i in range(n_out):
-        js = left[i] + offsets
-        w = _cubic_kernel((js - centers[i]) / s)
-        total = w.sum()
-        np.add.at(m[i], np.clip(js, 0, n_in - 1), w / total)
+    np.add.at(m, (np.arange(n_out)[:, None], np.clip(js, 0, n_in - 1)),
+              w / w.sum(axis=1, keepdims=True))
     return m
 
 

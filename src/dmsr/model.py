@@ -16,7 +16,7 @@ from .data import bicubic_resize
 from .ops import (Module, param_conv, zeros_param, conv2d, pixel_shuffle,
                   pixel_unshuffle, bilinear_sample)
 from .tensor import (Tensor, ShapeError, add, mul, sigmoid, reshape, tmean,
-                     sub, concat, slice_axis)
+                     sub, transpose, tsum)
 
 BACKBONES = ("swin", "naf")
 DEFAULT_BLOCKS = {"swin": 4, "naf": 6}
@@ -176,20 +176,15 @@ def apply_joint_filter(target_up, kernel_field, k):
     if offsets.shape != (B, 2 * k * k, H, W):
         raise ShapeError(f"apply_joint_filter: offsets {offsets.shape} vs "
                          f"expected {(B, 2 * k * k, H, W)}")
-    gy, gx = np.meshgrid(np.arange(H, dtype=np.float64),
-                         np.arange(W, dtype=np.float64), indexing="ij")
-    half = k // 2
-    out = None
-    for tap in range(k * k):
-        dy, dx = tap // k - half, tap % k - half
-        oy = reshape(slice_axis(offsets, 1, 2 * tap, 2 * tap + 1), (B, H, W, 1))
-        ox = reshape(slice_axis(offsets, 1, 2 * tap + 1, 2 * tap + 2), (B, H, W, 1))
-        cy = add(oy, Tensor((gy + dy)[None, :, :, None]))
-        cx = add(ox, Tensor((gx + dx)[None, :, :, None]))
-        sample = bilinear_sample(target_up, concat((cy, cx), axis=3))
-        term = mul(slice_axis(weights, 1, tap, tap + 1), sample)
-        out = term if out is None else add(out, term)
-    return out
+    # (k*k, H, W, 2): each tap's pixel centre plus its (dy, dx) displacement
+    d = np.arange(k) - k // 2
+    dy, dx, y, x = np.meshgrid(d, d, np.arange(H), np.arange(W), indexing="ij")
+    grid = Tensor(np.stack((y + dy, x + dx), axis=-1).reshape(k * k, H, W, 2))
+    coords = transpose(reshape(offsets, (B, k * k, 2, H, W)), (0, 1, 3, 4, 2))
+    coords = reshape(add(coords, grid), (B, k * k * H, W, 2))
+    samples = reshape(bilinear_sample(target_up, coords), (B, C, k * k, H, W))
+    # the tap axis is not innermost, so the sum adds taps in order 0..k*k-1
+    return tsum(mul(reshape(weights, (B, 1, k * k, H, W)), samples), axis=2)
 
 
 def identity_field(B, H, W, k):

@@ -236,9 +236,7 @@ def multi_head_attention(x, p, mask=None):
     qkv = linear(x, p.qkv_w, p.qkv_b)                      # (N, L, 3C)
     qkv = reshape(qkv, (N, L, 3, h, d))
     qkv = transpose(qkv, (2, 0, 3, 1, 4))                  # (3, N, h, L, d)
-    q = reshape(slice_like(qkv, 0), (N, h, L, d))
-    k = reshape(slice_like(qkv, 1), (N, h, L, d))
-    v = reshape(slice_like(qkv, 2), (N, h, L, d))
+    q, k, v = (reshape(slice_axis(qkv, 0, i, i + 1), (N, h, L, d)) for i in range(3))
     logits = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
     if p.pos_bias is not None:
         if p._pos_gather.shape[0] != L * L:
@@ -256,11 +254,6 @@ def multi_head_attention(x, p, mask=None):
     out = matmul(attn, v)                                  # (N, h, L, d)
     out = reshape(transpose(out, (0, 2, 1, 3)), (N, L, C))
     return linear(out, p.proj_w, p.proj_b)
-
-
-def slice_like(t, index):
-    """First-axis single-slice helper used to split fused qkv."""
-    return slice_axis(t, 0, index, index + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +342,15 @@ def bilinear_sample(x, coords):
            + ty * (1 - tx) * v10 + ty * tx * v11)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        b4 = np.arange(B)[:, None, None, None]
-        c4 = np.arange(C)[None, :, None, None]
-        np.add.at(gx, (b4, c4, y0[:, None], x0[:, None]), g * (1 - ty) * (1 - tx))
-        np.add.at(gx, (b4, c4, y0[:, None], x1[:, None]), g * (1 - ty) * tx)
-        np.add.at(gx, (b4, c4, y1[:, None], x0[:, None]), g * ty * (1 - tx))
-        np.add.at(gx, (b4, c4, y1[:, None], x1[:, None]), g * ty * tx)
+        gx = None                     # the image is often a constant: skip its scatter
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            b4 = np.arange(B)[:, None, None, None]
+            c4 = np.arange(C)[None, :, None, None]
+            np.add.at(gx, (b4, c4, y0[:, None], x0[:, None]), g * (1 - ty) * (1 - tx))
+            np.add.at(gx, (b4, c4, y0[:, None], x1[:, None]), g * (1 - ty) * tx)
+            np.add.at(gx, (b4, c4, y1[:, None], x0[:, None]), g * ty * (1 - tx))
+            np.add.at(gx, (b4, c4, y1[:, None], x1[:, None]), g * ty * tx)
 
         dty = (-(1 - tx) * v00 - tx * v01 + (1 - tx) * v10 + tx * v11)
         dtx = (-(1 - ty) * v00 + (1 - ty) * v01 - ty * v10 + ty * v11)

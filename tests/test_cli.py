@@ -266,20 +266,37 @@ def _train_with_flags(*flags):
     return lambda tmp_path, trained: [*TINY_TRAIN, *flags, "--out", str(tmp_path / "o")]
 
 
+def _with_metadata(tmp_path, trained, key, value):
+    """The trained checkpoint with one metadata key changed (value None drops it)."""
+    from dmsr.checkpoint import load_checkpoint, save_checkpoint
+    arrays, meta = load_checkpoint(trained)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    path = str(tmp_path / "bad.dmsr")
+    save_checkpoint(path, arrays, meta)
+    return path
+
+
+def _with_patched_bytes(tmp_path, trained, old, new):
+    """The trained checkpoint with the first `old` bytes replaced by `new`."""
+    blob = open(trained, "rb").read()
+    assert old in blob and len(old) == len(new)
+    path = tmp_path / "bad.dmsr"
+    path.write_bytes(blob.replace(old, new, 1))
+    return str(path)
+
+
 def _eval_with_metadata(key, value):
-    """`dmsr eval` of the trained checkpoint with one metadata key changed
-    (value None drops it)."""
-    def argv(tmp_path, trained):
-        from dmsr.checkpoint import load_checkpoint, save_checkpoint
-        arrays, meta = load_checkpoint(trained)
-        if value is None:
-            del meta[key]
-        else:
-            meta[key] = value
-        path = str(tmp_path / "bad.dmsr")
-        save_checkpoint(path, arrays, meta)
-        return ["eval", path, str(tmp_path / "manifest.txt")]
-    return argv
+    return lambda tmp_path, trained: [
+        "eval", _with_metadata(tmp_path, trained, key, value), str(tmp_path / "manifest.txt")]
+
+
+def _resume_with_metadata(key, value):
+    return lambda tmp_path, trained: [
+        *TINY_TRAIN, "--resume", _with_metadata(tmp_path, trained, key, value),
+        "--out", str(tmp_path / "o")]
 
 
 # (id, argv builder, DMSR_THREADS, exit code, the one stderr error line's start,
@@ -310,6 +327,23 @@ BAD_INPUTS = [
      "error: data:", "model.embed_dim"),
     ("metadata-heads-0", _eval_with_metadata("model.heads", "0"), None, 3, "error: data:",
      "model.heads"),
+    ("resume-optim-lr-unparsable", _resume_with_metadata("optim.lr", "fast!"), None, 3,
+     "error: data:", "optim.lr"),
+    ("resume-optim-step-unparsable", _resume_with_metadata("optim.step", "x"), None, 3,
+     "error: data:", "optim.step"),
+    ("resume-epoch-unparsable", _resume_with_metadata("train.epoch", "x"), None, 3,
+     "error: data:", "train.epoch"),
+    ("metadata-not-utf8",
+     lambda tmp_path, trained: [
+         "eval", _with_patched_bytes(tmp_path, trained, b"= swin", b"= \xffwin"),
+         str(tmp_path / "manifest.txt")],
+     None, 3, "error: data:", "metadata is not UTF-8"),
+    ("entry-name-not-utf8",
+     lambda tmp_path, trained: [
+         "bench", "--checkpoint",
+         _with_patched_bytes(tmp_path, trained, b"guide_", b"guide\xff"),
+         "--width", "32", "--height", "32", "--repeats", "3"],
+     None, 3, "error: data:", "name is not UTF-8"),
     ("checkpoint-is-directory",
      lambda tmp_path, trained: ["eval", str(tmp_path), str(tmp_path / "manifest.txt")],
      None, 3, "error: data:", "checkpoint"),
@@ -342,6 +376,18 @@ def test_bad_input_exits_with_one_error_line(tmp_path, trained, builder, threads
     assert len(errors) == 1, proc.stderr
     assert errors[0].startswith(prefix) and names in errors[0], proc.stderr
     assert not (tmp_path / "o" / "checkpoint.dmsr").exists()
+
+
+def test_resume_loads_data_at_the_checkpoint_scale(tmp_path):
+    first = str(tmp_path / "a")
+    assert main([*TINY_TRAIN, "--scale", "4", "--out", first]) == 0
+    out = str(tmp_path / "b")
+    # no --scale: the flags' default is 8, the checkpoint's model is 4
+    assert main(["train", "--synthetic", "1", "--epochs", "2", *TINY_FLAGS,
+                 "--resume", os.path.join(first, "checkpoint.dmsr"), "--out", out]) == 0
+    from dmsr.checkpoint import load_checkpoint
+    _, meta = load_checkpoint(os.path.join(out, "checkpoint.dmsr"))
+    assert meta["model.scale"] == "4" and meta["optim.step"] == "2"
 
 
 # What a default swin model trained with Adam writes: the checkpoint metadata

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dmsr.data import (DataError, bicubic_resize, degrade,
+from dmsr.data import (DataError, _cubic_kernel, bicubic_resize, degrade,
                        edge_alignment_score, parse_manifest, resize_matrix,
                        synth_scene, synth_split)
 
@@ -37,6 +37,26 @@ def test_bicubic_rows_partition_of_unity():
     for n_in, n_out in [(10, 10), (10, 37), (37, 10), (64, 8), (8, 64), (5, 3)]:
         m = resize_matrix(n_in, n_out)
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-6)
+
+
+def row_loop_resize_matrix(n_in, n_out):
+    """resize_matrix built one output row at a time: the reference."""
+    scale = n_in / n_out
+    s = max(scale, 1.0)
+    centers = (np.arange(n_out) + 0.5) * scale - 0.5
+    left = np.floor(centers - 2.0 * s).astype(int) + 1
+    m = np.zeros((n_out, n_in))
+    for i in range(n_out):
+        js = left[i] + np.arange(int(np.ceil(4.0 * s)) + 2)
+        w = _cubic_kernel((js - centers[i]) / s)
+        np.add.at(m[i], np.clip(js, 0, n_in - 1), w / w.sum())
+    return m
+
+
+@pytest.mark.parametrize("n_in,n_out", [(4, 4), (5, 3), (8, 64), (16, 128), (37, 10),
+                                        (64, 8), (256, 4), (4, 256), (129, 200)])
+def test_resize_matrix_matches_row_loop_bit_for_bit(n_in, n_out):
+    assert resize_matrix(n_in, n_out).tobytes() == row_loop_resize_matrix(n_in, n_out).tobytes()
 
 
 def test_degrade_zero_noise_is_pure_downsample():

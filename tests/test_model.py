@@ -7,8 +7,8 @@ import pytest
 from dmsr.model import (DmsrModel, KernelField, ModelConfig, apply_joint_filter,
                         combine_offsets, combine_weights, identity_field,
                         upsample_lr)
-from dmsr.ops import pixel_shuffle
-from dmsr.tensor import Tensor, ShapeError
+from dmsr.ops import bilinear_sample, pixel_shuffle
+from dmsr.tensor import Tape, Tensor, ShapeError, add, concat, mul, reshape, slice_axis
 
 from helpers import check_gradients, weighted_sum_loss
 
@@ -96,14 +96,15 @@ def test_apply_joint_filter_delta_kernel_identity():
     assert np.abs(out.data - target.data).max() < 1e-6
 
 
-def test_apply_joint_filter_matches_naive_oracle():
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_apply_joint_filter_matches_naive_oracle(k):
     rng = np.random.default_rng(5)
     target = rng.random((1, 1, 6, 6))
-    raw = rng.uniform(0, 1, (1, 9, 6, 6))
-    weights = raw - raw.mean(axis=1, keepdims=True) + 1.0 / 9.0
-    field = KernelField(Tensor(weights), Tensor(np.zeros((1, 18, 6, 6))))
-    got = apply_joint_filter(Tensor(target), field, 3).data
-    want = naive_joint_filter(target, weights, 3)
+    raw = rng.uniform(0, 1, (1, k * k, 6, 6))
+    weights = raw - raw.mean(axis=1, keepdims=True) + 1.0 / (k * k)
+    field = KernelField(Tensor(weights), Tensor(np.zeros((1, 2 * k * k, 6, 6))))
+    got = apply_joint_filter(Tensor(target), field, k).data
+    want = naive_joint_filter(target, weights, k)
     assert np.abs(got - want).max() < 1e-10
 
 
@@ -129,17 +130,66 @@ def test_apply_joint_filter_offsets_shift_sampling():
     np.testing.assert_allclose(out.data[0, 0, :, :-1], target[0, 0, :, 1:], atol=1e-12)
 
 
-def test_apply_joint_filter_gradients():
+def per_tap_joint_filter(target, field, k):
+    """One bilinear_sample per tap, the terms added in tap order: the
+    reference apply_joint_filter must reproduce exactly."""
+    B, _, H, W = target.shape
+    gy, gx = np.meshgrid(np.arange(H, dtype=np.float64), np.arange(W, dtype=np.float64),
+                         indexing="ij")
+    out = None
+    for tap in range(k * k):
+        dy, dx = tap // k - k // 2, tap % k - k // 2
+        oy = reshape(slice_axis(field.offsets, 1, 2 * tap, 2 * tap + 1), (B, H, W, 1))
+        ox = reshape(slice_axis(field.offsets, 1, 2 * tap + 1, 2 * tap + 2), (B, H, W, 1))
+        coords = concat((add(oy, Tensor((gy + dy)[None, :, :, None])),
+                         add(ox, Tensor((gx + dx)[None, :, :, None]))), axis=3)
+        term = mul(slice_axis(field.weights, 1, tap, tap + 1), bilinear_sample(target, coords))
+        out = term if out is None else add(out, term)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_apply_joint_filter_matches_per_tap_loop_exactly(k):
+    rng = np.random.default_rng(10)
+    target = Tensor(rng.random((2, 1, 6, 7)))          # constant, as in DmsrModel
+    w = Tensor(rng.uniform(0, 1, (2, k * k, 6, 7)), requires_grad=True)
+    o = Tensor(rng.uniform(-3, 3, (2, 2 * k * k, 6, 7)), requires_grad=True)  # some clamp
+    results = []
+    for fn in (apply_joint_filter, per_tap_joint_filter):
+        with Tape() as tape:
+            out = fn(target, KernelField(w, o), k)
+            grads = tape.backward(weighted_sum_loss(out))
+        results.append((out.data, grads[w], grads[o]))
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_apply_joint_filter_gradients(k):
     rng = np.random.default_rng(7)
     target = Tensor(rng.random((1, 1, 5, 5)), requires_grad=True)
-    w = Tensor(rng.uniform(0, 1, (1, 9, 5, 5)), requires_grad=True)
+    w = Tensor(rng.uniform(0, 1, (1, k * k, 5, 5)), requires_grad=True)
     # keep sampling positions clear of the bilinear kernel's integer kinks
-    mag = rng.uniform(0.2, 0.45, (1, 18, 5, 5))
-    sign = np.where(rng.random((1, 18, 5, 5)) < 0.5, -1.0, 1.0)
+    mag = rng.uniform(0.2, 0.45, (1, 2 * k * k, 5, 5))
+    sign = np.where(rng.random((1, 2 * k * k, 5, 5)) < 0.5, -1.0, 1.0)
     o = Tensor(mag * sign, requires_grad=True)
     check_gradients(
-        lambda: weighted_sum_loss(apply_joint_filter(target, KernelField(w, o), 3)),
+        lambda: weighted_sum_loss(apply_joint_filter(target, KernelField(w, o), k)),
         [target, w, o], rel_tol=1e-3, n_coords=6)
+
+
+def test_apply_joint_filter_tape_does_not_grow_with_k():
+    # all taps go through one bilinear_sample: no per-tap nodes
+    rng = np.random.default_rng(9)
+    target = Tensor(rng.random((1, 1, 5, 5)))
+    counts = []
+    for k in (1, 3, 5):
+        w = Tensor(rng.uniform(0, 1, (1, k * k, 5, 5)), requires_grad=True)
+        o = Tensor(rng.uniform(-1, 1, (1, 2 * k * k, 5, 5)), requires_grad=True)
+        with Tape() as tape:
+            apply_joint_filter(target, KernelField(w, o), k)
+        counts.append(len(tape.nodes))
+    assert counts[0] == counts[1] == counts[2] <= 10, counts
 
 
 # head convs ------------------------------------------------------------------

@@ -360,3 +360,17 @@ def test_bilinear_gradients_wrt_image_and_coords():
     check_gradients(
         lambda: weighted_sum_loss(ops.bilinear_sample(x, coords)),
         [x, coords], rel_tol=1e-3, n_coords=8)
+
+
+def test_bilinear_constant_image_skips_its_gradient_only():
+    rng = np.random.default_rng(20)
+    data = rng.uniform(-1, 1, (1, 2, 6, 6))
+    coords = Tensor(rng.uniform(-1, 6, (1, 3, 3, 2)), requires_grad=True)
+    coord_grads = []
+    for image_needs_grad in (False, True):
+        with Tape() as tape:
+            out = ops.bilinear_sample(Tensor(data, requires_grad=image_needs_grad), coords)
+        g_image, g_coords = tape.nodes[0].backward(np.ones(out.shape))
+        assert (g_image is None) == (not image_needs_grad)
+        coord_grads.append(g_coords)
+    np.testing.assert_array_equal(*coord_grads)
