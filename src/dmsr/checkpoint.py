@@ -12,12 +12,13 @@ import struct
 import numpy as np
 
 from .imageio import atomic_write
+from .model import ConfigError, DmsrModel, ModelConfig, parse
+from .train import ADAM_SETTINGS, Adam
 
 MAGIC = b"DMSR"
 VERSION = 1
 _DTYPES = {0: "<f8", 1: "<f4"}
 _DTYPE_CODES = {"float64": 0, "float32": 1}
-_OPTIM_KEYS = ("lr", "beta1", "beta2", "eps")   # Adam settings, as optim.<name>
 
 
 class CheckpointError(ValueError):
@@ -117,12 +118,11 @@ def pack_state(model, optimizer=None, metadata=None):
             arrays[f"optim.m.{name}"] = optimizer.m[name]
             arrays[f"optim.v.{name}"] = optimizer.v[name]
         meta["optim.step"] = optimizer.step_count
-        meta.update({f"optim.{k}": getattr(optimizer, k) for k in _OPTIM_KEYS})
+        meta.update({f"optim.{k}": getattr(optimizer, k) for k in ADAM_SETTINGS})
     return arrays, meta
 
 
 def config_from_metadata(metadata):
-    from .model import ConfigError, ModelConfig, parse
     try:
         return ModelConfig.from_flat(metadata, parse)
     except KeyError as e:
@@ -133,7 +133,6 @@ def config_from_metadata(metadata):
 
 def restore_model(path):
     """Rebuild (model, arrays, metadata) from a checkpoint file."""
-    from .model import DmsrModel
     arrays, metadata = load_checkpoint(path)
     cfg = config_from_metadata(metadata)
     model = DmsrModel(cfg, seed=0)
@@ -149,7 +148,6 @@ def restore_model(path):
 
 def metadata_value(metadata, key, kind, default=None):
     """metadata[key] parsed as `kind`, or `default` when the key is absent."""
-    from .model import parse
     try:
         return parse(kind, metadata[key]) if key in metadata else default
     except ValueError as e:
@@ -157,9 +155,13 @@ def metadata_value(metadata, key, kind, default=None):
 
 
 def restore_optimizer(model, arrays, metadata):
-    from .train import Adam
-    settings = {k: metadata_value(metadata, f"optim.{k}", float)
-                for k in _OPTIM_KEYS if f"optim.{k}" in metadata}
+    settings = {}
+    for name, (_, valid, ok) in ADAM_SETTINGS.items():
+        key = f"optim.{name}"
+        if key in metadata:
+            settings[name] = metadata_value(metadata, key, float)
+            if not ok(settings[name]):
+                raise CheckpointError(f"metadata {key} must be {valid}, got {metadata[key]}")
     opt = Adam(model.named_parameters(), **settings)
     opt.step_count = metadata_value(metadata, "optim.step", int, 0)
     for name, p in opt.named_params:

@@ -23,7 +23,7 @@ from .imageio import (ImageFormatError, atomic_write, load_pgm16, load_ppm,
 from .model import (BACKBONES, ConfigError, DmsrModel, ModelConfig, identity_field,
                     apply_joint_filter, parse, upsample_lr)
 from .tensor import ShapeError, Tensor
-from .train import (Adam, TrainingDivergedError, bench, evaluate, psnr,
+from .train import (ADAM_SETTINGS, Adam, TrainingDivergedError, bench, evaluate, psnr,
                     train_epochs, worker_count)
 
 EXIT_CONFIG = 2
@@ -38,10 +38,7 @@ SETTINGS = {
     "data.synth_width": (64, ">= 1", lambda v: v >= 1),
     "train.epochs": (20, ">= 1", lambda v: v >= 1),
     "train.seed": (0, ">= 0", lambda v: v >= 0),
-    "train.lr": (0.001, "> 0", lambda v: v > 0),
-    "train.beta1": (0.9, "in [0, 1)", lambda v: 0 <= v < 1),
-    "train.beta2": (0.999, "in [0, 1)", lambda v: 0 <= v < 1),
-    "train.eps": (1e-8, "> 0", lambda v: v > 0),
+    **{f"train.{name}": setting for name, setting in ADAM_SETTINGS.items()},
 }
 # the field defaults, not a ModelConfig() instance: num_blocks 0 must stay
 # unresolved until the backbone is known

@@ -78,22 +78,31 @@ class _HeaderScanner:
         return b[self.token_start:self.pos]
 
     def int_token(self, what):
+        """The next token as a positive decimal integer."""
         tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
+        if not tok.isdigit() or int(tok) < 1:
             raise MalformedHeaderError(f"bad {what} {tok!r}", self.token_start)
+        return int(tok)
 
 
-def _read_netpbm(path, magic, maxval_required):
-    blob = open(path, "rb").read()
+def _read_image(path, magic):
+    """The bytes of an image file and a scanner past its magic, width and
+    height tokens, with the width and height."""
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise ImageFormatError(f"cannot read image {path}: {e.strerror}")
     scan = _HeaderScanner(blob)
     got = scan.token()
     if got != magic:
         raise UnsupportedMagicError(f"expected magic {magic.decode()}, "
                                     f"got {got!r}", 0)
-    w = scan.int_token("width")
-    h = scan.int_token("height")
+    return blob, scan, scan.int_token("width"), scan.int_token("height")
+
+
+def _read_netpbm(path, magic, maxval_required):
+    blob, scan, w, h = _read_image(path, magic)
     maxval = scan.int_token("maxval")
     if maxval != maxval_required:
         raise MalformedHeaderError(f"maxval {maxval}, expected {maxval_required}",
@@ -160,13 +169,7 @@ def save_pfm(path, img):
 
 def load_pfm(path):
     """Load grayscale PFM as (1, H, W) float64 (payload stays bit-exact f32)."""
-    blob = open(path, "rb").read()
-    scan = _HeaderScanner(blob)
-    got = scan.token()
-    if got != b"Pf":
-        raise UnsupportedMagicError(f"expected magic Pf, got {got!r}", 0)
-    w = scan.int_token("width")
-    h = scan.int_token("height")
+    blob, scan, w, h = _read_image(path, b"Pf")
     tok = scan.token()
     try:
         scale = float(tok)

@@ -60,96 +60,91 @@ def ones_param(shape):
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# convolution (stride 1)
 
 
-def _sliding_view(xp, kh, kw, stride):
-    """(B,C,Hp,Wp) -> read-only view (B,C,kh,kw,Ho,Wo)."""
-    B, C, Hp, Wp = xp.shape
-    Ho = (Hp - kh) // stride + 1
-    Wo = (Wp - kw) // stride + 1
-    s0, s1, s2, s3 = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (B, C, kh, kw, Ho, Wo), (s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False)
+def _conv(op, x, weight, bias, padding, kernel):
+    """What conv2d and depthwise_conv2d share: the channel and output-extent
+    checks, the zero padding, the tap windows, the optional per-channel bias
+    and the input gradient.
 
-
-def _spread_cols(dcols, B, C, kh, kw, Ho, Wo, Hp, Wp, stride):
-    """col2im: scatter (B,C,kh,kw,Ho,Wo) gradients back onto the padded image."""
-    buf = np.zeros((B, C, kh, kw, Hp, Wp))
-    for ki in range(kh):
-        for kj in range(kw):
-            buf[:, :, ki, kj, ki:ki + stride * Ho:stride, kj:kj + stride * Wo:stride] = \
-                dcols[:, :, ki, kj]
-    return buf.sum(axis=(2, 3))
-
-
-def conv2d(x, weight, bias=None, stride=1, padding=0):
-    """Cross-correlation of NCHW input with (out_ch, in_ch, kh, kw) weights."""
+    kernel(xp, w, taps, Ho, Wo) gets the padded input, the weight array and,
+    for each kernel tap (i, j) in row-major order, the index of its shifted
+    (Ho, Wo) window in xp. It returns the output and grads(g) -> (gw, the
+    gradients of the tap windows in tap order).
+    """
     x, weight = ensure_tensor(x), ensure_tensor(weight)
-    B, C, H, W = x.shape
-    O, Cw, kh, kw = weight.shape
+    _, C, H, W = x.shape
+    Cw, kh, kw = weight.shape[-3:]
     if C != Cw:
-        raise ShapeError(f"conv2d: input has {C} channels, weight expects {Cw}")
-    Hp, Wp = H + 2 * padding, W + 2 * padding
-    Ho = (Hp - kh) // stride + 1
-    Wo = (Wp - kw) // stride + 1
+        raise ShapeError(f"{op}: input has {C} channels, weight expects {Cw}")
+    Ho, Wo = H + 2 * padding - kh + 1, W + 2 * padding - kw + 1
     if Ho < 1 or Wo < 1:
-        raise ShapeError(f"conv2d: non-positive output extent ({Ho}x{Wo})")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _sliding_view(xp, kh, kw, stride).reshape(B, C * kh * kw, Ho * Wo)
-    w2 = weight.data.reshape(O, C * kh * kw)
-    out = np.matmul(w2, cols).reshape(B, O, Ho, Wo)
+        raise ShapeError(f"{op}: non-positive output extent ({Ho}x{Wo})")
+    p = padding
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    taps = [np.s_[..., i:i + Ho, j:j + Wo] for i in range(kh) for j in range(kw)]
+    out, grads = kernel(xp, weight.data, taps, Ho, Wo)
+    padded_shape = xp.shape   # backward must not keep the padded input alive
 
     inputs = (x, weight)
     if bias is not None:
         bias = ensure_tensor(bias)
-        out = out + bias.data.reshape(1, O, 1, 1)
-        inputs = (x, weight, bias)
+        out = out + bias.data.reshape(1, -1, 1, 1)
+        inputs += (bias,)
 
     def backward(g):
-        g2 = g.reshape(B, O, Ho * Wo)
-        gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
-        dcols = np.matmul(w2.T, g2).reshape(B, C, kh, kw, Ho, Wo)
-        gxp = _spread_cols(dcols, B, C, kh, kw, Ho, Wo, Hp, Wp, stride)
-        gx = gxp[:, :, padding:padding + H, padding:padding + W] if padding else gxp
-        if len(inputs) == 3:
-            return gx, gw, g.sum(axis=(0, 2, 3))
-        return gx, gw
+        gw, tap_grads = grads(g)
+        gxp = np.zeros(padded_shape)
+        for t, gt in zip(taps, tap_grads):
+            gxp[t] += gt
+        gx = gxp[..., p:p + H, p:p + W]
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if bias is not None else (gx, gw)
 
-    return record("conv2d", inputs, out, backward)
+    return record(op, inputs, out, backward)
+
+
+def conv2d(x, weight, bias=None, padding=0):
+    """Stride-1 cross-correlation of NCHW input with (out_ch, in_ch, kh, kw)
+    weights, zero-padded by `padding` on each side: one matmul over im2col."""
+
+    def im2col_matmul(xp, w, taps, Ho, Wo):
+        B, O = xp.shape[0], w.shape[0]
+        # (B, C, taps, Ho, Wo); the one window of a 1x1 kernel is xp itself
+        cols = xp[:, :, None] if len(taps) == 1 else np.stack([xp[t] for t in taps], axis=2)
+        cols = cols.reshape(B, -1, Ho * Wo)
+        w2 = w.reshape(O, -1)
+        out = np.matmul(w2, cols).reshape(B, O, Ho, Wo)
+
+        def grads(g):
+            g2 = g.reshape(B, O, Ho * Wo)
+            gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
+            dcols = np.matmul(w2.T, g2).reshape(B, -1, len(taps), Ho, Wo)
+            return gw, np.moveaxis(dcols, 2, 0)
+
+        return out, grads
+
+    return _conv("conv2d", x, weight, bias, padding, im2col_matmul)
 
 
 def depthwise_conv2d(x, weight, bias=None, padding=0):
-    """Per-channel 3x3-style convolution; weight is (C, kh, kw), stride 1."""
-    x, weight = ensure_tensor(x), ensure_tensor(weight)
-    B, C, H, W = x.shape
-    Cw, kh, kw = weight.shape
-    if C != Cw:
-        raise ShapeError(f"depthwise_conv2d: {C} channels vs weight {Cw}")
-    Hp, Wp = H + 2 * padding, W + 2 * padding
-    Ho, Wo = Hp - kh + 1, Wp - kw + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    view = _sliding_view(xp, kh, kw, 1)
-    out = np.einsum("bcijhw,cij->bchw", view, weight.data)
+    """Stride-1 per-channel convolution with (C, kh, kw) weights, zero-padded
+    by `padding` on each side: one multiply-add per tap, and the forward sums
+    the taps in row-major order."""
 
-    inputs = (x, weight)
-    if bias is not None:
-        bias = ensure_tensor(bias)
-        out = out + bias.data.reshape(1, C, 1, 1)
-        inputs = (x, weight, bias)
+    def shifted_multiply_adds(xp, w, taps, Ho, Wo):
+        wt = w.reshape(len(w), -1, 1, 1)     # (C, taps, 1, 1)
+        out = np.zeros((xp.shape[0], len(w), Ho, Wo))
+        for n, t in enumerate(taps):
+            out += xp[t] * wt[:, n]
 
-    def backward(g):
-        gw = np.einsum("bcijhw,bchw->cij", view, g)
-        dcols = np.einsum("bchw,cij->bcijhw", g, weight.data)
-        gxp = _spread_cols(dcols, B, C, kh, kw, Ho, Wo, Hp, Wp, 1)
-        gx = gxp[:, :, padding:padding + H, padding:padding + W] if padding else gxp
-        if len(inputs) == 3:
-            return gx, gw, g.sum(axis=(0, 2, 3))
-        return gx, gw
+        def grads(g):
+            gw = np.stack([np.einsum("bchw,bchw->c", g, xp[t]) for t in taps], axis=1)
+            return gw.reshape(w.shape), (g * wt[:, n] for n in range(len(taps)))
 
-    return record("depthwise_conv2d", inputs, out, backward)
+        return out, grads
+
+    return _conv("depthwise_conv2d", x, weight, bias, padding, shifted_multiply_adds)
 
 
 # ---------------------------------------------------------------------------

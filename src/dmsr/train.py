@@ -54,6 +54,16 @@ def psnr(pred, gt, x_max=1.0):
     return 20.0 * math.log10(x_max / math.sqrt(mse))
 
 
+# Adam settings as (default, valid range, its check). The train.<name> config
+# keys and the optim.<name> checkpoint metadata are both checked against them.
+ADAM_SETTINGS = {
+    "lr": (0.001, "> 0 and finite", lambda v: 0 < v < math.inf),
+    "beta1": (0.9, "in [0, 1)", lambda v: 0 <= v < 1),
+    "beta2": (0.999, "in [0, 1)", lambda v: 0 <= v < 1),
+    "eps": (1e-8, "> 0 and finite", lambda v: 0 < v < math.inf),
+}
+
+
 class Adam:
     """Bias-corrected Adam over named parameters; moments keyed by name so
     optimizer state survives checkpointing."""

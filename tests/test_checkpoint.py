@@ -110,3 +110,13 @@ def test_metadata_bool_parses_like_config_file(tmp_path, text, value):
     cfgfile.write_text(f"model.position_bias = {text}\n")
     assert config_from_metadata(meta).position_bias is value
     assert parse_config_file(str(cfgfile))["model.position_bias"] is value
+
+
+@pytest.mark.parametrize("key,text", [("optim.lr", "-1"), ("optim.lr", "nan"),
+                                      ("optim.lr", "0"), ("optim.beta1", "7"),
+                                      ("optim.beta2", "1.0"), ("optim.eps", "-1e-8"),
+                                      ("optim.eps", "inf")])
+def test_restore_optimizer_range_checks_settings(key, text):
+    model = DmsrModel(ModelConfig(backbone="naf", **TINY), seed=1)
+    with pytest.raises(CheckpointError, match=key):
+        restore_optimizer(model, {}, {key: text})

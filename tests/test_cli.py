@@ -9,7 +9,7 @@ import pytest
 
 from dmsr.cli import main
 from dmsr.data import bicubic_resize, degrade
-from dmsr.imageio import load_pfm, load_pgm16, save_pgm16
+from dmsr.imageio import load_pfm, load_pgm16, save_pgm16, save_ppm
 
 TINY_FLAGS = ["--embed-dim", "8", "--window", "4", "--heads", "1",
               "--blocks", "1", "--height", "32", "--width", "32"]
@@ -299,6 +299,21 @@ def _resume_with_metadata(key, value):
         "--out", str(tmp_path / "o")]
 
 
+
+def _infer_with_depth_header(header):
+    """infer on a valid 32x32 guidance and a depth file holding `header`."""
+    def argv(tmp_path, trained):
+        save_ppm(str(tmp_path / "g.ppm"), np.zeros((3, 32, 32)))
+        (tmp_path / "d.pgm").write_bytes(header)
+        return ["infer", trained, str(tmp_path / "g.ppm"), str(tmp_path / "d.pgm"),
+                "--out", str(tmp_path / "sr.pfm")]
+    return argv
+
+
+def _eval_manifest_naming_a_directory(tmp_path, trained):
+    (tmp_path / "m.txt").write_text("p0 . .\n")    # paths relative to tmp_path
+    return ["eval", trained, str(tmp_path / "m.txt")]
+
 # (id, argv builder, DMSR_THREADS, exit code, the one stderr error line's start,
 #  a text it must contain)
 BAD_INPUTS = [
@@ -314,6 +329,7 @@ BAD_INPUTS = [
     ("blocks-negative", _train_with_flags("--blocks", "-2"), None, 2, "error: config:",
      "model.num_blocks"),
     ("lr-negative", _train_with_flags("--lr", "-1"), None, 2, "error: config:", "train.lr"),
+    ("lr-inf", _train_with_flags("--lr", "inf"), None, 2, "error: config:", "train.lr"),
     ("noise-sigma-negative", _train_with_flags("--noise-sigma", "-1"), None, 2,
      "error: config:", "data.noise_sigma"),
     ("eps-0", _train_with_config("train.eps = 0"), None, 2, "error: config:", "train.eps"),
@@ -331,6 +347,10 @@ BAD_INPUTS = [
      "error: data:", "optim.lr"),
     ("resume-optim-step-unparsable", _resume_with_metadata("optim.step", "x"), None, 3,
      "error: data:", "optim.step"),
+    ("resume-optim-lr-negative", _resume_with_metadata("optim.lr", "-1"), None, 3,
+     "error: data:", "optim.lr must be > 0"),
+    ("resume-optim-beta1-7", _resume_with_metadata("optim.beta1", "7"), None, 3,
+     "error: data:", "optim.beta1 must be in [0, 1)"),
     ("resume-epoch-unparsable", _resume_with_metadata("train.epoch", "x"), None, 3,
      "error: data:", "train.epoch"),
     ("metadata-not-utf8",
@@ -347,6 +367,14 @@ BAD_INPUTS = [
     ("checkpoint-is-directory",
      lambda tmp_path, trained: ["eval", str(tmp_path), str(tmp_path / "manifest.txt")],
      None, 3, "error: data:", "checkpoint"),
+    ("depth-negative-width", _infer_with_depth_header(b"P5 -4 4 65535\n"), None, 3,
+     "error: data:", "bad width b'-4' (byte 3)"),
+    ("guidance-is-directory",
+     lambda tmp_path, trained: ["infer", trained, str(tmp_path), str(tmp_path),
+                                "--out", str(tmp_path / "sr.pfm")],
+     None, 3, "error: data:", "cannot read image"),
+    ("manifest-names-directory", _eval_manifest_naming_a_directory, None, 3,
+     "error: data:", "cannot read image"),
     ("bench-repeats-1",
      lambda tmp_path, trained: ["bench", "--backbone", "naf", "--blocks", "1",
                                 "--width", "32", "--height", "32", "--repeats", "1"],

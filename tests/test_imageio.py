@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dmsr.imageio import (MalformedHeaderError, TruncatedPayloadError,
+from dmsr.imageio import (ImageFormatError, MalformedHeaderError, TruncatedPayloadError,
                           UnsupportedMagicError, load_pfm, load_pgm16,
                           load_ppm, save_pfm, save_pgm16, save_ppm)
 
@@ -89,3 +89,24 @@ def test_pfm_big_endian_scale_honored(tmp_path):
     path.write_bytes(b"Pf\n3 2\n1.0\n" + data[::-1].tobytes())
     img = load_pfm(str(path))
     np.testing.assert_array_equal(img[0], np.arange(6).reshape(2, 3))
+
+
+@pytest.mark.parametrize("load,header,offset", [
+    (load_pgm16, b"P5 -4 4 65535\n", 3),
+    (load_pgm16, b"P5\n4 0\n65535\n", 5),
+    (load_ppm, b"P6 2 -1 255\n", 5),
+    (load_pfm, b"Pf\n0 2\n-1.0\n", 3),
+])
+def test_non_positive_extent_is_malformed_at_its_token(tmp_path, load, header, offset):
+    path = tmp_path / "bad.img"
+    path.write_bytes(header + b"\x00" * 64)
+    with pytest.raises(MalformedHeaderError) as err:
+        load(str(path))
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("load", [load_pgm16, load_ppm, load_pfm])
+def test_unreadable_path_is_an_image_format_error(tmp_path, load):
+    for path in (tmp_path, tmp_path / "missing.img"):
+        with pytest.raises(ImageFormatError, match="cannot read image"):
+            load(str(path))

@@ -12,13 +12,12 @@ from helpers import check_gradients, weighted_sum_loss
 # conv2d ---------------------------------------------------------------------
 
 
-def conv2d_loops(x, w, b, stride, pad):
-    """Naive six-loop convolution oracle."""
+def conv2d_loops(x, w, b, pad):
+    """Naive six-loop stride-1 convolution oracle."""
     B, C, H, W = x.shape
     O, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    Ho = (H + 2 * pad - kh) // stride + 1
-    Wo = (W + 2 * pad - kw) // stride + 1
+    Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
     out = np.zeros((B, O, Ho, Wo))
     for bb in range(B):
         for o in range(O):
@@ -28,10 +27,67 @@ def conv2d_loops(x, w, b, stride, pad):
                     for c in range(C):
                         for u in range(kh):
                             for v in range(kw):
-                                acc += w[o, c, u, v] * xp[bb, c, i * stride + u,
-                                                          j * stride + v]
+                                acc += w[o, c, u, v] * xp[bb, c, i + u, j + v]
                     out[bb, o, i, j] = acc + (b[o] if b is not None else 0.0)
     return out
+
+
+# The im2col conv2d and einsum depthwise conv this module replaced, kept as
+# bit-level references: an as_strided window view and a col2im scatter.
+
+
+def _reference_windows(xp, kh, kw):
+    B, C, Hp, Wp = xp.shape
+    s0, s1, s2, s3 = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (B, C, kh, kw, Hp - kh + 1, Wp - kw + 1), (s0, s1, s2, s3, s2, s3),
+        writeable=False)
+
+
+def _reference_col2im(dcols, padded_shape):
+    kh, kw, Ho, Wo = dcols.shape[2:]
+    buf = np.zeros(dcols.shape[:4] + padded_shape[2:])
+    for ki in range(kh):
+        for kj in range(kw):
+            buf[:, :, ki, kj, ki:ki + Ho, kj:kj + Wo] = dcols[:, :, ki, kj]
+    return buf.sum(axis=(2, 3))
+
+
+def reference_conv2d(x, w, b, g, pad):
+    """(out, gx, gw, gb) of the as_strided im2col conv2d."""
+    B, C, H, W = x.shape
+    O, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    view = _reference_windows(xp, kh, kw)
+    Ho, Wo = view.shape[4:]
+    cols = view.reshape(B, C * kh * kw, Ho * Wo)
+    w2 = w.reshape(O, C * kh * kw)
+    out = np.matmul(w2, cols).reshape(B, O, Ho, Wo) + b.reshape(1, O, 1, 1)
+    g2 = g.reshape(B, O, Ho * Wo)
+    gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
+    dcols = np.matmul(w2.T, g2).reshape(B, C, kh, kw, Ho, Wo)
+    gx = _reference_col2im(dcols, xp.shape)[:, :, pad:pad + H, pad:pad + W]
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def reference_depthwise(x, w, b, g, pad):
+    """(out, gx, gw, gb) of the einsum depthwise conv."""
+    H, W = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    view = _reference_windows(xp, *w.shape[1:])
+    out = np.einsum("bcijhw,cij->bchw", view, w) + b.reshape(1, -1, 1, 1)
+    gw = np.einsum("bcijhw,bchw->cij", view, g)
+    dcols = np.einsum("bchw,cij->bcijhw", g, w)
+    gx = _reference_col2im(dcols, xp.shape)[:, :, pad:pad + H, pad:pad + W]
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def _forward_and_grads(op, x, w, b, g, pad):
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    with Tape() as tape:
+        out = op(*leaves, padding=pad)
+    (node,) = tape.nodes
+    return (out.data, *node.backward(g))
 
 
 def test_conv2d_identity_kernel():
@@ -55,13 +111,45 @@ def test_conv2d_box_sum_on_constant():
 def test_conv2d_matches_naive_loops():
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, (1, 3, 6, 6))
-    w = rng.uniform(-1, 1, (4, 3, 3, 3))
     b = rng.uniform(-1, 1, (4,))
-    for stride, pad in [(1, 0), (1, 1), (2, 1)]:
-        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
-                         padding=pad).data
-        want = conv2d_loops(x, w, b, stride, pad)
-        assert np.abs(got - want).max() < 1e-10
+    for k in (1, 3):
+        w = rng.uniform(-1, 1, (4, 3, k, k))
+        for pad in (0, 1):
+            got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=pad).data
+            want = conv2d_loops(x, w, b, pad)
+            assert np.abs(got - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("k,pad", [(1, 0), (1, 1), (3, 0), (3, 1)])
+def test_conv2d_bit_equal_to_strided_im2col(k, pad):
+    rng = np.random.default_rng(30)
+    x = rng.uniform(-1, 1, (2, 3, 7, 6))
+    w = rng.uniform(-1, 1, (5, 3, k, k))
+    b = rng.uniform(-1, 1, (5,))
+    g = rng.uniform(-1, 1, (2, 5, 7 + 2 * pad - k + 1, 6 + 2 * pad - k + 1))
+    got = _forward_and_grads(ops.conv2d, x, w, b, g, pad)
+    for name, a, want in zip(("out", "gx", "gw", "gb"), got,
+                             reference_conv2d(x, w, b, g, pad)):
+        np.testing.assert_array_equal(a, want, err_msg=name)
+
+
+@pytest.mark.parametrize("B,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_depthwise_conv2d_matches_einsum_reference(B, pad):
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-1, 1, (B, 4, 7, 6))
+    w = rng.uniform(-1, 1, (4, 3, 3))
+    b = rng.uniform(-1, 1, (4,))
+    g = rng.uniform(-1, 1, (B, 4, 7 + 2 * pad - 2, 6 + 2 * pad - 2))
+    out, gx, gw, gb = _forward_and_grads(ops.depthwise_conv2d, x, w, b, g, pad)
+    want_out, want_gx, want_gw, want_gb = reference_depthwise(x, w, b, g, pad)
+    # the forward adds taps in row-major order, einsum in its own order
+    assert np.abs(out - want_out).max() < 1e-13
+    np.testing.assert_array_equal(gx, want_gx)
+    np.testing.assert_array_equal(gb, want_gb)
+    if B == 1:      # training is batch-1: its weight gradients are unchanged
+        np.testing.assert_array_equal(gw, want_gw)
+    else:           # the 6-D einsum groups the batch sum differently
+        assert np.abs(gw - want_gw).max() < 1e-13
 
 
 def test_conv2d_channel_mismatch():
@@ -74,16 +162,46 @@ def test_conv2d_non_positive_output():
         ops.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))))
 
 
+def test_depthwise_conv2d_non_positive_output():
+    with pytest.raises(ShapeError, match="non-positive output extent"):
+        ops.depthwise_conv2d(Tensor(np.ones((1, 2, 2, 4))), Tensor(np.ones((2, 3, 3))))
+
+
 def test_conv2d_gradients():
     rng = np.random.default_rng(2)
     x = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)), requires_grad=True)
-    w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)
+    for k in (1, 3):
+        w = Tensor(rng.uniform(-1, 1, (3, 2, k, k)), requires_grad=True)
+        for pad in (0, 1):
+            check_gradients(
+                lambda: weighted_sum_loss(ops.conv2d(x, w, b, padding=pad)),
+                [x, w, b], n_coords=6)
 
-    for stride, pad in [(1, 1), (2, 0)]:
-        check_gradients(
-            lambda: weighted_sum_loss(ops.conv2d(x, w, b, stride=stride, padding=pad)),
-            [x, w, b], n_coords=6)
+
+def _closure_arrays(fn):
+    """Every ndarray a function's closure holds, through nested closures."""
+    found, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                found.append(value)
+            elif callable(value) and getattr(value, "__closure__", None):
+                todo.append(value)
+    return found
+
+
+def test_recorded_conv2d_does_not_keep_its_padded_input():
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.uniform(-1, 1, (1, 2, 5, 5)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)))
+    with Tape() as tape:
+        ops.conv2d(x, w, padding=1)
+    held = _closure_arrays(tape.nodes[0].backward)
+    assert held, "the closure walk found no arrays"
+    assert all(a.shape != (1, 2, 7, 7) for a in held)
+    assert all(a.base is None or a.base.shape != (1, 2, 7, 7) for a in held)
 
 
 def test_depthwise_conv2d_matches_grouped_loops():
@@ -95,7 +213,7 @@ def test_depthwise_conv2d_matches_grouped_loops():
     w4 = np.zeros((4, 4, 3, 3))
     for c in range(4):
         w4[c, c] = w[c]
-    want = conv2d_loops(x, w4, None, 1, 1)
+    want = conv2d_loops(x, w4, None, 1)
     assert np.abs(got - want).max() < 1e-10
 
 
@@ -104,9 +222,10 @@ def test_depthwise_conv2d_gradients():
     x = Tensor(rng.uniform(-1, 1, (1, 2, 4, 4)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (2, 3, 3)), requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (2,)), requires_grad=True)
-    check_gradients(
-        lambda: weighted_sum_loss(ops.depthwise_conv2d(x, w, b, padding=1)),
-        [x, w, b], n_coords=6)
+    for pad in (1, 0):
+        check_gradients(
+            lambda: weighted_sum_loss(ops.depthwise_conv2d(x, w, b, padding=pad)),
+            [x, w, b], n_coords=6)
 
 
 # layer norm ------------------------------------------------------------------
