@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter, maximum_filter
 
+from .imageio import load_pgm16, load_ppm
 from .tensor import Tensor
 
 BICUBIC_A = -0.5  # Catmull-Rom
@@ -207,8 +208,6 @@ def load_manifest_pairs(path, scale, noise_sigma=0.0, seed=0):
     """Load every manifest pair, degrading HR depth to LR. Missing files are
     reported exhaustively before aborting. LR depth is snapped to the 16-bit
     grid so that on-disk LR files reproduce in-memory evaluation exactly."""
-    from .imageio import load_ppm, load_pgm16
-
     entries = parse_manifest(path)
     missing = [p for _, g, d in entries for p in (g, d) if not os.path.exists(p)]
     if missing:

@@ -15,8 +15,8 @@ from . import swin as swin_mod
 from .data import bicubic_resize
 from .ops import (Module, param_conv, zeros_param, conv2d, pixel_shuffle,
                   pixel_unshuffle, bilinear_sample)
-from .tensor import (Tensor, ShapeError, add, mul, sigmoid, reshape, tmean,
-                     sub, transpose, tsum)
+from .tensor import (Tensor, ShapeError, add, mul, sigmoid, rearrange, reshape, tmean,
+                     sub, tsum)
 
 BACKBONES = ("swin", "naf")
 DEFAULT_BLOCKS = {"swin": 4, "naf": 6}
@@ -176,12 +176,13 @@ def apply_joint_filter(target_up, kernel_field, k):
     if offsets.shape != (B, 2 * k * k, H, W):
         raise ShapeError(f"apply_joint_filter: offsets {offsets.shape} vs "
                          f"expected {(B, 2 * k * k, H, W)}")
-    # (k*k, H, W, 2): each tap's pixel centre plus its (dy, dx) displacement
+    # (2*k*k, H, W) like the offsets: each tap's pixel centre (y, x) plus its
+    # (dy, dx) displacement
     d = np.arange(k) - k // 2
     dy, dx, y, x = np.meshgrid(d, d, np.arange(H), np.arange(W), indexing="ij")
-    grid = Tensor(np.stack((y + dy, x + dx), axis=-1).reshape(k * k, H, W, 2))
-    coords = transpose(reshape(offsets, (B, k * k, 2, H, W)), (0, 1, 3, 4, 2))
-    coords = reshape(add(coords, grid), (B, k * k * H, W, 2))
+    grid = np.stack((y + dy, x + dx), axis=2).reshape(2 * k * k, H, W)
+    coords = rearrange(add(offsets, grid), (B, k * k, 2, H, W), (0, 1, 3, 4, 2),
+                       (B, k * k * H, W, 2))
     samples = reshape(bilinear_sample(target_up, coords), (B, C, k * k, H, W))
     # the tap axis is not innermost, so the sum adds taps in order 0..k*k-1
     return tsum(mul(reshape(weights, (B, 1, k * k, H, W)), samples), axis=2)

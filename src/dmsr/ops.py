@@ -7,7 +7,7 @@ attention operates on (batch*windows, tokens, channels).
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, record, ensure_tensor, matmul, reshape,
+from .tensor import (Tensor, ShapeError, record, ensure_tensor, matmul, rearrange,
                      transpose, tmean, softmax_lastaxis, add, slice_axis)
 
 
@@ -229,25 +229,21 @@ def multi_head_attention(x, p, mask=None):
     if C != h * d:
         raise ShapeError(f"attention: channels {C} != heads*head_dim {h * d}")
     qkv = linear(x, p.qkv_w, p.qkv_b)                      # (N, L, 3C)
-    qkv = reshape(qkv, (N, L, 3, h, d))
-    qkv = transpose(qkv, (2, 0, 3, 1, 4))                  # (3, N, h, L, d)
-    q, k, v = (reshape(slice_axis(qkv, 0, i, i + 1), (N, h, L, d)) for i in range(3))
+    qkv = rearrange(qkv, (N, L, 3 * h, d), (0, 2, 1, 3))   # (N, 3h, L, d)
+    q, k, v = (slice_axis(qkv, 1, i * h, (i + 1) * h) for i in range(3))
     logits = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
     if p.pos_bias is not None:
         if p._pos_gather.shape[0] != L * L:
             raise ShapeError(f"position bias built for "
                              f"{int(np.sqrt(p._pos_gather.shape[0]))} tokens, got {L}")
         bias = matmul(Tensor(p._pos_gather), p.pos_bias)   # (L*L, heads)
-        bias = transpose(reshape(bias, (L, L, h)), (2, 0, 1))
-        logits = add(logits, reshape(bias, (1, h, L, L)))
+        logits = add(logits, rearrange(bias, (L, L, h), (2, 0, 1), (1, h, L, L)))
     if mask is not None:
-        nw = mask.shape[0]
-        logits = reshape(logits, (N // nw, nw, h, L, L))
-        logits = add(logits, Tensor(mask[None, :, None]))
-        logits = reshape(logits, (N, h, L, L))
+        # window i of every batch entry, the same for every head
+        logits = add(logits, Tensor(np.tile(mask, (N // mask.shape[0], 1, 1))[:, None]))
     attn = softmax_lastaxis(logits)
     out = matmul(attn, v)                                  # (N, h, L, d)
-    out = reshape(transpose(out, (0, 2, 1, 3)), (N, L, C))
+    out = rearrange(out, out.shape, (0, 2, 1, 3), (N, L, C))
     return linear(out, p.proj_w, p.proj_b)
 
 
@@ -260,9 +256,8 @@ def window_partition(x, window):
     B, H, W, C = x.shape
     if H % window or W % window:
         raise ShapeError(f"window {window} does not divide {H}x{W}")
-    x = reshape(x, (B, H // window, window, W // window, window, C))
-    x = transpose(x, (0, 1, 3, 2, 4, 5))
-    return reshape(x, (B * (H // window) * (W // window), window * window, C))
+    return rearrange(x, (B, H // window, window, W // window, window, C),
+                     (0, 1, 3, 2, 4, 5), (-1, window * window, C))
 
 
 def window_merge(windows, window, H, W):
@@ -271,9 +266,8 @@ def window_merge(windows, window, H, W):
     if L != window * window or H % window or W % window:
         raise ShapeError("window_merge: inconsistent window geometry")
     B = nwin // ((H // window) * (W // window))
-    x = reshape(windows, (B, H // window, W // window, window, window, C))
-    x = transpose(x, (0, 1, 3, 2, 4, 5))
-    return reshape(x, (B, H, W, C))
+    return rearrange(windows, (B, H // window, W // window, window, window, C),
+                     (0, 1, 3, 2, 4, 5), (B, H, W, C))
 
 
 def pixel_unshuffle(x, r):
@@ -281,9 +275,8 @@ def pixel_unshuffle(x, r):
     B, C, H, W = x.shape
     if H % r or W % r:
         raise ShapeError(f"pixel_unshuffle: factor {r} does not divide {H}x{W}")
-    x = reshape(x, (B, C, H // r, r, W // r, r))
-    x = transpose(x, (0, 1, 3, 5, 2, 4))
-    return reshape(x, (B, C * r * r, H // r, W // r))
+    return rearrange(x, (B, C, H // r, r, W // r, r), (0, 1, 3, 5, 2, 4),
+                     (B, C * r * r, H // r, W // r))
 
 
 def pixel_shuffle(x, r):
@@ -292,9 +285,7 @@ def pixel_shuffle(x, r):
     if Cr2 % (r * r):
         raise ShapeError(f"pixel_shuffle: channels {Cr2} not divisible by {r * r}")
     C = Cr2 // (r * r)
-    x = reshape(x, (B, C, r, r, H, W))
-    x = transpose(x, (0, 1, 4, 2, 5, 3))
-    return reshape(x, (B, C, H * r, W * r))
+    return rearrange(x, (B, C, r, r, H, W), (0, 1, 4, 2, 5, 3), (B, C, H * r, W * r))
 
 
 def adaptive_avg_pool_global(x):

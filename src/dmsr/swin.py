@@ -9,7 +9,7 @@ import numpy as np
 from .ops import (Module, AttentionParams, param, param_conv, zeros_param,
                   ones_param, conv2d, layer_norm, linear, multi_head_attention,
                   window_partition, window_merge)
-from .tensor import ShapeError, gelu, reshape, transpose, roll, add
+from .tensor import ShapeError, gelu, transpose, roll, add
 
 
 def shift_attention_mask(H, W, window, shift):

@@ -6,6 +6,7 @@ accumulates gradients keyed by tensor identity.
 """
 
 import math
+import threading
 
 import numpy as np
 from scipy.special import erf
@@ -92,14 +93,17 @@ class TapeNode:
         self.backward = backward
 
 
-_TAPE_STACK = []
+# .tapes: the open tapes of this thread, innermost last; ops run in one thread
+# never record onto a tape opened in another
+_TAPE_STACK = threading.local()
 
 
 class Tape:
     """Ordered record of executed operations plus accumulated gradients.
 
-    Single-owner: must not be shared across threads. Nodes are appended in
-    execution order, which is topological by construction.
+    Single-owner: must not be shared across threads. A tape records the ops
+    of the thread that opened it. Nodes are appended in execution order,
+    which is topological by construction.
     """
 
     def __init__(self):
@@ -107,11 +111,11 @@ class Tape:
         self.grads = {}
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        vars(_TAPE_STACK).setdefault("tapes", []).append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
         return False
 
@@ -142,10 +146,6 @@ class Tape:
         return self.grads
 
 
-def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def ensure_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -158,9 +158,9 @@ def record(op, inputs, out_data, backward):
     """
     inputs = tuple(ensure_tensor(x) for x in inputs)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape.nodes.append(TapeNode(op, inputs, out, backward))
+    tapes = getattr(_TAPE_STACK, "tapes", None)
+    if tapes and out.requires_grad:
+        tapes[-1].nodes.append(TapeNode(op, inputs, out, backward))
     return out
 
 
@@ -230,8 +230,8 @@ def tanh(a):
 def sigmoid(a):
     a = ensure_tensor(a)
     # stable in both tails
-    s = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
 
 
@@ -311,17 +311,31 @@ def tmean(a, axis=None, keepdims=False):
                   lambda g: (_expand_reduced(g, a.shape, axis, keepdims) / n,))
 
 
-def reshape(a, shape):
+def rearrange(a, split, axes=None, shape=None):
+    """Reshape `a` to `split`, permute the axes by `axes` (None: keep their
+    order) and reshape to `shape` (None: as permuted), as one tape node whose
+    backward runs the three steps in reverse. It records op "transpose" when
+    it permutes and "reshape" when it does not."""
     a = ensure_tensor(a)
-    return record("reshape", (a,), a.data.reshape(shape),
-                  lambda g: (g.reshape(a.shape),))
+    x = a.data.reshape(split)
+    if axes is not None:
+        x = np.ascontiguousarray(x.transpose(axes))
+    permuted = x.shape
+
+    def backward(g):
+        g = g.reshape(permuted)
+        return ((g if axes is None else g.transpose(np.argsort(axes))).reshape(a.shape),)
+
+    return record("reshape" if axes is None else "transpose", (a,),
+                  x if shape is None else x.reshape(shape), backward)
+
+
+def reshape(a, shape):
+    return rearrange(a, shape)
 
 
 def transpose(a, axes):
-    a = ensure_tensor(a)
-    inv = np.argsort(axes)
-    return record("transpose", (a,), np.ascontiguousarray(a.data.transpose(axes)),
-                  lambda g: (g.transpose(inv),))
+    return rearrange(a, ensure_tensor(a).shape, axes)
 
 
 def slice_axis(a, axis, start, stop):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import to_tensors
+from .data import ScenePair, to_tensors
 from .model import ConfigError
 from .tensor import ShapeError, Tape, Tensor, absolute, sub, tmean
 
@@ -198,7 +198,6 @@ def bench(model, height, width, repeats, seed=0):
 
 
 def _bench_pair(rng, height, width, scale):
-    from .data import ScenePair
     return ScenePair("bench", rng.random((3, height, width)),
                      rng.random((1, height, width)),
                      rng.random((1, height // scale, width // scale)))

@@ -9,6 +9,7 @@ from dmsr.model import (DmsrModel, KernelField, ModelConfig, apply_joint_filter,
                         upsample_lr)
 from dmsr.ops import bilinear_sample, pixel_shuffle
 from dmsr.tensor import Tape, Tensor, ShapeError, add, concat, mul, reshape, slice_axis
+from dmsr.train import l1_loss
 
 from helpers import check_gradients, weighted_sum_loss
 
@@ -190,6 +191,19 @@ def test_apply_joint_filter_tape_does_not_grow_with_k():
             apply_joint_filter(target, KernelField(w, o), k)
         counts.append(len(tape.nodes))
     assert counts[0] == counts[1] == counts[2] <= 10, counts
+
+
+# one training step at the benchmark workloads' configs: scale 8, k=3, default
+# widths, swin at 64x64 and naf at 128x128
+@pytest.mark.parametrize("backbone,size,nodes", [("swin", 64, 491), ("naf", 128, 319)])
+def test_training_step_tape_size_is_pinned(backbone, size, nodes):
+    model = DmsrModel(ModelConfig(backbone=backbone, scale=8, k=3))
+    rng = np.random.default_rng(15)
+    guidance = Tensor(rng.random((1, 3, size, size)))
+    depth_lr = Tensor(rng.random((1, 1, size // 8, size // 8)))
+    with Tape() as tape:
+        l1_loss(model.forward(guidance, depth_lr), Tensor(rng.random((1, 1, size, size))))
+    assert len(tape.nodes) == nodes
 
 
 # head convs ------------------------------------------------------------------

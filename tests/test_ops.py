@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dmsr import ops
-from dmsr.tensor import Tensor, Tape, ShapeError
+from dmsr.swin import shift_attention_mask
+from dmsr.tensor import (Tensor, Tape, ShapeError, add, matmul, record, slice_axis,
+                         softmax_lastaxis)
 
 from helpers import check_gradients, weighted_sum_loss
 
@@ -413,6 +415,130 @@ def test_pixel_shuffle_round_trip_bit_exact():
 def test_pixel_unshuffle_non_divisible():
     with pytest.raises(ShapeError):
         ops.pixel_unshuffle(Tensor(np.ones((1, 1, 6, 6))), 4)
+
+
+# one tape node per rearrangement ------------------------------------------------
+# The references are the reshape -> transpose -> reshape chains, one tape node
+# per step, that these ops recorded before each became one rearrange call, built
+# on the reshape and transpose nodes of that time.
+
+
+def chain_reshape(a, shape):
+    return record("reshape", (a,), a.data.reshape(shape), lambda g: (g.reshape(a.shape),))
+
+
+def chain_transpose(a, axes):
+    inv = np.argsort(axes)
+    return record("transpose", (a,), np.ascontiguousarray(a.data.transpose(axes)),
+                  lambda g: (g.transpose(inv),))
+
+
+def reference_window_partition(x, window):
+    B, H, W, C = x.shape
+    x = chain_reshape(x, (B, H // window, window, W // window, window, C))
+    x = chain_transpose(x, (0, 1, 3, 2, 4, 5))
+    return chain_reshape(x, (B * (H // window) * (W // window), window * window, C))
+
+
+def reference_window_merge(windows, window, H, W):
+    nwin, L, C = windows.shape
+    B = nwin // ((H // window) * (W // window))
+    x = chain_reshape(windows, (B, H // window, W // window, window, window, C))
+    x = chain_transpose(x, (0, 1, 3, 2, 4, 5))
+    return chain_reshape(x, (B, H, W, C))
+
+
+def reference_pixel_unshuffle(x, r):
+    B, C, H, W = x.shape
+    x = chain_reshape(x, (B, C, H // r, r, W // r, r))
+    x = chain_transpose(x, (0, 1, 3, 5, 2, 4))
+    return chain_reshape(x, (B, C * r * r, H // r, W // r))
+
+
+def reference_pixel_shuffle(x, r):
+    B, Cr2, H, W = x.shape
+    C = Cr2 // (r * r)
+    x = chain_reshape(x, (B, C, r, r, H, W))
+    x = chain_transpose(x, (0, 1, 4, 2, 5, 3))
+    return chain_reshape(x, (B, C, H * r, W * r))
+
+
+def reference_attention(x, p, mask=None):
+    N, L, C = x.shape
+    h, d = p.num_heads, p.head_dim
+    qkv = ops.linear(x, p.qkv_w, p.qkv_b)
+    qkv = chain_reshape(qkv, (N, L, 3, h, d))
+    qkv = chain_transpose(qkv, (2, 0, 3, 1, 4))
+    q, k, v = (chain_reshape(slice_axis(qkv, 0, i, i + 1), (N, h, L, d)) for i in range(3))
+    logits = matmul(q, chain_transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
+    if p.pos_bias is not None:
+        bias = matmul(Tensor(p._pos_gather), p.pos_bias)
+        bias = chain_transpose(chain_reshape(bias, (L, L, h)), (2, 0, 1))
+        logits = add(logits, chain_reshape(bias, (1, h, L, L)))
+    if mask is not None:
+        nw = mask.shape[0]
+        logits = chain_reshape(logits, (N // nw, nw, h, L, L))
+        logits = add(logits, Tensor(mask[None, :, None]))
+        logits = chain_reshape(logits, (N, h, L, L))
+    out = matmul(softmax_lastaxis(logits), v)
+    out = chain_reshape(chain_transpose(out, (0, 2, 1, 3)), (N, L, C))
+    return ops.linear(out, p.proj_w, p.proj_b)
+
+
+def _output_and_grads(fn, leaves):
+    with Tape() as tape:
+        out = fn()
+        loss = weighted_sum_loss(out)
+    grads = tape.backward(loss)
+    return [out.data.tobytes()] + [grads[t].tobytes() for t in leaves]
+
+
+REARRANGEMENTS = [
+    ("window_partition", lambda x: ops.window_partition(x, 4),
+     lambda x: reference_window_partition(x, 4), (2, 8, 12, 3)),
+    ("window_merge", lambda x: ops.window_merge(x, 4, 8, 12),
+     lambda x: reference_window_merge(x, 4, 8, 12), (12, 16, 3)),
+    ("pixel_unshuffle", lambda x: ops.pixel_unshuffle(x, 2),
+     lambda x: reference_pixel_unshuffle(x, 2), (2, 3, 4, 6)),
+    ("pixel_shuffle", lambda x: ops.pixel_shuffle(x, 2),
+     lambda x: reference_pixel_shuffle(x, 2), (2, 12, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("name,op,reference,shape", REARRANGEMENTS,
+                         ids=[c[0] for c in REARRANGEMENTS])
+def test_rearrangement_is_one_node_bit_equal_to_its_chain(name, op, reference, shape):
+    x = Tensor(np.random.default_rng(17).uniform(-1, 1, shape), requires_grad=True)
+    with Tape() as tape:
+        op(x)
+    assert [node.op for node in tape.nodes] == ["transpose"]
+    assert _output_and_grads(lambda: op(x), [x]) == \
+        _output_and_grads(lambda: reference(x), [x])
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("position_bias", [False, True], ids=["no_bias", "bias"])
+def test_attention_bit_equal_to_the_reshape_chains(masked, position_bias):
+    rng = np.random.default_rng(18)
+    p = ops.AttentionParams(rng, 8, 2, window=4, position_bias=position_bias)
+    for t in p.parameters():
+        t.data[...] = rng.uniform(-1, 1, t.shape)
+    mask = shift_attention_mask(8, 8, 4, 2) if masked else None   # 4 windows
+    x = Tensor(rng.uniform(-1, 1, (2 * 4, 16, 8)), requires_grad=True)
+    leaves = [x] + p.parameters()
+    assert _output_and_grads(lambda: ops.multi_head_attention(x, p, mask), leaves) == \
+        _output_and_grads(lambda: reference_attention(x, p, mask), leaves)
+
+
+def test_attention_qkv_split_has_no_reshape():
+    rng = np.random.default_rng(19)
+    p = _attn_params(rng, 8, 2)
+    x = Tensor(rng.uniform(-1, 1, (2, 16, 8)), requires_grad=True)
+    with Tape() as tape:
+        ops.multi_head_attention(x, p)
+    assert [node.op for node in tape.nodes] == [
+        "matmul", "add", "transpose", "slice", "slice", "slice", "transpose", "matmul",
+        "mul", "softmax", "matmul", "transpose", "matmul", "add"]
 
 
 # pooling -----------------------------------------------------------------------

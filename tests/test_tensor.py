@@ -1,5 +1,7 @@
 """Tensor core: elementwise ops, matmul, GELU, tape mechanics, gradients."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,16 @@ def test_mul_elementwise():
 
 def test_sigmoid_at_zero():
     assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
+
+
+def test_sigmoid_bit_equal_to_the_three_exp_form():
+    rng = np.random.default_rng(25)
+    x = np.concatenate([rng.normal(0.0, 40.0, 10**5),
+                        [0.0, -0.0, 800.0, -800.0, np.nan, np.inf, -np.inf]])
+    # the former body, which evaluated exp(-|x|) three times
+    want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert T.sigmoid(Tensor(x)).data.tobytes() == want.tobytes()
 
 
 def test_tanh_grad_at_zero():
@@ -190,6 +202,29 @@ def test_leaf_gradients_have_leaf_shapes():
     assert g[b].shape == b.shape
 
 
+def test_ops_in_another_thread_stay_off_this_threads_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    foreign, own_nodes = [], []
+
+    def worker():
+        for _ in range(5):
+            foreign.append(T.square(x))     # no tape is open in this thread
+        with Tape() as own:
+            T.tanh(x)
+        own_nodes.extend(own.nodes)
+
+    with Tape() as tape:
+        loss = T.tsum(T.square(x))
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+    assert len(foreign) == 5
+    assert [node.op for node in tape.nodes] == ["square", "sum"]
+    assert not {id(t) for t in foreign} & {id(node.out) for node in tape.nodes}
+    assert [node.op for node in own_nodes] == ["tanh"]
+    np.testing.assert_array_equal(tape.backward(loss)[x], [2.0, 4.0])
+
+
 def test_no_tape_records_nothing():
     x = Tensor([1.0], requires_grad=True)
     y = T.square(x)
@@ -250,6 +285,22 @@ def test_batched_matmul_gradients():
     check_gradients(lambda: weighted_sum_loss(T.matmul(a, b)), [a, b], n_coords=8)
 
 
+REARRANGE_CASES = [
+    ("split_permute_merge", lambda t: T.rearrange(t, (2, 3, 2, 2), (2, 0, 3, 1), (4, 6))),
+    ("split_permute", lambda t: T.rearrange(t, (2, 3, 2, 2), (3, 1, 0, 2))),
+    ("reshape_only", lambda t: T.rearrange(t, (4, 6))),
+    ("transpose", lambda t: T.transpose(t, (1, 2, 0))),
+    ("reshape", lambda t: T.reshape(t, (3, -1))),
+]
+
+
+@pytest.mark.parametrize("name,fn", REARRANGE_CASES, ids=[c[0] for c in REARRANGE_CASES])
+def test_rearrange_gradients(name, fn):
+    rng = np.random.default_rng(hash(name) % 2**32)
+    x = Tensor(rng.uniform(-2.0, 2.0, size=(2, 3, 4)), requires_grad=True)
+    check_gradients(lambda: weighted_sum_loss(fn(x)), [x], n_coords=10)
+
+
 def test_reduction_and_shape_op_gradients():
     rng = np.random.default_rng(23)
     x = Tensor(rng.uniform(-2, 2, (2, 3, 4)), requires_grad=True)
@@ -270,3 +321,16 @@ def test_sum_keepdims_gradient():
     x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     check_gradients(lambda: weighted_sum_loss(T.tsum(x, axis=0, keepdims=True)),
                     [x], n_coords=8)
+
+
+def test_rearrange_is_one_node_named_by_whether_it_permutes():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    with Tape() as tape:
+        moved = T.rearrange(x, (2, 3, 2, 2), (0, 2, 1, 3), (4, 6))
+        flat = T.rearrange(x, (6, 4))
+        T.transpose(x, (2, 0, 1))
+        T.reshape(x, (4, 6))
+    assert [node.op for node in tape.nodes] == ["transpose", "reshape", "transpose", "reshape"]
+    np.testing.assert_array_equal(
+        moved.data, x.data.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3).reshape(4, 6))
+    np.testing.assert_array_equal(flat.data, x.data.reshape(6, 4))
