@@ -7,6 +7,7 @@ byte stream is a pure function of (parameters, optimizer state, metadata),
 so identical runs produce identical files.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -90,6 +91,10 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: unknown dtype code {code}")
         shape = r.unpack(f"<{ndim}I", "shape") if ndim else ()
         (nbytes,) = r.unpack("<Q", "payload size")
+        want = np.dtype(_DTYPES[code]).itemsize * math.prod(shape)
+        if nbytes != want:
+            raise CheckpointError(f"{path}: entry {name} has {nbytes} payload bytes, "
+                                  f"its dtype and shape {shape} need {want}")
         payload = r.take(nbytes, f"payload of {name}")
         arrays[name] = np.frombuffer(payload, dtype=_DTYPES[code]).reshape(shape).copy()
     (mlen,) = r.unpack("<I", "metadata length")
@@ -131,6 +136,13 @@ def config_from_metadata(metadata):
         raise CheckpointError(f"bad model metadata: {e}")
 
 
+def _entry(arrays, name, shape):
+    """arrays[name] as float64, checked against the shape it must have."""
+    if arrays[name].shape != shape:
+        raise CheckpointError(f"entry {name} has shape {arrays[name].shape}, expected {shape}")
+    return arrays[name].astype(np.float64)
+
+
 def restore_model(path):
     """Rebuild (model, arrays, metadata) from a checkpoint file."""
     arrays, metadata = load_checkpoint(path)
@@ -139,10 +151,7 @@ def restore_model(path):
     for name, p in model.named_parameters():
         if name not in arrays:
             raise CheckpointError(f"{path}: missing parameter {name}")
-        if arrays[name].shape != p.data.shape:
-            raise CheckpointError(f"{path}: parameter {name} has shape "
-                                  f"{arrays[name].shape}, expected {p.data.shape}")
-        p.data = arrays[name].astype(np.float64)
+        p.data = _entry(arrays, name, p.data.shape)
     return model, arrays, metadata
 
 
@@ -165,10 +174,7 @@ def restore_optimizer(model, arrays, metadata):
     opt = Adam(model.named_parameters(), **settings)
     opt.step_count = metadata_value(metadata, "optim.step", int, 0)
     for name, p in opt.named_params:
-        m = arrays.get(f"optim.m.{name}")
-        v = arrays.get(f"optim.v.{name}")
-        if m is not None:
-            opt.m[name] = m.astype(np.float64)
-        if v is not None:
-            opt.v[name] = v.astype(np.float64)
+        for key, moments in ((f"optim.m.{name}", opt.m), (f"optim.v.{name}", opt.v)):
+            if key in arrays:
+                moments[name] = _entry(arrays, key, p.data.shape)
     return opt

@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, maximum_filter
+from scipy.ndimage import gaussian_filter
 
 from .imageio import load_pgm16, load_ppm
 from .tensor import Tensor
@@ -149,23 +149,6 @@ def synth_scene(seed, H, W, scale=8, noise_sigma=0.0, pair_id=None):
     depth_lr = degrade(depth_hr, scale, noise_sigma, noise_seed)
     return ScenePair(pair_id or f"synth{seed}", guidance, depth_hr, depth_lr,
                      noise_sigma)
-
-
-def edge_alignment_score(pair, threshold=0.25):
-    """Fraction of depth-gradient-maxima pixels lying within one pixel of a
-    guidance-gradient maximum."""
-    def grad_mag(img):
-        gy, gx = np.gradient(img)
-        return np.hypot(gy, gx)
-
-    d = grad_mag(pair.depth_hr[0])
-    g = np.max([grad_mag(pair.guidance[c]) for c in range(3)], axis=0)
-    d_mask = d > threshold * d.max()
-    g_mask = g > threshold * g.max()
-    if not d_mask.any():
-        return 1.0
-    g_near = maximum_filter(g_mask.astype(np.uint8), size=3) > 0
-    return float((d_mask & g_near).sum() / d_mask.sum())
 
 
 def synth_split(n_train, n_eval, H, W, scale=8, noise_sigma=0.0, seed=0):

@@ -5,6 +5,8 @@ Tape, so gradients come from tensor.Tape.backward. Image tensors are NCHW;
 attention operates on (batch*windows, tokens, channels).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .tensor import (Tensor, ShapeError, record, ensure_tensor, matmul, rearrange,
@@ -251,23 +253,59 @@ def multi_head_attention(x, p, mask=None):
 # rearrangement
 
 
-def window_partition(x, window):
-    """(B, H, W, C) -> (B * H/w * W/w, w*w, C) of non-overlapping windows."""
+@lru_cache
+def shifted_windows(H, W, window, shift):
+    """(index, inverse, mask) of the (H, W) token grid cyclically shifted up
+    and left by `shift`: index lists its row-major token positions window by
+    window, inverse is argsort(index), mask is the (windows, w*w, w*w) logits
+    mask against attending across the wrap-around (None at shift 0). Cached
+    and read-only, so layers of one geometry share one copy."""
+    rows = (np.arange(H) + shift) % H
+    cols = (np.arange(W) + shift) % W
+
+    def by_window(grid):
+        grid = grid.reshape(H // window, window, W // window, window)
+        return grid.swapaxes(1, 2).reshape(-1, window * window)
+
+    index = by_window(rows[:, None] * W + cols).reshape(-1)
+    inverse = np.argsort(index)
+    index.flags.writeable = inverse.flags.writeable = False
+    mask = None
+    if shift:
+        # which seams a token sits beyond, in original coordinates
+        label = by_window(2 * (rows[:, None] < shift) + (cols < shift))
+        mask = np.where(label[:, :, None] != label[:, None, :], -1e9, 0.0)
+        mask.flags.writeable = False
+    return index, inverse, mask
+
+
+def _take_tokens(x, order, inverse, tokens, shape):
+    """One "transpose" node: the token axis of x as `tokens` (B, H*W, C) gathered
+    by the permutation `order`, reshaped to `shape`; backward gathers by `inverse`."""
+    x = ensure_tensor(x)
+    out = np.take(x.data.reshape(tokens), order, axis=1).reshape(shape)
+    return record("transpose", (x,), out,
+                  lambda g: (np.take(g.reshape(tokens), inverse, axis=1).reshape(x.shape),))
+
+
+def window_partition(x, window, shift=0):
+    """(B, H, W, C) -> (B * H/w * W/w, w*w, C) of non-overlapping windows of
+    the grid cyclically shifted up and left by `shift`."""
     B, H, W, C = x.shape
     if H % window or W % window:
         raise ShapeError(f"window {window} does not divide {H}x{W}")
-    return rearrange(x, (B, H // window, window, W // window, window, C),
-                     (0, 1, 3, 2, 4, 5), (-1, window * window, C))
+    index, inverse, _ = shifted_windows(H, W, window, shift)
+    return _take_tokens(x, index, inverse, (B, H * W, C), (-1, window * window, C))
 
 
-def window_merge(windows, window, H, W):
-    """Inverse of window_partition; bit-exact round trip."""
+def window_merge(windows, window, H, W, shift=0):
+    """Inverse of window_partition at the same shift; bit-exact round trip."""
     nwin, L, C = windows.shape
     if L != window * window or H % window or W % window:
         raise ShapeError("window_merge: inconsistent window geometry")
     B = nwin // ((H // window) * (W // window))
-    return rearrange(windows, (B, H // window, W // window, window, window, C),
-                     (0, 1, 3, 2, 4, 5), (B, H, W, C))
+    index, inverse, _ = shifted_windows(H, W, window, shift)
+    return _take_tokens(windows, inverse, index, (B, H * W, C), (B, H, W, C))
 
 
 def pixel_unshuffle(x, r):

@@ -4,27 +4,10 @@ Layers keep the spatial extents of the resampled input (no downsampling);
 attention alternates between unshifted and half-window-shifted grids.
 """
 
-import numpy as np
-
 from .ops import (Module, AttentionParams, param, param_conv, zeros_param,
                   ones_param, conv2d, layer_norm, linear, multi_head_attention,
-                  window_partition, window_merge)
-from .tensor import ShapeError, gelu, transpose, roll, add
-
-
-def shift_attention_mask(H, W, window, shift):
-    """Additive logits mask that stops shifted windows attending across the
-    cyclic wrap-around; shape (num_windows, w*w, w*w)."""
-    img = np.zeros((H, W))
-    cnt = 0
-    for hs in (slice(0, -window), slice(-window, -shift), slice(-shift, None)):
-        for ws in (slice(0, -window), slice(-window, -shift), slice(-shift, None)):
-            img[hs, ws] = cnt
-            cnt += 1
-    img = img.reshape(H // window, window, W // window, window)
-    win = img.transpose(0, 2, 1, 3).reshape(-1, window * window)
-    diff = win[:, None, :] - win[:, :, None]
-    return np.where(diff != 0, -1e9, 0.0)
+                  shifted_windows, window_partition, window_merge)
+from .tensor import ShapeError, gelu, transpose, add
 
 
 class Mlp(Module):
@@ -52,28 +35,16 @@ class SwinLayer(Module):
         self.norm2_g = ones_param((dim,))
         self.norm2_b = zeros_param((dim,))
         self.mlp = Mlp(rng, dim, int(dim * mlp_ratio))
-        self._mask_cache = {}
-
-    def _mask(self, H, W):
-        if self.shift == 0:
-            return None
-        key = (H, W)
-        if key not in self._mask_cache:
-            self._mask_cache[key] = shift_attention_mask(H, W, self.window, self.shift)
-        return self._mask_cache[key]
 
     def forward(self, x):
         """x is (B, H, W, C); window must divide H and W."""
-        B, H, W, C = x.shape
+        _, H, W, _ = x.shape
         shortcut = x
         y = layer_norm(x, self.norm1_g, self.norm1_b)
-        if self.shift:
-            y = roll(y, (-self.shift, -self.shift), (1, 2))
-        wins = window_partition(y, self.window)
-        wins = multi_head_attention(wins, self.attn, mask=self._mask(H, W))
-        y = window_merge(wins, self.window, H, W)
-        if self.shift:
-            y = roll(y, (self.shift, self.shift), (1, 2))
+        wins = window_partition(y, self.window, self.shift)
+        mask = shifted_windows(H, W, self.window, self.shift)[2]
+        wins = multi_head_attention(wins, self.attn, mask=mask)
+        y = window_merge(wins, self.window, H, W, self.shift)
         x = add(shortcut, y)
         return add(x, self.mlp.forward(layer_norm(x, self.norm2_g, self.norm2_b)))
 

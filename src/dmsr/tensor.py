@@ -352,23 +352,6 @@ def slice_axis(a, axis, start, stop):
     return record("slice", (a,), a.data[idx].copy(), backward)
 
 
-def concat(tensors, axis):
-    tensors = tuple(ensure_tensor(t) for t in tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-
-    return record("concat", tensors, out, backward)
-
-
-def roll(a, shifts, axes):
-    a = ensure_tensor(a)
-    return record("roll", (a,), np.roll(a.data, shifts, axis=axes),
-                  lambda g: (np.roll(g, tuple(-s for s in shifts), axis=axes),))
-
-
 # ---------------------------------------------------------------------------
 # contractions
 

@@ -11,6 +11,7 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,7 +125,9 @@ def evaluate(model, pairs):
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(one, ordered))
+            # each pair runs in a copy of this thread's context: numpy's error state
+            futures = [pool.submit(copy_context().run, one, p) for p in ordered]
+        scores = [f.result() for f in futures]
     else:
         scores = [one(p) for p in ordered]
     elapsed = time.perf_counter() - start
@@ -139,6 +142,7 @@ class TrainLog:
     epoch_metrics: list = field(default_factory=list)   # (epoch, psnr_db, ms)
 
 
+@np.errstate(all="ignore")   # a divergence is reported once, as TrainingDivergedError
 def train_epochs(model, optimizer, split, epochs, seed, start_epoch=0,
                  on_epoch=None, log=None):
     """Run `epochs` total epochs (resuming at start_epoch) of batch-1 L1

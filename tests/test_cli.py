@@ -1,6 +1,7 @@
 """CLI contract: commands, exit codes, determinism, file artifacts."""
 
 import os
+import struct
 import subprocess
 import sys
 
@@ -79,6 +80,19 @@ def test_diverged_training_exits_4(tmp_path, trained):
     code = main(["train", "--synthetic", "1", "--epochs", "2", *TINY_FLAGS,
                  "--resume", poisoned, "--out", str(tmp_path / "o")])
     assert code == 4
+
+
+# with one training scene the first epoch ends, and its evaluation runs on the
+# overflowed parameters, before the second step diverges
+@pytest.mark.parametrize("scenes,threads", [("3", "1"), ("1", "1"), ("1", "2")])
+def test_divergence_prints_one_stderr_line(tmp_path, scenes, threads):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmsr.cli", "train", "--synthetic", scenes, "--epochs", "3",
+         "--lr", "1e300", *TINY_FLAGS, "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "DMSR_THREADS": threads})
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: diverged: non-finite loss")
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -288,6 +302,29 @@ def _with_patched_bytes(tmp_path, trained, old, new):
     return str(path)
 
 
+def _with_first_dimension_grown(tmp_path, trained):
+    """The trained checkpoint with the first shape dimension of its first entry
+    one larger than its payload holds."""
+    blob = bytearray(open(trained, "rb").read())
+    (nlen,) = struct.unpack_from("<H", blob, 10)     # after magic, version, count
+    at = 12 + nlen + 2                               # after name, dtype, ndim
+    struct.pack_into("<I", blob, at, struct.unpack_from("<I", blob, at)[0] + 1)
+    path = tmp_path / "bad.dmsr"
+    path.write_bytes(bytes(blob))
+    return str(path)
+
+
+def _resume_with_moment_of_shape(shape):
+    def argv(tmp_path, trained):
+        from dmsr.checkpoint import load_checkpoint, save_checkpoint
+        arrays, meta = load_checkpoint(trained)
+        arrays["optim.m.guide_backbone.conv_in_b"] = np.zeros(shape)
+        save_checkpoint(str(tmp_path / "bad.dmsr"), arrays, meta)
+        return [*TINY_TRAIN, "--resume", str(tmp_path / "bad.dmsr"),
+                "--out", str(tmp_path / "o")]
+    return argv
+
+
 def _eval_with_metadata(key, value):
     return lambda tmp_path, trained: [
         "eval", _with_metadata(tmp_path, trained, key, value), str(tmp_path / "manifest.txt")]
@@ -364,6 +401,13 @@ BAD_INPUTS = [
          _with_patched_bytes(tmp_path, trained, b"guide_", b"guide\xff"),
          "--width", "32", "--height", "32", "--repeats", "3"],
      None, 3, "error: data:", "name is not UTF-8"),
+    ("entry-shape-disagrees-with-payload",
+     lambda tmp_path, trained: [
+         "eval", _with_first_dimension_grown(tmp_path, trained),
+         str(tmp_path / "manifest.txt")],
+     None, 3, "error: data:", "entry guide_backbone.conv_in_w has 27648 payload bytes"),
+    ("resume-optim-moment-wrong-shape", _resume_with_moment_of_shape((3,)), None, 3,
+     "error: data:", "entry optim.m.guide_backbone.conv_in_b has shape (3,), expected (8,)"),
     ("checkpoint-is-directory",
      lambda tmp_path, trained: ["eval", str(tmp_path), str(tmp_path / "manifest.txt")],
      None, 3, "error: data:", "checkpoint"),

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
 
 from dmsr.data import (DataError, _cubic_kernel, bicubic_resize, degrade,
-                       edge_alignment_score, parse_manifest, resize_matrix,
-                       synth_scene, synth_split)
+                       parse_manifest, resize_matrix, synth_scene, synth_split)
 
 
 def test_bicubic_identity_resize():
@@ -114,6 +114,23 @@ def test_synth_scene_deterministic():
     np.testing.assert_array_equal(a.guidance, b.guidance)
     np.testing.assert_array_equal(a.depth_hr, b.depth_hr)
     np.testing.assert_array_equal(a.depth_lr, b.depth_lr)
+
+
+def edge_alignment_score(pair, threshold=0.25):
+    """Fraction of depth-gradient-maxima pixels lying within one pixel of a
+    guidance-gradient maximum."""
+    def grad_mag(img):
+        gy, gx = np.gradient(img)
+        return np.hypot(gy, gx)
+
+    d = grad_mag(pair.depth_hr[0])
+    g = np.max([grad_mag(pair.guidance[c]) for c in range(3)], axis=0)
+    d_mask = d > threshold * d.max()
+    g_mask = g > threshold * g.max()
+    if not d_mask.any():
+        return 1.0
+    g_near = maximum_filter(g_mask.astype(np.uint8), size=3) > 0
+    return float((d_mask & g_near).sum() / d_mask.sum())
 
 
 def test_synth_scene_edge_alignment():

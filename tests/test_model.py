@@ -8,7 +8,7 @@ from dmsr.model import (DmsrModel, KernelField, ModelConfig, apply_joint_filter,
                         combine_offsets, combine_weights, identity_field,
                         upsample_lr)
 from dmsr.ops import bilinear_sample, pixel_shuffle
-from dmsr.tensor import Tape, Tensor, ShapeError, add, concat, mul, reshape, slice_axis
+from dmsr.tensor import Tape, Tensor, ShapeError, add, mul, rearrange, slice_axis
 from dmsr.train import l1_loss
 
 from helpers import check_gradients, weighted_sum_loss
@@ -135,15 +135,14 @@ def per_tap_joint_filter(target, field, k):
     """One bilinear_sample per tap, the terms added in tap order: the
     reference apply_joint_filter must reproduce exactly."""
     B, _, H, W = target.shape
-    gy, gx = np.meshgrid(np.arange(H, dtype=np.float64), np.arange(W, dtype=np.float64),
-                         indexing="ij")
+    grid = np.stack(np.meshgrid(np.arange(H, dtype=np.float64),
+                                np.arange(W, dtype=np.float64), indexing="ij"), axis=-1)
     out = None
     for tap in range(k * k):
         dy, dx = tap // k - k // 2, tap % k - k // 2
-        oy = reshape(slice_axis(field.offsets, 1, 2 * tap, 2 * tap + 1), (B, H, W, 1))
-        ox = reshape(slice_axis(field.offsets, 1, 2 * tap + 1, 2 * tap + 2), (B, H, W, 1))
-        coords = concat((add(oy, Tensor((gy + dy)[None, :, :, None])),
-                         add(ox, Tensor((gx + dx)[None, :, :, None]))), axis=3)
+        offset = slice_axis(field.offsets, 1, 2 * tap, 2 * tap + 2)       # (B, 2, H, W)
+        coords = add(rearrange(offset, offset.shape, (0, 2, 3, 1)),
+                     Tensor(grid + np.array([dy, dx], dtype=np.float64)))
         term = mul(slice_axis(field.weights, 1, tap, tap + 1), bilinear_sample(target, coords))
         out = term if out is None else add(out, term)
     return out
@@ -195,9 +194,13 @@ def test_apply_joint_filter_tape_does_not_grow_with_k():
 
 # one training step at the benchmark workloads' configs: scale 8, k=3, default
 # widths, swin at 64x64 and naf at 128x128
-@pytest.mark.parametrize("backbone,size,nodes", [("swin", 64, 491), ("naf", 128, 319)])
-def test_training_step_tape_size_is_pinned(backbone, size, nodes):
-    model = DmsrModel(ModelConfig(backbone=backbone, scale=8, k=3))
+@pytest.mark.parametrize("backbone,size,position_bias,nodes",
+                         [("swin", 64, False, 475), ("swin", 64, True, 523),
+                          ("naf", 128, False, 319)],
+                         ids=["swin-64-475", "swin-64-position-bias-523", "naf-128-319"])
+def test_training_step_tape_size_is_pinned(backbone, size, position_bias, nodes):
+    model = DmsrModel(ModelConfig(backbone=backbone, scale=8, k=3,
+                                  position_bias=position_bias))
     rng = np.random.default_rng(15)
     guidance = Tensor(rng.random((1, 3, size, size)))
     depth_lr = Tensor(rng.random((1, 1, size // 8, size // 8)))

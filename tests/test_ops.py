@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from dmsr import ops
-from dmsr.swin import shift_attention_mask
 from dmsr.tensor import (Tensor, Tape, ShapeError, add, matmul, record, slice_axis,
                          softmax_lastaxis)
 
 from helpers import check_gradients, weighted_sum_loss
+from test_swin import loop_shift_mask
 
 
 # conv2d ---------------------------------------------------------------------
@@ -294,11 +294,13 @@ def test_window_non_divisible():
 
 
 def test_cyclic_shift_round_trip():
-    from dmsr.tensor import roll
     rng = np.random.default_rng(9)
     x = Tensor(rng.random((1, 8, 8, 2)))
-    shifted = roll(x, (-2, -2), (1, 2))
-    back = roll(shifted, (2, 2), (1, 2))
+    wins = ops.window_partition(x, 4, shift=2)
+    # the first window holds the grid rolled up and left by the shift
+    np.testing.assert_array_equal(
+        wins.data[0], np.roll(x.data, (-2, -2), (1, 2))[0, :4, :4].reshape(16, 2))
+    back = ops.window_merge(wins, 4, 8, 8, shift=2)
     assert (back.data == x.data).all()
 
 
@@ -420,7 +422,8 @@ def test_pixel_unshuffle_non_divisible():
 # one tape node per rearrangement ------------------------------------------------
 # The references are the reshape -> transpose -> reshape chains, one tape node
 # per step, that these ops recorded before each became one rearrange call, built
-# on the reshape and transpose nodes of that time.
+# on the reshape and transpose nodes of that time. The shifted windows add the
+# roll node that the swin layers recorded around partition and merge.
 
 
 def chain_reshape(a, shape):
@@ -438,6 +441,11 @@ def reference_window_partition(x, window):
     x = chain_reshape(x, (B, H // window, window, W // window, window, C))
     x = chain_transpose(x, (0, 1, 3, 2, 4, 5))
     return chain_reshape(x, (B * (H // window) * (W // window), window * window, C))
+
+
+def reference_roll(a, shifts):
+    return record("roll", (a,), np.roll(a.data, shifts, axis=(1, 2)),
+                  lambda g: (np.roll(g, tuple(-s for s in shifts), axis=(1, 2)),))
 
 
 def reference_window_merge(windows, window, H, W):
@@ -498,6 +506,10 @@ REARRANGEMENTS = [
      lambda x: reference_window_partition(x, 4), (2, 8, 12, 3)),
     ("window_merge", lambda x: ops.window_merge(x, 4, 8, 12),
      lambda x: reference_window_merge(x, 4, 8, 12), (12, 16, 3)),
+    ("window_partition_shifted", lambda x: ops.window_partition(x, 4, shift=2),
+     lambda x: reference_window_partition(reference_roll(x, (-2, -2)), 4), (2, 8, 12, 3)),
+    ("window_merge_shifted", lambda x: ops.window_merge(x, 4, 8, 12, shift=2),
+     lambda x: reference_roll(reference_window_merge(x, 4, 8, 12), (2, 2)), (12, 16, 3)),
     ("pixel_unshuffle", lambda x: ops.pixel_unshuffle(x, 2),
      lambda x: reference_pixel_unshuffle(x, 2), (2, 3, 4, 6)),
     ("pixel_shuffle", lambda x: ops.pixel_shuffle(x, 2),
@@ -523,7 +535,7 @@ def test_attention_bit_equal_to_the_reshape_chains(masked, position_bias):
     p = ops.AttentionParams(rng, 8, 2, window=4, position_bias=position_bias)
     for t in p.parameters():
         t.data[...] = rng.uniform(-1, 1, t.shape)
-    mask = shift_attention_mask(8, 8, 4, 2) if masked else None   # 4 windows
+    mask = loop_shift_mask(8, 8, 4, 2) if masked else None   # 4 windows
     x = Tensor(rng.uniform(-1, 1, (2 * 4, 16, 8)), requires_grad=True)
     leaves = [x] + p.parameters()
     assert _output_and_grads(lambda: ops.multi_head_attention(x, p, mask), leaves) == \

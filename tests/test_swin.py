@@ -1,7 +1,13 @@
-"""Swin backbone: residual structure, shift schedule, gradient coverage."""
+"""Swin backbone: residual structure, shift schedule, shifted-window mask,
+gradient coverage."""
+
+import sys
+import threading
 
 import numpy as np
+import pytest
 
+from dmsr import ops, swin
 from dmsr.swin import SwinBackbone, SwinLayer, zero_residual_branches
 from dmsr.tensor import Tensor, Tape
 
@@ -100,13 +106,86 @@ def test_backbone_end_to_end_gradients_tiny_config():
                     leaves, n_coords=2, rel_tol=1e-4)
 
 
-def test_shifted_window_masking_blocks_wraparound():
+def test_shifted_window_masking_blocks_wraparound(monkeypatch):
     # a shifted layer must not mix content across the cyclic seam: compare
-    # against an unmasked copy on an image with a marked bottom-right corner
+    # against the same layer with its mask zeroed
     rng = np.random.default_rng(8)
     layer = SwinLayer(rng, 8, 4, 1, shift=2)
     x = rng.uniform(-1, 1, (1, 8, 8, 8))
     out_masked = layer.forward(Tensor(x)).data
-    layer._mask_cache = {(8, 8): np.zeros_like(layer._mask(8, 8))}
+    real = swin.shifted_windows
+    monkeypatch.setattr(swin, "shifted_windows", lambda *geometry: real(*geometry)[:2]
+                        + (np.zeros_like(real(*geometry)[2]),))
     out_unmasked = layer.forward(Tensor(x)).data
     assert np.abs(out_masked - out_unmasked).max() > 1e-9
+
+
+def loop_shift_mask(H, W, window, shift):
+    """Reference mask, labelled region by region of the rolled grid: 0 where
+    two tokens of a window may attend to each other, -1e9 where the cyclic
+    shift brought them together across the wrap-around."""
+    img = np.zeros((H, W))
+    cnt = 0
+    for hs in (slice(0, -window), slice(-window, -shift), slice(-shift, None)):
+        for ws in (slice(0, -window), slice(-window, -shift), slice(-shift, None)):
+            img[hs, ws] = cnt
+            cnt += 1
+    img = img.reshape(H // window, window, W // window, window)
+    win = img.transpose(0, 2, 1, 3).reshape(-1, window * window)
+    diff = win[:, None, :] - win[:, :, None]
+    return np.where(diff != 0, -1e9, 0.0)
+
+
+@pytest.mark.parametrize("window", [2, 3, 4, 5, 8])
+def test_shifted_windows_mask_equals_the_loop_mask(window):
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            H, W = rows * window, cols * window
+            _, _, mask = ops.shifted_windows(H, W, window, window // 2)
+            want = loop_shift_mask(H, W, window, window // 2)
+            assert (mask.shape, mask.dtype) == (want.shape, want.dtype)
+            assert mask.tobytes() == want.tobytes(), (H, W)
+    assert ops.shifted_windows(2 * window, window, window, 0)[2] is None
+
+
+def test_shifted_windows_are_shared_between_layers_and_read_only(monkeypatch):
+    masks = []
+    real = swin.multi_head_attention
+    monkeypatch.setattr(swin, "multi_head_attention",
+                        lambda x, p, mask=None: masks.append(mask) or real(x, p, mask))
+    make_backbone(blocks=2, layers=2).forward(Tensor(np.ones((1, 8, 8, 8))))
+    assert masks[0] is masks[2] is None
+    assert masks[1] is masks[3] is ops.shifted_windows(8, 8, 4, 2)[2]
+    for a in ops.shifted_windows(8, 8, 4, 2):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_forward_in_threads_at_two_sizes_matches_the_sequential_run():
+    # two threads per size, more than this suite's 2-core hosts, switching often
+    backbone = make_backbone(blocks=2, layers=2)
+    rng = np.random.default_rng(9)
+    inputs = [Tensor(rng.uniform(-1, 1, (1, 8, h, w))) for h, w in [(8, 12), (16, 8)]]
+    want = [backbone.forward(x).data.tobytes() for x in inputs]
+    ops.shifted_windows.cache_clear()        # the threads build the geometries
+    got = [[] for _ in range(4)]
+
+    def run(i):
+        for _ in range(3):
+            got[i].append(backbone.forward(inputs[i % 2]).data.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Tape() as tape:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[i % 2]] * 3 for i in range(4)]
+    assert tape.nodes == []

@@ -309,8 +309,7 @@ def test_reduction_and_shape_op_gradients():
         y = T.tmean(x, axis=1)
         y = T.reshape(y, (4, 2))
         y = T.transpose(y, (1, 0))
-        y = T.concat((y, T.slice_axis(y, 1, 0, 2)), axis=1)
-        y = T.roll(y, (1,), (1,))
+        y = T.slice_axis(y, 1, 0, 2)
         return weighted_sum_loss(y)
 
     check_gradients(build, [x], n_coords=10)
