@@ -5,19 +5,26 @@ and rescale channels with simplified channel attention; the only
 nonlinearities are multiplications.
 """
 
+import numpy as np
+
+from . import tensor
 from .ops import (Module, param_conv, param_depthwise, zeros_param, ones_param,
                   conv2d, depthwise_conv2d, layer_norm, adaptive_avg_pool_global)
-from .tensor import ShapeError, add, mul, slice_axis, transpose
+from .tensor import ShapeError, add, mul, ensure_tensor, transpose
 
 
 def simple_gate(x):
-    """Split (B, C, H, W) into channel halves y, z and return y * z."""
+    """Split (B, C, H, W) into channel halves y, z and return y * z, as one
+    "mul" node whose backward joins (g * z, g * y) along the channels."""
+    x = ensure_tensor(x)
     C = x.shape[1]
     if C % 2:
         raise ShapeError(f"simple_gate: odd channel count {C}")
-    y = slice_axis(x, 1, 0, C // 2)
-    z = slice_axis(x, 1, C // 2, C)
-    return mul(y, z)
+    y, z = x.data[:, :C // 2], x.data[:, C // 2:]
+    # through the module attribute, so a wrapper installed on tensor.record (as
+    # perfbench/tracing.py does) counts this node with the other tensor ops
+    return tensor.record("mul", (x,), y * z,
+                         lambda g: (np.concatenate((g * z, g * y), axis=1),))
 
 
 class ScaParams(Module):

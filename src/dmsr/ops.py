@@ -72,8 +72,9 @@ def _conv(op, x, weight, bias, padding, kernel):
 
     kernel(xp, w, taps, Ho, Wo) gets the padded input, the weight array and,
     for each kernel tap (i, j) in row-major order, the index of its shifted
-    (Ho, Wo) window in xp. It returns the output and grads(g) -> (gw, the
-    gradients of the tap windows in tap order).
+    (Ho, Wo) window in xp. It returns the output, weight_grad(g) -> gw and
+    tap_grads(g) -> the gradients of the tap windows in tap order. Neither is
+    called for an input that needs no gradient.
     """
     x, weight = ensure_tensor(x), ensure_tensor(weight)
     _, C, H, W = x.shape
@@ -86,7 +87,7 @@ def _conv(op, x, weight, bias, padding, kernel):
     p = padding
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     taps = [np.s_[..., i:i + Ho, j:j + Wo] for i in range(kh) for j in range(kw)]
-    out, grads = kernel(xp, weight.data, taps, Ho, Wo)
+    out, weight_grad, tap_grads = kernel(xp, weight.data, taps, Ho, Wo)
     padded_shape = xp.shape   # backward must not keep the padded input alive
 
     inputs = (x, weight)
@@ -96,12 +97,19 @@ def _conv(op, x, weight, bias, padding, kernel):
         inputs += (bias,)
 
     def backward(g):
-        gw, tap_grads = grads(g)
-        gxp = np.zeros(padded_shape)
-        for t, gt in zip(taps, tap_grads):
-            gxp[t] += gt
-        gx = gxp[..., p:p + H, p:p + W]
-        return (gx, gw, g.sum(axis=(0, 2, 3))) if bias is not None else (gx, gw)
+        gx = None
+        if x.requires_grad:
+            if len(taps) == 1:            # a 1x1 kernel's one window is all of xp
+                (gxp,) = tap_grads(g)
+            else:
+                gxp = np.zeros(padded_shape)
+                for t, gt in zip(taps, tap_grads(g)):
+                    gxp[t] += gt
+            gx = gxp[..., p:p + H, p:p + W]
+        gw = weight_grad(g) if weight.requires_grad else None
+        if bias is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
 
     return record(op, inputs, out, backward)
 
@@ -118,13 +126,15 @@ def conv2d(x, weight, bias=None, padding=0):
         w2 = w.reshape(O, -1)
         out = np.matmul(w2, cols).reshape(B, O, Ho, Wo)
 
-        def grads(g):
+        def weight_grad(g):
             g2 = g.reshape(B, O, Ho * Wo)
-            gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
-            dcols = np.matmul(w2.T, g2).reshape(B, -1, len(taps), Ho, Wo)
-            return gw, np.moveaxis(dcols, 2, 0)
+            return np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
 
-        return out, grads
+        def tap_grads(g):
+            dcols = np.matmul(w2.T, g.reshape(B, O, Ho * Wo))
+            return np.moveaxis(dcols.reshape(B, -1, len(taps), Ho, Wo), 2, 0)
+
+        return out, weight_grad, tap_grads
 
     return _conv("conv2d", x, weight, bias, padding, im2col_matmul)
 
@@ -140,11 +150,14 @@ def depthwise_conv2d(x, weight, bias=None, padding=0):
         for n, t in enumerate(taps):
             out += xp[t] * wt[:, n]
 
-        def grads(g):
+        def weight_grad(g):
             gw = np.stack([np.einsum("bchw,bchw->c", g, xp[t]) for t in taps], axis=1)
-            return gw.reshape(w.shape), (g * wt[:, n] for n in range(len(taps)))
+            return gw.reshape(w.shape)
 
-        return out, grads
+        def tap_grads(g):
+            return (g * wt[:, n] for n in range(len(taps)))
+
+        return out, weight_grad, tap_grads
 
     return _conv("depthwise_conv2d", x, weight, bias, padding, shifted_multiply_adds)
 
@@ -167,11 +180,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
     def backward(g):
         n = x.shape[-1]
-        ggamma = (g * xhat).reshape(-1, n).sum(axis=0).reshape(gamma.shape)
-        gbeta = g.reshape(-1, n).sum(axis=0).reshape(beta.shape)
-        gc = g * gamma.data
-        gx = inv * (gc - gc.mean(axis=-1, keepdims=True)
-                    - xhat * (gc * xhat).mean(axis=-1, keepdims=True))
+        gx = ggamma = gbeta = None
+        if gamma.requires_grad:
+            ggamma = (g * xhat).reshape(-1, n).sum(axis=0).reshape(gamma.shape)
+        if beta.requires_grad:
+            gbeta = g.reshape(-1, n).sum(axis=0).reshape(beta.shape)
+        if x.requires_grad:
+            gc = g * gamma.data
+            gx = inv * (gc - gc.mean(axis=-1, keepdims=True)
+                        - xhat * (gc * xhat).mean(axis=-1, keepdims=True))
         return gx, ggamma, gbeta
 
     return record("layer_norm", (x, gamma, beta), out, backward)
@@ -366,7 +383,7 @@ def bilinear_sample(x, coords):
            + ty * (1 - tx) * v10 + ty * tx * v11)
 
     def backward(g):
-        gx = None                     # the image is often a constant: skip its scatter
+        gx = gc = None
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             b4 = np.arange(B)[:, None, None, None]
@@ -376,10 +393,12 @@ def bilinear_sample(x, coords):
             np.add.at(gx, (b4, c4, y1[:, None], x0[:, None]), g * ty * (1 - tx))
             np.add.at(gx, (b4, c4, y1[:, None], x1[:, None]), g * ty * tx)
 
-        dty = (-(1 - tx) * v00 - tx * v01 + (1 - tx) * v10 + tx * v11)
-        dtx = (-(1 - ty) * v00 + (1 - ty) * v01 - ty * v10 + ty * v11)
-        gy = (g * dty).sum(axis=1) * ((cy_raw > 0) & (cy_raw < H - 1))
-        gxc = (g * dtx).sum(axis=1) * ((cx_raw > 0) & (cx_raw < W - 1))
-        return gx, np.stack([gy, gxc], axis=-1)
+        if coords.requires_grad:
+            dty = (-(1 - tx) * v00 - tx * v01 + (1 - tx) * v10 + tx * v11)
+            dtx = (-(1 - ty) * v00 + (1 - ty) * v01 - ty * v10 + ty * v11)
+            gy = (g * dty).sum(axis=1) * ((cy_raw > 0) & (cy_raw < H - 1))
+            gxc = (g * dtx).sum(axis=1) * ((cx_raw > 0) & (cx_raw < W - 1))
+            gc = np.stack([gy, gxc], axis=-1)
+        return gx, gc
 
     return record("bilinear_sample", (x, coords), out, backward)

@@ -81,7 +81,8 @@ class Tensor:
 class TapeNode:
     """One executed operation: op name, input/output refs, backward closure.
 
-    backward(grad_out) returns one gradient array (or None) per input.
+    backward(grad_out) returns one gradient array per input, None for a
+    constant (requires_grad False).
     """
 
     __slots__ = ("op", "inputs", "out", "backward")
@@ -123,24 +124,23 @@ class Tape:
         return self.grads.get(tensor)
 
     def backward(self, loss):
-        """Reverse sweep from a scalar loss. Accumulates leaf gradients into
-        self.grads, so repeated calls without reset add up."""
+        """Reverse sweep from a scalar loss. A node's output gradient is final
+        once the node is swept (its consumers were recorded after it), so it is
+        freed then, and the sweep ends holding leaf gradients only. Accumulates
+        them into self.grads, so repeated calls without reset add up."""
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         local = {loss: np.ones_like(loss.data)}
-        produced = {node.out for node in self.nodes}
         for node in reversed(self.nodes):
-            gout = local.get(node.out)
+            gout = local.pop(node.out, None)
             if gout is None:
                 continue
             for t, g in zip(node.inputs, node.backward(gout)):
-                if g is None or not t.requires_grad:
+                if g is None:
                     continue
                 acc = local.get(t)
                 local[t] = g if acc is None else acc + g
         for t, g in local.items():
-            if t in produced and t is not loss:
-                continue
             acc = self.grads.get(t)
             self.grads[t] = g.copy() if acc is None else acc + g
         return self.grads
@@ -153,8 +153,9 @@ def ensure_tensor(x):
 def record(op, inputs, out_data, backward):
     """Wrap a computed result and register it on the active tape.
 
-    `backward(grad_out)` must return a gradient per input (None allowed).
-    All fused ops in this package are built on this hook.
+    `backward(grad_out)` returns one gradient per input, and None for each
+    input with requires_grad False. All fused ops in this package are built
+    on this hook.
     """
     inputs = tuple(ensure_tensor(x) for x in inputs)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
@@ -190,20 +191,22 @@ def _binary_data(a, b, op):
 def add(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
     return record("add", (a, b), _binary_data(a, b, np.add),
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                  lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                             _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
     return record("sub", (a, b), _binary_data(a, b, np.subtract),
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                  lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                             _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
     return record("mul", (a, b), _binary_data(a, b, np.multiply),
-                  lambda g: (_unbroadcast(g * b.data, a.shape),
-                             _unbroadcast(g * a.data, b.shape)))
+                  lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                             _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a, b):
@@ -212,8 +215,9 @@ def div(a, b):
         raise ZeroDivisionError("div: denominator contains zero")
     out = _binary_data(a, b, np.divide)
     return record("div", (a, b), out,
-                  lambda g: (_unbroadcast(g / b.data, a.shape),
-                             _unbroadcast(-g * out / b.data, b.shape)))
+                  lambda g: (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                             _unbroadcast(-g * out / b.data, b.shape)
+                             if b.requires_grad else None))
 
 
 def neg(a):
@@ -369,8 +373,11 @@ def matmul(a, b):
     out = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
     return record("matmul", (a, b), out, backward)

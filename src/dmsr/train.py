@@ -31,7 +31,7 @@ REFERENCE_RESULTS = {
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite."""
+    """Training loss or held-out error became non-finite."""
 
 
 def l1_loss(pred, gt):
@@ -147,7 +147,8 @@ def train_epochs(model, optimizer, split, epochs, seed, start_epoch=0,
                  on_epoch=None, log=None):
     """Run `epochs` total epochs (resuming at start_epoch) of batch-1 L1
     training; evaluates after each epoch and invokes on_epoch(epoch, model,
-    optimizer, psnr_db, ms). Raises TrainingDivergedError on non-finite loss."""
+    optimizer, psnr_db, ms). Raises TrainingDivergedError on a non-finite
+    training loss, or on a NaN mean held-out PSNR before on_epoch."""
     log = log if log is not None else TrainLog()
     step = optimizer.step_count
     for epoch in range(start_epoch, epochs):
@@ -166,6 +167,9 @@ def train_epochs(model, optimizer, split, epochs, seed, start_epoch=0,
             log.step_losses.append((step, value))
         if split.eval:
             _, mean_psnr, ms = evaluate(model, split.eval)
+            if math.isnan(mean_psnr):
+                raise TrainingDivergedError(f"non-finite loss on the held-out scenes "
+                                            f"after epoch {epoch} (PSNR {mean_psnr} dB)")
         else:
             mean_psnr, ms = math.nan, math.nan
         log.epoch_metrics.append((epoch, mean_psnr, ms))

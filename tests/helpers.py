@@ -48,3 +48,22 @@ def weighted_sum_loss(out, seed=0):
     rng = np.random.default_rng(seed)
     r = Tensor(rng.uniform(-1.0, 1.0, size=out.shape))
     return tsum(mul(out, r))
+
+
+def reference_backward(nodes, loss):
+    """Tape.backward's sweep before it freed gradients as it went: every
+    intermediate gradient stays in `local` until the sweep ends, backwards
+    may return gradients for constants, and the leaves (tensors no node
+    produced) plus the loss are copied out at the end."""
+    local = {loss: np.ones_like(loss.data)}
+    produced = {node.out for node in nodes}
+    for node in reversed(nodes):
+        gout = local.get(node.out)
+        if gout is None:
+            continue
+        for t, g in zip(node.inputs, node.backward(gout)):
+            if g is None or not t.requires_grad:
+                continue
+            acc = local.get(t)
+            local[t] = g if acc is None else acc + g
+    return {t: g.copy() for t, g in local.items() if t not in produced or t is loss}

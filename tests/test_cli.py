@@ -82,8 +82,8 @@ def test_diverged_training_exits_4(tmp_path, trained):
     assert code == 4
 
 
-# with one training scene the first epoch ends, and its evaluation runs on the
-# overflowed parameters, before the second step diverges
+# with one training scene the first epoch ends after one finite step, and its
+# evaluation on the overflowed parameters reports the divergence
 @pytest.mark.parametrize("scenes,threads", [("3", "1"), ("1", "1"), ("1", "2")])
 def test_divergence_prints_one_stderr_line(tmp_path, scenes, threads):
     proc = subprocess.run(
@@ -93,6 +93,17 @@ def test_divergence_prints_one_stderr_line(tmp_path, scenes, threads):
     assert proc.returncode == 4
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("error: diverged: non-finite loss")
+
+
+def test_divergence_on_held_out_scenes_leaves_no_checkpoint(tmp_path):
+    # one finite step leaves parameters near 1e300; the epoch-0 held-out PSNR
+    # is NaN, and the run stops before it checkpoints that epoch
+    code, _, stderr = run_cli(["train", "--synthetic", "1", "--epochs", "3", "--lr", "1e300",
+                               *TINY_FLAGS, "--out", str(tmp_path)])
+    assert code == 4
+    assert stderr.splitlines() == [stderr.strip()]
+    assert "held-out" in stderr
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".dmsr")]
 
 
 def test_config_file_and_flag_precedence(tmp_path):

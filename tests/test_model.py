@@ -1,6 +1,8 @@
 """Filter head and full pipeline: weight normalization, offsets, Eq-style
 joint filtering against a naive per-pixel oracle, end-to-end behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from dmsr.ops import bilinear_sample, pixel_shuffle
 from dmsr.tensor import Tape, Tensor, ShapeError, add, mul, rearrange, slice_axis
 from dmsr.train import l1_loss
 
-from helpers import check_gradients, weighted_sum_loss
+from helpers import check_gradients, reference_backward, weighted_sum_loss
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,
             k=3, scale=4)
@@ -194,19 +196,74 @@ def test_apply_joint_filter_tape_does_not_grow_with_k():
 
 # one training step at the benchmark workloads' configs: scale 8, k=3, default
 # widths, swin at 64x64 and naf at 128x128
-@pytest.mark.parametrize("backbone,size,position_bias,nodes",
-                         [("swin", 64, False, 475), ("swin", 64, True, 523),
-                          ("naf", 128, False, 319)],
-                         ids=["swin-64-475", "swin-64-position-bias-523", "naf-128-319"])
-def test_training_step_tape_size_is_pinned(backbone, size, position_bias, nodes):
+def _training_step_inputs(backbone, size, position_bias=False):
+    """(model, guidance, depth_lr, depth_hr) for one training step."""
     model = DmsrModel(ModelConfig(backbone=backbone, scale=8, k=3,
                                   position_bias=position_bias))
     rng = np.random.default_rng(15)
-    guidance = Tensor(rng.random((1, 3, size, size)))
-    depth_lr = Tensor(rng.random((1, 1, size // 8, size // 8)))
+    return (model, Tensor(rng.random((1, 3, size, size))),
+            Tensor(rng.random((1, 1, size // 8, size // 8))),
+            Tensor(rng.random((1, 1, size, size))))
+
+
+def _record_loss(model, guidance, depth_lr, depth_hr):
     with Tape() as tape:
-        l1_loss(model.forward(guidance, depth_lr), Tensor(rng.random((1, 1, size, size))))
+        loss = l1_loss(model.forward(guidance, depth_lr), depth_hr)
+    return tape, loss
+
+
+@pytest.mark.parametrize("backbone,size,position_bias,nodes",
+                         [("swin", 64, False, 475), ("swin", 64, True, 523),
+                          ("naf", 128, False, 271)],
+                         ids=["swin-64-475", "swin-64-position-bias-523", "naf-128-271"])
+def test_training_step_tape_size_is_pinned(backbone, size, position_bias, nodes):
+    tape, _ = _record_loss(*_training_step_inputs(backbone, size, position_bias))
     assert len(tape.nodes) == nodes
+
+
+@pytest.fixture(scope="module", params=[("swin", 64, 80), ("naf", 128, 170)],
+                ids=["swin-64", "naf-128"])
+def training_step(request):
+    """One step, forward and backward, under tracemalloc: (tape, loss, leaf
+    gradients, peak MB, bound MB)."""
+    backbone, size, bound_mb = request.param
+    inputs = _training_step_inputs(backbone, size)
+    tracemalloc.start()
+    try:
+        tape, loss = _record_loss(*inputs)
+        grads = tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    return tape, loss, grads, peak, bound_mb
+
+
+def test_training_step_peak_memory_is_bounded(training_step):
+    # a sweep that kept every intermediate gradient to its end peaked at
+    # 104 MB (swin 64) and 258 MB (naf 128); freeing them as it goes, 73 and 158
+    *_, peak, bound_mb = training_step
+    assert peak <= bound_mb, f"{peak:.1f} MB > {bound_mb} MB"
+
+
+def test_lean_sweep_matches_the_reference_sweep(training_step):
+    tape, loss, grads, *_ = training_step
+    want = reference_backward(tape.nodes, loss)
+    del want[loss]                        # the lean sweep keeps leaves only
+    assert set(grads) == set(want)
+    for t, g in want.items():
+        assert grads[t].tobytes() == g.tobytes()
+
+
+def test_backwards_return_none_exactly_for_constants(training_step):
+    tape = training_step[0]
+    constants = 0
+    for node in tape.nodes:
+        got = node.backward(np.ones_like(node.out.data))
+        assert len(got) == len(node.inputs), node.op
+        for t, g in zip(node.inputs, got):
+            assert (g is None) == (not t.requires_grad), node.op
+            constants += not t.requires_grad
+    assert constants > 0
 
 
 # head convs ------------------------------------------------------------------

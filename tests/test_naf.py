@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmsr.naf import NafBackbone, NafBlock, ScaParams, sca, simple_gate
-from dmsr.tensor import Tensor, Tape, ShapeError
+from dmsr.tensor import Tensor, Tape, ShapeError, mul, slice_axis
 
 from helpers import check_gradients, weighted_sum_loss
 
@@ -43,6 +43,25 @@ def test_simple_gate_split_order_first_half_is_y():
     x[0, 0] = 5.0  # y-half
     x[0, 1] = 1.0  # z-half: identity gate
     assert simple_gate(Tensor(x)).data.item() == 5.0
+
+
+def test_simple_gate_is_one_mul_node_byte_equal_to_slices_and_mul():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(-1, 1, (2, 8, 5, 4)), requires_grad=True)
+
+    def sliced(x):                      # the two-slice form it replaces
+        return mul(slice_axis(x, 1, 0, 4), slice_axis(x, 1, 4, 8))
+
+    results = []
+    for gate in (simple_gate, sliced):
+        with Tape() as tape:
+            out = gate(x)
+            loss = weighted_sum_loss(out)
+        results.append((out.data.tobytes(), tape.backward(loss)[x].tobytes()))
+    assert results[0] == results[1]
+    with Tape() as tape:
+        simple_gate(x)
+    assert [node.op for node in tape.nodes] == ["mul"]
 
 
 def test_sca_identity_conv_on_constant():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dmsr import ops
-from dmsr.tensor import (Tensor, Tape, ShapeError, add, matmul, record, slice_axis,
-                         softmax_lastaxis)
+from dmsr.tensor import (Tensor, Tape, ShapeError, add, div, matmul, mul, record,
+                         slice_axis, softmax_lastaxis, sub)
 
 from helpers import check_gradients, weighted_sum_loss
 from test_swin import loop_shift_mask
@@ -631,3 +631,46 @@ def test_bilinear_constant_image_skips_its_gradient_only():
         assert (g_image is None) == (not image_needs_grad)
         coord_grads.append(g_coords)
     np.testing.assert_array_equal(*coord_grads)
+
+
+# constant inputs ------------------------------------------------------------------
+# Every op with more than one input returns None for each input with
+# requires_grad False, and the same bytes as before for the other inputs.
+
+CONSTANT_INPUT_CASES = [
+    ("add", add, [(2, 3, 4), (3, 1)]),
+    ("sub", sub, [(2, 3, 4), (3, 1)]),
+    ("mul", mul, [(2, 3, 4), (3, 1)]),
+    ("div", div, [(2, 3, 4), (3, 1)]),
+    ("matmul", matmul, [(2, 3, 4), (4, 5)]),
+    ("conv2d_1x1", ops.conv2d, [(2, 3, 5, 4), (4, 3, 1, 1), (4,)]),
+    ("conv2d_3x3_pad1", lambda x, w, b: ops.conv2d(x, w, b, padding=1),
+     [(2, 3, 5, 4), (4, 3, 3, 3), (4,)]),
+    ("depthwise_pad1", lambda x, w, b: ops.depthwise_conv2d(x, w, b, padding=1),
+     [(2, 3, 5, 4), (3, 3, 3), (3,)]),
+    ("layer_norm", ops.layer_norm, [(2, 3, 4), (4,), (4,)]),
+    ("bilinear_sample", ops.bilinear_sample, [(1, 2, 5, 4), (1, 3, 3, 2)]),
+]
+
+
+@pytest.mark.parametrize("name,op,shapes", CONSTANT_INPUT_CASES,
+                         ids=[c[0] for c in CONSTANT_INPUT_CASES])
+def test_constant_inputs_get_no_gradient(name, op, shapes):
+    rng = np.random.default_rng(40)
+    arrays = [rng.uniform(0.5, 3.0, s) for s in shapes]
+
+    def backward(needs_grad):
+        with Tape() as tape:
+            out = op(*(Tensor(a, requires_grad=n) for a, n in zip(arrays, needs_grad)))
+        (node,) = tape.nodes
+        return node.backward(np.random.default_rng(41).uniform(-1, 1, out.shape))
+
+    want = backward([True] * len(arrays))
+    for constant in range(len(arrays)):
+        needs_grad = [i != constant for i in range(len(arrays))]
+        got = backward(needs_grad)
+        for i, (g, w) in enumerate(zip(got, want)):
+            if needs_grad[i]:
+                assert g.tobytes() == w.tobytes(), (name, constant, i)
+            else:
+                assert g is None, (name, constant, i)

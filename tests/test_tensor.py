@@ -1,6 +1,7 @@
 """Tensor core: elementwise ops, matmul, GELU, tape mechanics, gradients."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,36 @@ def test_backward_accumulates_across_calls():
     tape.backward(loss)
     tape.backward(loss)
     np.testing.assert_allclose(tape.grad(x), [4.0, 8.0])
+
+
+def test_grads_hold_leaf_gradients_only():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    c = Tensor([3.0, 4.0])
+    with Tape() as tape:
+        loss = T.tsum(T.mul(T.square(x), c))
+    assert set(tape.backward(loss)) == {x}
+    np.testing.assert_array_equal(tape.grad(x), [6.0, 16.0])
+
+
+def test_backward_peak_does_not_grow_with_chain_length():
+    # each swept node's output gradient is freed, so a chain of n elementwise
+    # ops on a 1 MB array holds a few gradients at a time, not n
+    peaks = {}
+    for n in (4, 32):
+        x = Tensor(np.linspace(-1.0, 1.0, 2**17), requires_grad=True)   # 1 MB
+        with Tape() as tape:
+            y = x
+            for _ in range(n):
+                y = T.tanh(y)
+            loss = T.tsum(y)
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peaks[n] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] < peaks[4] + 0.5, peaks
+    assert peaks[32] < 6.0, peaks
 
 
 def test_division_by_zero_is_an_error():

@@ -188,6 +188,16 @@ def test_training_diverged_raises():
         train_epochs(model, opt, split, epochs=1, seed=3)
 
 
+def test_nan_held_out_psnr_raises_before_on_epoch():
+    model, _, split = _tiny_fixture("swin", n_train=1, n_eval=1)
+    opt = Adam(model.named_parameters(), lr=1e300)
+    epochs = []
+    with pytest.raises(TrainingDivergedError, match="held-out"):
+        train_epochs(model, opt, split, epochs=2, seed=3,
+                     on_epoch=lambda epoch, *_: epochs.append(epoch))
+    assert opt.step_count == 1 and epochs == []
+
+
 def test_resume_reproduces_uninterrupted_run():
     # uninterrupted: 3 epochs; interrupted: 2 epochs, snapshot, 1 more epoch
     model_a, opt_a, split = _tiny_fixture("swin", n_train=2, n_eval=1)
