@@ -82,10 +82,17 @@ def effective_config(args):
     return flat
 
 
+def _csv_head(header, flat):
+    """The effective config as comment lines, then the column header."""
+    return "".join(f"# {k} = {flat[k]}\n" for k in sorted(flat)) + header + "\n"
+
+
+def _csv_row(row):
+    return ",".join(_csv_cell(c) for c in row) + "\n"
+
+
 def _write_csv(path, header, rows, flat):
-    lines = [f"# {k} = {flat[k]}" for k in sorted(flat)] + [header]
-    lines += [",".join(_csv_cell(c) for c in row) for row in rows]
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, (_csv_head(header, flat) + "".join(map(_csv_row, rows))).encode())
 
 
 def _csv_cell(c):
@@ -102,7 +109,6 @@ def cmd_train(args):
     flat = effective_config(args)
     cfg = ModelConfig.from_flat(flat)
     seed = flat["train.seed"]
-    os.makedirs(args.out, exist_ok=True)
     if not (args.synthetic or args.data):
         raise ConfigError("train needs --synthetic N or --data MANIFEST")
 
@@ -146,23 +152,32 @@ def cmd_train(args):
         "data.n_eval": len(split.eval),
     }
     if args.data:
-        digest = hashlib.sha256(open(args.data, "rb").read()).hexdigest()
-        base_meta["data.manifest_sha256"] = digest
+        with open(args.data, "rb") as f:
+            base_meta["data.manifest_sha256"] = hashlib.sha256(f.read()).hexdigest()
+
+    # created only now: a run that fails on its inputs leaves no directory
+    os.makedirs(args.out, exist_ok=True)
 
     def on_epoch(epoch, model_, opt_, psnr_db, ms):
         arrays, meta = pack_state(model_, opt_, dict(base_meta, **{"train.epoch": epoch}))
         save_checkpoint(os.path.join(args.out, f"checkpoint_epoch{epoch:03d}.dmsr"),
                         arrays, meta)
 
-    log = train_epochs(model, optimizer, split, flat["train.epochs"], seed,
-                       start_epoch=start_epoch, on_epoch=on_epoch)
+    # written as training goes, so a diverged or killed run keeps its steps
+    with open(os.path.join(args.out, "steps.csv"), "w", encoding="utf-8") as steps:
+        steps.write(_csv_head("step,loss", flat))
+
+        def on_step(step, loss):
+            steps.write(_csv_row((step, loss)))
+            steps.flush()
+
+        log = train_epochs(model, optimizer, split, flat["train.epochs"], seed,
+                           start_epoch=start_epoch, on_epoch=on_epoch, on_step=on_step)
 
     arrays, meta = pack_state(model, optimizer,
                               dict(base_meta, **{"train.epoch": flat["train.epochs"] - 1}))
     final = os.path.join(args.out, "checkpoint.dmsr")
     save_checkpoint(final, arrays, meta)
-    _write_csv(os.path.join(args.out, "steps.csv"), "step,loss",
-               log.step_losses, flat)
     _write_csv(os.path.join(args.out, "epochs.csv"), "epoch,psnr_db,ms_per_image",
                log.epoch_metrics, flat)
     print(f"checkpoint={final}")

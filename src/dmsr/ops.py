@@ -70,9 +70,10 @@ def _conv(op, x, weight, bias, padding, kernel):
     checks, the zero padding, the tap windows, the optional per-channel bias
     and the input gradient.
 
-    kernel(xp, w, taps, Ho, Wo) gets the padded input, the weight array and,
-    for each kernel tap (i, j) in row-major order, the index of its shifted
-    (Ho, Wo) window in xp. It returns the output, weight_grad(g) -> gw and
+    kernel(x, pad, w, taps, Ho, Wo) gets the input array, pad(x) -> the input
+    zero-padded by `padding`, the weight array and, for each kernel tap (i, j)
+    in row-major order, the index of its shifted (Ho, Wo) window in the
+    padded input. It returns the output, weight_grad(g) -> gw and
     tap_grads(g) -> the gradients of the tap windows in tap order. Neither is
     called for an input that needs no gradient.
     """
@@ -85,20 +86,25 @@ def _conv(op, x, weight, bias, padding, kernel):
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"{op}: non-positive output extent ({Ho}x{Wo})")
     p = padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+
+    def pad(a):
+        return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p))) if p else a
+
     taps = [np.s_[..., i:i + Ho, j:j + Wo] for i in range(kh) for j in range(kw)]
-    out, weight_grad, tap_grads = kernel(xp, weight.data, taps, Ho, Wo)
-    padded_shape = xp.shape   # backward must not keep the padded input alive
+    out, weight_grad, tap_grads = kernel(x.data, pad, weight.data, taps, Ho, Wo)
+    padded_shape = (x.shape[0], C, H + 2 * p, W + 2 * p)
+    x_grad, w_grad, b_grad = x.requires_grad, weight.requires_grad, None  # None: no bias
 
     inputs = (x, weight)
     if bias is not None:
         bias = ensure_tensor(bias)
         out = out + bias.data.reshape(1, -1, 1, 1)
         inputs += (bias,)
+        b_grad = bias.requires_grad
 
     def backward(g):
         gx = None
-        if x.requires_grad:
+        if x_grad:
             if len(taps) == 1:            # a 1x1 kernel's one window is all of xp
                 (gxp,) = tap_grads(g)
             else:
@@ -106,10 +112,10 @@ def _conv(op, x, weight, bias, padding, kernel):
                 for t, gt in zip(taps, tap_grads(g)):
                     gxp[t] += gt
             gx = gxp[..., p:p + H, p:p + W]
-        gw = weight_grad(g) if weight.requires_grad else None
-        if bias is None:
+        gw = weight_grad(g) if w_grad else None
+        if b_grad is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        return gx, gw, g.sum(axis=(0, 2, 3)) if b_grad else None
 
     return record(op, inputs, out, backward)
 
@@ -118,17 +124,23 @@ def conv2d(x, weight, bias=None, padding=0):
     """Stride-1 cross-correlation of NCHW input with (out_ch, in_ch, kh, kw)
     weights, zero-padded by `padding` on each side: one matmul over im2col."""
 
-    def im2col_matmul(xp, w, taps, Ho, Wo):
-        B, O = xp.shape[0], w.shape[0]
-        # (B, C, taps, Ho, Wo); the one window of a 1x1 kernel is xp itself
-        cols = xp[:, :, None] if len(taps) == 1 else np.stack([xp[t] for t in taps], axis=2)
-        cols = cols.reshape(B, -1, Ho * Wo)
+    def im2col_matmul(x, pad, w, taps, Ho, Wo):
+        B, O = x.shape[0], w.shape[0]
+
+        def im2col():
+            # (B, C, taps, Ho, Wo); the one window of a 1x1 kernel is xp itself
+            xp = pad(x)
+            cols = xp[:, :, None] if len(taps) == 1 else np.stack([xp[t] for t in taps],
+                                                                  axis=2)
+            return cols.reshape(B, -1, Ho * Wo)
+
         w2 = w.reshape(O, -1)
-        out = np.matmul(w2, cols).reshape(B, O, Ho, Wo)
+        out = np.matmul(w2, im2col()).reshape(B, O, Ho, Wo)
 
         def weight_grad(g):
+            # rebuilt, not kept from the forward: taps times the input's size
             g2 = g.reshape(B, O, Ho * Wo)
-            return np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
+            return np.matmul(g2, im2col().swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
 
         def tap_grads(g):
             dcols = np.matmul(w2.T, g.reshape(B, O, Ho * Wo))
@@ -144,7 +156,8 @@ def depthwise_conv2d(x, weight, bias=None, padding=0):
     by `padding` on each side: one multiply-add per tap, and the forward sums
     the taps in row-major order."""
 
-    def shifted_multiply_adds(xp, w, taps, Ho, Wo):
+    def shifted_multiply_adds(x, pad, w, taps, Ho, Wo):
+        xp = pad(x)
         wt = w.reshape(len(w), -1, 1, 1)     # (C, taps, 1, 1)
         out = np.zeros((xp.shape[0], len(w), Ho, Wo))
         for n, t in enumerate(taps):
@@ -177,16 +190,20 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = gamma.data * xhat + beta.data
+    n = x.shape[-1]
+    x_grad = x.requires_grad
+    gamma_shape = gamma.shape if gamma.requires_grad else None
+    beta_shape = beta.shape if beta.requires_grad else None
+    gd = gamma.data if x_grad else None
 
     def backward(g):
-        n = x.shape[-1]
         gx = ggamma = gbeta = None
-        if gamma.requires_grad:
-            ggamma = (g * xhat).reshape(-1, n).sum(axis=0).reshape(gamma.shape)
-        if beta.requires_grad:
-            gbeta = g.reshape(-1, n).sum(axis=0).reshape(beta.shape)
-        if x.requires_grad:
-            gc = g * gamma.data
+        if gamma_shape is not None:
+            ggamma = (g * xhat).reshape(-1, n).sum(axis=0).reshape(gamma_shape)
+        if beta_shape is not None:
+            gbeta = g.reshape(-1, n).sum(axis=0).reshape(beta_shape)
+        if x_grad:
+            gc = g * gd
             gx = inv * (gc - gc.mean(axis=-1, keepdims=True)
                         - xhat * (gc * xhat).mean(axis=-1, keepdims=True))
         return gx, ggamma, gbeta
@@ -301,8 +318,9 @@ def _take_tokens(x, order, inverse, tokens, shape):
     by the permutation `order`, reshaped to `shape`; backward gathers by `inverse`."""
     x = ensure_tensor(x)
     out = np.take(x.data.reshape(tokens), order, axis=1).reshape(shape)
+    shape_in = x.shape
     return record("transpose", (x,), out,
-                  lambda g: (np.take(g.reshape(tokens), inverse, axis=1).reshape(x.shape),))
+                  lambda g: (np.take(g.reshape(tokens), inverse, axis=1).reshape(shape_in),))
 
 
 def window_partition(x, window, shift=0):
@@ -382,10 +400,20 @@ def bilinear_sample(x, coords):
     out = ((1 - ty) * (1 - tx) * v00 + (1 - ty) * tx * v01
            + ty * (1 - tx) * v10 + ty * tx * v11)
 
+    # the backward keeps only what the gradients it computes read
+    x_grad, c_grad = x.requires_grad, coords.requires_grad
+    if not x_grad:
+        y0 = x0 = y1 = x1 = None
+    if c_grad:
+        ymask = (cy_raw > 0) & (cy_raw < H - 1)
+        xmask = (cx_raw > 0) & (cx_raw < W - 1)
+    else:
+        v00 = v01 = v10 = v11 = ymask = xmask = None
+
     def backward(g):
         gx = gc = None
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
+        if x_grad:
+            gx = np.zeros((B, C, H, W))
             b4 = np.arange(B)[:, None, None, None]
             c4 = np.arange(C)[None, :, None, None]
             np.add.at(gx, (b4, c4, y0[:, None], x0[:, None]), g * (1 - ty) * (1 - tx))
@@ -393,11 +421,11 @@ def bilinear_sample(x, coords):
             np.add.at(gx, (b4, c4, y1[:, None], x0[:, None]), g * ty * (1 - tx))
             np.add.at(gx, (b4, c4, y1[:, None], x1[:, None]), g * ty * tx)
 
-        if coords.requires_grad:
+        if c_grad:
             dty = (-(1 - tx) * v00 - tx * v01 + (1 - tx) * v10 + tx * v11)
             dtx = (-(1 - ty) * v00 + (1 - ty) * v01 - ty * v10 + ty * v11)
-            gy = (g * dty).sum(axis=1) * ((cy_raw > 0) & (cy_raw < H - 1))
-            gxc = (g * dtx).sum(axis=1) * ((cx_raw > 0) & (cx_raw < W - 1))
+            gy = (g * dty).sum(axis=1) * ymask
+            gxc = (g * dtx).sum(axis=1) * xmask
             gc = np.stack([gy, gxc], axis=-1)
         return gx, gc
 

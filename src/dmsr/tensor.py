@@ -2,7 +2,10 @@
 
 Values are numpy float64 arrays. Operations executed while a Tape is active
 are recorded as TapeNodes; Tape.backward sweeps the record in reverse and
-accumulates gradients keyed by tensor identity.
+accumulates gradients keyed by identity: a recorded op output by its
+GradHandle, a leaf by the Tensor itself. A node keeps no Tensor, and each
+backward closure only the shapes, flags and arrays it reads, so an activation
+that no backward reads is freed as soon as the forward drops it.
 """
 
 import math
@@ -27,6 +30,7 @@ class Tensor:
         if any(s < 1 for s in self.data.shape):
             raise ShapeError(f"zero-extent shape {self.data.shape}")
         self.requires_grad = bool(requires_grad)
+        self.handle = None      # the GradHandle of an op output recorded on a tape
 
     @property
     def shape(self):
@@ -78,11 +82,24 @@ class Tensor:
         return matmul(self, other)
 
 
-class TapeNode:
-    """One executed operation: op name, input/output refs, backward closure.
+class GradHandle:
+    """The tape's key for the gradient of a recorded op output: its shape,
+    never its data."""
 
-    backward(grad_out) returns one gradient array per input, None for a
-    constant (requires_grad False).
+    __slots__ = ("shape",)
+
+    def __init__(self, shape):
+        self.shape = shape
+
+
+class TapeNode:
+    """One executed operation: op name, input keys, output handle, backward
+    closure.
+
+    Each input is the GradHandle of a recorded op output, the Tensor itself
+    for a leaf that needs a gradient, or None for a constant (requires_grad
+    False). backward(grad_out) returns one gradient array per input, None
+    for a constant.
     """
 
     __slots__ = ("op", "inputs", "out", "backward")
@@ -130,7 +147,7 @@ class Tape:
         them into self.grads, so repeated calls without reset add up."""
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-        local = {loss: np.ones_like(loss.data)}
+        local = {loss.handle or loss: np.ones_like(loss.data)}
         for node in reversed(self.nodes):
             gout = local.pop(node.out, None)
             if gout is None:
@@ -150,18 +167,28 @@ def ensure_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _grad_key(t):
+    """A tensor as a node input: its handle, itself (a leaf), None (a constant)."""
+    if t.handle is not None:
+        return t.handle
+    return t if t.requires_grad else None
+
+
 def record(op, inputs, out_data, backward):
     """Wrap a computed result and register it on the active tape.
 
     `backward(grad_out)` returns one gradient per input, and None for each
-    input with requires_grad False. All fused ops in this package are built
-    on this hook.
+    input with requires_grad False. It must not reach a Tensor: it keeps the
+    shapes, flags and arrays it reads, nothing more. All fused ops in this
+    package are built on this hook.
     """
     inputs = tuple(ensure_tensor(x) for x in inputs)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     tapes = getattr(_TAPE_STACK, "tapes", None)
     if tapes and out.requires_grad:
-        tapes[-1].nodes.append(TapeNode(op, inputs, out, backward))
+        out.handle = GradHandle(out.shape)
+        tapes[-1].nodes.append(TapeNode(op, tuple(map(_grad_key, inputs)), out.handle,
+                                        backward))
     return out
 
 
@@ -188,36 +215,49 @@ def _binary_data(a, b, op):
 # elementwise
 
 
+def _grad_shape(t):
+    """The shape a backward reduces t's gradient to; None for a constant."""
+    return t.shape if t.requires_grad else None
+
+
 def add(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
+    sa, sb = _grad_shape(a), _grad_shape(b)
     return record("add", (a, b), _binary_data(a, b, np.add),
-                  lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                             _unbroadcast(g, b.shape) if b.requires_grad else None))
+                  lambda g: (None if sa is None else _unbroadcast(g, sa),
+                             None if sb is None else _unbroadcast(g, sb)))
 
 
 def sub(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
+    sa, sb = _grad_shape(a), _grad_shape(b)
     return record("sub", (a, b), _binary_data(a, b, np.subtract),
-                  lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                             _unbroadcast(-g, b.shape) if b.requires_grad else None))
+                  lambda g: (None if sa is None else _unbroadcast(g, sa),
+                             None if sb is None else _unbroadcast(-g, sb)))
 
 
 def mul(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    # each gradient reads the other operand
+    bd = None if sa is None else b.data
+    ad = None if sb is None else a.data
     return record("mul", (a, b), _binary_data(a, b, np.multiply),
-                  lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                             _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
+                  lambda g: (None if sa is None else _unbroadcast(g * bd, sa),
+                             None if sb is None else _unbroadcast(g * ad, sb)))
 
 
 def div(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
     if np.any(b.data == 0.0):
         raise ZeroDivisionError("div: denominator contains zero")
+    sa, sb = _grad_shape(a), _grad_shape(b)
     out = _binary_data(a, b, np.divide)
+    bd = b.data
+    quotient = None if sb is None else out
     return record("div", (a, b), out,
-                  lambda g: (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-                             _unbroadcast(-g * out / b.data, b.shape)
-                             if b.requires_grad else None))
+                  lambda g: (None if sa is None else _unbroadcast(g / bd, sa),
+                             None if sb is None else _unbroadcast(-g * quotient / bd, sb)))
 
 
 def neg(a):
@@ -247,13 +287,15 @@ def sqrt(a):
 
 def square(a):
     a = ensure_tensor(a)
-    return record("square", (a,), a.data * a.data, lambda g: (g * 2.0 * a.data,))
+    x = a.data
+    return record("square", (a,), x * x, lambda g: (g * 2.0 * x,))
 
 
 def absolute(a):
     """|x|; subgradient 0 at exact ties."""
     a = ensure_tensor(a)
-    return record("abs", (a,), np.abs(a.data), lambda g: (g * np.sign(a.data),))
+    x = a.data
+    return record("abs", (a,), np.abs(x), lambda g: (g * np.sign(x),))
 
 
 def gelu(a, mode="exact"):
@@ -303,16 +345,18 @@ def _expand_reduced(g, shape, axis, keepdims):
 def tsum(a, axis=None, keepdims=False):
     a = ensure_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
     return record("sum", (a,), out,
-                  lambda g: (_expand_reduced(g, a.shape, axis, keepdims).copy(),))
+                  lambda g: (_expand_reduced(g, shape, axis, keepdims).copy(),))
 
 
 def tmean(a, axis=None, keepdims=False):
     a = ensure_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     n = a.data.size / out.size
+    shape = a.shape
     return record("mean", (a,), out,
-                  lambda g: (_expand_reduced(g, a.shape, axis, keepdims) / n,))
+                  lambda g: (_expand_reduced(g, shape, axis, keepdims) / n,))
 
 
 def rearrange(a, split, axes=None, shape=None):
@@ -324,11 +368,11 @@ def rearrange(a, split, axes=None, shape=None):
     x = a.data.reshape(split)
     if axes is not None:
         x = np.ascontiguousarray(x.transpose(axes))
-    permuted = x.shape
+    shape_in, permuted = a.shape, x.shape
 
     def backward(g):
         g = g.reshape(permuted)
-        return ((g if axes is None else g.transpose(np.argsort(axes))).reshape(a.shape),)
+        return ((g if axes is None else g.transpose(np.argsort(axes))).reshape(shape_in),)
 
     return record("reshape" if axes is None else "transpose", (a,),
                   x if shape is None else x.reshape(shape), backward)
@@ -347,9 +391,10 @@ def slice_axis(a, axis, start, stop):
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
+    shape = a.shape
 
     def backward(g):
-        gx = np.zeros(a.shape)
+        gx = np.zeros(shape)
         gx[idx] = g
         return (gx,)
 
@@ -371,13 +416,17 @@ def matmul(a, b):
     except ValueError:
         raise ShapeError(f"matmul: batch extents {a.shape[:-2]} vs {b.shape[:-2]}")
     out = np.matmul(a.data, b.data)
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    # each gradient reads the other operand
+    bd = None if sa is None else b.data
+    ad = None if sb is None else a.data
 
     def backward(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        if sa is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
+        if sb is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
         return ga, gb
 
     return record("matmul", (a, b), out, backward)

@@ -144,11 +144,12 @@ class TrainLog:
 
 @np.errstate(all="ignore")   # a divergence is reported once, as TrainingDivergedError
 def train_epochs(model, optimizer, split, epochs, seed, start_epoch=0,
-                 on_epoch=None, log=None):
+                 on_epoch=None, log=None, on_step=None):
     """Run `epochs` total epochs (resuming at start_epoch) of batch-1 L1
-    training; evaluates after each epoch and invokes on_epoch(epoch, model,
-    optimizer, psnr_db, ms). Raises TrainingDivergedError on a non-finite
-    training loss, or on a NaN mean held-out PSNR before on_epoch."""
+    training; invokes on_step(step, loss) after each optimizer step, evaluates
+    after each epoch and invokes on_epoch(epoch, model, optimizer, psnr_db,
+    ms). Raises TrainingDivergedError on a non-finite training loss, or on a
+    NaN mean held-out PSNR before on_epoch."""
     log = log if log is not None else TrainLog()
     step = optimizer.step_count
     for epoch in range(start_epoch, epochs):
@@ -165,6 +166,8 @@ def train_epochs(model, optimizer, split, epochs, seed, start_epoch=0,
             optimizer.step(grads)
             step += 1
             log.step_losses.append((step, value))
+            if on_step is not None:
+                on_step(step, value)
         if split.eval:
             _, mean_psnr, ms = evaluate(model, split.eval)
             if math.isnan(mean_psnr):

@@ -53,17 +53,50 @@ def weighted_sum_loss(out, seed=0):
 def reference_backward(nodes, loss):
     """Tape.backward's sweep before it freed gradients as it went: every
     intermediate gradient stays in `local` until the sweep ends, backwards
-    may return gradients for constants, and the leaves (tensors no node
-    produced) plus the loss are copied out at the end."""
-    local = {loss: np.ones_like(loss.data)}
+    may return gradients for constants, and the leaves (keys no node
+    produced) plus the loss's key are copied out at the end."""
+    root = loss.handle or loss
+    local = {root: np.ones_like(loss.data)}
     produced = {node.out for node in nodes}
     for node in reversed(nodes):
         gout = local.get(node.out)
         if gout is None:
             continue
         for t, g in zip(node.inputs, node.backward(gout)):
-            if g is None or not t.requires_grad:
+            if g is None or t is None:
                 continue
             acc = local.get(t)
             local[t] = g if acc is None else acc + g
-    return {t: g.copy() for t, g in local.items() if t not in produced or t is loss}
+    return {t: g.copy() for t, g in local.items() if t not in produced or t is root}
+
+
+def closure_reach(fn):
+    """Every object a function's closure reaches, through nested closures and
+    containers, each once."""
+    seen, found, todo = set(), [], [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, (tuple, list, set, frozenset)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.keys())
+            todo.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
+def held_arrays(objects):
+    """The distinct memory-owning arrays behind the ndarrays among `objects`:
+    each array itself, or the root of its views."""
+    owners = {}
+    for obj in objects:
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+    return list(owners.values())

@@ -106,6 +106,29 @@ def test_divergence_on_held_out_scenes_leaves_no_checkpoint(tmp_path):
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".dmsr")]
 
 
+def test_diverged_run_keeps_the_steps_before_the_divergence(tmp_path):
+    # the second step's loss is non-finite; steps.csv was written as training went
+    code, _, stderr = run_cli(["train", "--synthetic", "3", "--epochs", "3", "--lr", "1e300",
+                               *TINY_FLAGS, "--out", str(tmp_path)])
+    assert code == 4
+    assert stderr.splitlines() == ["error: diverged: non-finite loss nan at step 1"]
+    lines = (tmp_path / "steps.csv").read_text().splitlines()
+    rows = lines[lines.index("step,loss") + 1:]
+    assert [r.split(",")[0] for r in rows] == ["1"]
+    assert np.isfinite(float(rows[0].split(",")[1]))
+
+
+@pytest.mark.parametrize("flags,code", [([], 2),
+                                        (["--synthetic", "1", "--resume", "missing.dmsr"], 3),
+                                        (["--data", "missing.txt"], 3)],
+                         ids=["no-data", "resume-missing", "manifest-missing"])
+def test_train_failing_on_its_inputs_creates_no_out_directory(tmp_path, monkeypatch,
+                                                              flags, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", *flags, "--out", "D"]) == code
+    assert not (tmp_path / "D").exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("# comment\nmodel.backbone = naf\ntrain.epochs = 1\n")

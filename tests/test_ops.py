@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from dmsr import ops
+from dmsr import ops, tensor
 from dmsr.tensor import (Tensor, Tape, ShapeError, add, div, matmul, mul, record,
                          slice_axis, softmax_lastaxis, sub)
 
-from helpers import check_gradients, weighted_sum_loss
+from helpers import check_gradients, closure_reach, held_arrays, weighted_sum_loss
 from test_swin import loop_shift_mask
 
 
@@ -181,17 +181,44 @@ def test_conv2d_gradients():
                 [x, w, b], n_coords=6)
 
 
-def _closure_arrays(fn):
-    """Every ndarray a function's closure holds, through nested closures."""
-    found, todo = [], [fn]
-    while todo:
-        for cell in todo.pop().__closure__ or ():
-            value = cell.cell_contents
-            if isinstance(value, np.ndarray):
-                found.append(value)
-            elif callable(value) and getattr(value, "__closure__", None):
-                todo.append(value)
-    return found
+def _stored_im2col_conv2d_grads(x, w, padding, g):
+    """(gx, gw) of a stride-1 conv2d as computed when the forward kept its
+    im2col matrix: the reference for the rebuilt one."""
+    B, O, kh, kw = x.shape[0], w.shape[0], w.shape[2], w.shape[3]
+    p = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    Ho, Wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    taps = [np.s_[..., i:i + Ho, j:j + Wo] for i in range(kh) for j in range(kw)]
+    cols = np.stack([xp[t] for t in taps], axis=2).reshape(B, -1, Ho * Wo)
+    g2 = g.reshape(B, O, Ho * Wo)
+    gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
+    dcols = np.matmul(w.reshape(O, -1).T, g2)
+    gxp = np.zeros(xp.shape)
+    for t, gt in zip(taps, np.moveaxis(dcols.reshape(B, -1, len(taps), Ho, Wo), 2, 0)):
+        gxp[t] += gt
+    return gxp[..., p:p + x.shape[2], p:p + x.shape[3]], gw
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_recorded_3x3_conv2d_keeps_no_array_larger_than_its_input(padding):
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.uniform(-1, 1, (2, 2, 8, 7)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+    with Tape() as tape:
+        out = ops.conv2d(x, w, padding=padding)
+    (node,) = tape.nodes
+    reached = closure_reach(node.backward)
+    assert not [o for o in reached if isinstance(o, Tensor)]
+    held = held_arrays(reached)
+    assert any(a is x.data for a in held), "the closure walk did not find the input"
+    # neither the padded input nor the (taps x input) im2col matrix
+    assert all(a.nbytes <= x.data.nbytes for a in held), [a.shape for a in held]
+
+    g = rng.uniform(-1, 1, out.shape)
+    gx, gw = node.backward(g)
+    want_gx, want_gw = _stored_im2col_conv2d_grads(x.data, w.data, padding, g)
+    assert gx.tobytes() == want_gx.tobytes()
+    assert gw.tobytes() == want_gw.tobytes()
 
 
 def test_recorded_conv2d_does_not_keep_its_padded_input():
@@ -200,7 +227,7 @@ def test_recorded_conv2d_does_not_keep_its_padded_input():
     w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)))
     with Tape() as tape:
         ops.conv2d(x, w, padding=1)
-    held = _closure_arrays(tape.nodes[0].backward)
+    held = [a for a in closure_reach(tape.nodes[0].backward) if isinstance(a, np.ndarray)]
     assert held, "the closure walk found no arrays"
     assert all(a.shape != (1, 2, 7, 7) for a in held)
     assert all(a.base is None or a.base.shape != (1, 2, 7, 7) for a in held)
@@ -324,16 +351,24 @@ def test_attention_single_token_is_value_projection():
     np.testing.assert_allclose(out.data, want, atol=1e-12)
 
 
-def test_attention_softmax_rows_sum_to_one():
+def test_attention_softmax_rows_sum_to_one(monkeypatch):
     rng = np.random.default_rng(11)
     p = _attn_params(rng, 8, 2)
     x = Tensor(rng.uniform(-1, 1, (2, 16, 8)))
+    outputs = {}                          # handle -> output of each recorded tensor op
+
+    def keep_output(op, inputs, out_data, backward):
+        out = record(op, inputs, out_data, backward)
+        outputs[out.handle] = out
+        return out
+
+    monkeypatch.setattr(tensor, "record", keep_output)
     with Tape() as tape:
         ops.multi_head_attention(x, p)
     softmax_nodes = [n for n in tape.nodes if n.op == "softmax"]
     assert softmax_nodes, "attention must softmax its logits"
     for node in softmax_nodes:
-        sums = node.out.data.sum(axis=-1)
+        sums = outputs[node.out].data.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
 

@@ -218,7 +218,7 @@ def test_tape_topological_order():
     seen = set()
     for node in tape.nodes:
         for inp in node.inputs:
-            assert inp is x or inp in seen or not inp.requires_grad
+            assert inp is x or inp in seen or inp is None
         seen.add(node.out)
 
 
@@ -251,7 +251,7 @@ def test_ops_in_another_thread_stay_off_this_threads_tape():
         thread.join()
     assert len(foreign) == 5
     assert [node.op for node in tape.nodes] == ["square", "sum"]
-    assert not {id(t) for t in foreign} & {id(node.out) for node in tape.nodes}
+    assert all(t.handle is None for t in foreign)     # no tape recorded them
     assert [node.op for node in own_nodes] == ["tanh"]
     np.testing.assert_array_equal(tape.backward(loss)[x], [2.0, 4.0])
 
