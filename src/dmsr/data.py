@@ -8,7 +8,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .imageio import load_pgm16, load_ppm
 from .tensor import Tensor
@@ -124,6 +123,31 @@ def _separated_colors(rng, n, min_dist=0.45):
     return np.asarray(colors)
 
 
+def _gaussian_blur(x, sigmas):
+    """scipy.ndimage.gaussian_filter(x, sigmas, mode="nearest") to the bit:
+    per axis with sigma > 1e-15, in order, a normalized kernel of radius
+    int(4 sigma + 0.5) over the edge-padded axis, summed as scipy's
+    symmetric-kernel loop sums it: centre first, then the outermost pair
+    inwards."""
+    out = x
+    for axis, sigma in enumerate(sigmas):
+        if sigma <= 1e-15:
+            continue
+        r = int(4.0 * sigma + 0.5)
+        k = np.arange(-r, r + 1)
+        w = np.exp(-0.5 / (sigma * sigma) * (k * k))
+        w = w / w.sum()
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (r, r)
+        padded = np.moveaxis(np.pad(out, pad, mode="edge"), axis, 0)
+        n = out.shape[axis]
+        acc = padded[r:r + n] * w[r]
+        for j in range(r, 0, -1):
+            acc += (padded[r - j:r - j + n] + padded[r + j:r + j + n]) * w[r - j]
+        out = np.moveaxis(acc, 0, axis)
+    return out
+
+
 def synth_scene(seed, H, W, scale=8, noise_sigma=0.0, pair_id=None):
     """Piecewise-smooth depth plus a guidance RGB rendered from the same
     geometry, so guidance edges line up with depth discontinuities."""
@@ -134,14 +158,13 @@ def synth_scene(seed, H, W, scale=8, noise_sigma=0.0, pair_id=None):
     levels = np.linspace(0.08, 0.92, n_shapes + 1)
     rng.shuffle(levels)
     depth = levels[ids]
-    depth = gaussian_filter(depth, sigma=0.6, mode="nearest")
+    depth = _gaussian_blur(depth, (0.6, 0.6))
 
     colors = _separated_colors(rng, n_shapes + 1)
     guidance = colors[ids].transpose(2, 0, 1)
-    texture = gaussian_filter(rng.normal(0.0, 1.0, size=(3, H, W)),
-                              sigma=(0, 2.0, 2.0), mode="nearest")
+    texture = _gaussian_blur(rng.normal(0.0, 1.0, size=(3, H, W)), (0, 2.0, 2.0))
     guidance = guidance + 0.06 * texture
-    guidance = gaussian_filter(guidance, sigma=(0, 0.4, 0.4), mode="nearest")
+    guidance = _gaussian_blur(guidance, (0, 0.4, 0.4))
 
     depth_hr = np.clip(depth, 0.0, 1.0)[None]
     guidance = np.clip(guidance, 0.0, 1.0)
@@ -170,8 +193,9 @@ def parse_manifest(path):
     entries = []
     base = os.path.dirname(os.path.abspath(path))
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
-    except OSError as e:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read manifest {path}: {e}")
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()

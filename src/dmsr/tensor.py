@@ -12,7 +12,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
@@ -298,6 +297,55 @@ def absolute(a):
     return record("abs", (a,), np.abs(x), lambda g: (g * np.sign(x),))
 
 
+# Cephes ndtr.c (Moshier), the tables scipy.special.erf evaluates: erf(x) is
+# x T(x^2)/U(x^2) for |x| <= 1, else 1 - exp(-x^2) P(|x|)/Q(|x|) with the sign
+# of x. Cephes leaves out the leading 1 of U and Q; a leading 1 multiplies
+# exactly, so the same Horner loop serves all four.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+          3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
+          2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(z, coefs):
+    """Cephes polevl: c0 z^n + ... + cn, the same multiply-adds in the same
+    order, in place on one fresh array."""
+    out = z * coefs[0]
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= z
+        out += c
+    return out
+
+
+def _erf(x):
+    """scipy.special.erf in numpy: bit-equal for |x| <= 1, elsewhere within
+    1 ulp (numpy's exp is not libm's); NaN stays NaN. The |x| > 1 branch runs
+    on its own elements only. Its result rounds to exactly +-1 from |x| = 6
+    on, so clamping |x| at 8, where Cephes switches to its asymptotic R/S
+    tables, changes no result and keeps inf finite."""
+    shape, x = np.shape(x), np.ravel(x)
+    s = np.clip(x, -1.0, 1.0)
+    z = s * s
+    out = _horner(z, _ERF_T)
+    out *= s
+    out /= _horner(z, _ERF_U)
+    big = np.flatnonzero(s != x)            # |x| > 1, and NaN
+    if big.size:
+        a = np.minimum(np.abs(x[big]), 8.0)
+        erfc = np.exp(-a * a)
+        erfc *= _horner(a, _ERF_P)
+        erfc /= _horner(a, _ERF_Q)
+        out[big] = np.copysign(1.0 - erfc, x[big])
+    return out.reshape(shape)
+
+
 def gelu(a, mode="exact"):
     """x * Phi(x); `tanh_approx` uses the cubic tanh form.
 
@@ -307,7 +355,7 @@ def gelu(a, mode="exact"):
     a = ensure_tensor(a)
     x = a.data
     if mode == "exact":
-        phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+        phi = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
         out = x * phi
 
         def backward(g):

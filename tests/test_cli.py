@@ -22,6 +22,31 @@ def run_cli(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+NO_SCIPY = """
+import sys
+import numpy as np
+import dmsr, dmsr.cli, dmsr.train, dmsr.checkpoint
+from dmsr.data import synth_scene
+from dmsr.swin import SwinBackbone
+from dmsr.tensor import Tensor
+synth_scene(0, 32, 32)
+rng = np.random.default_rng(0)
+out = SwinBackbone(rng, 4, 8, 4, 1, 1).forward(Tensor(rng.normal(size=(1, 4, 8, 8))))
+assert np.isfinite(out.data).all()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_dmsr_process_loads_no_scipy():
+    # synth_scene blurs and the swin MLP runs exact GELU, both without scipy
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("run"))
@@ -381,6 +406,11 @@ def _infer_with_depth_header(header):
     return argv
 
 
+def _manifest_not_utf8(tmp_path):
+    (tmp_path / "m.txt").write_bytes(b"a\xff b c\n")
+    return str(tmp_path / "m.txt")
+
+
 def _eval_manifest_naming_a_directory(tmp_path, trained):
     (tmp_path / "m.txt").write_text("p0 . .\n")    # paths relative to tmp_path
     return ["eval", trained, str(tmp_path / "m.txt")]
@@ -453,6 +483,13 @@ BAD_INPUTS = [
      None, 3, "error: data:", "cannot read image"),
     ("manifest-names-directory", _eval_manifest_naming_a_directory, None, 3,
      "error: data:", "cannot read image"),
+    ("manifest-not-utf8-train",
+     lambda tmp_path, trained: ["train", "--data", _manifest_not_utf8(tmp_path), "--epochs", "1",
+                                *TINY_FLAGS, "--out", str(tmp_path / "o")],
+     None, 3, "error: data:", "m.txt: 'utf-8' codec can't decode"),
+    ("manifest-not-utf8-eval",
+     lambda tmp_path, trained: ["eval", trained, _manifest_not_utf8(tmp_path)],
+     None, 3, "error: data:", "m.txt: 'utf-8' codec can't decode"),
     ("bench-repeats-1",
      lambda tmp_path, trained: ["bench", "--backbone", "naf", "--blocks", "1",
                                 "--width", "32", "--height", "32", "--repeats", "1"],
@@ -481,7 +518,7 @@ def test_bad_input_exits_with_one_error_line(tmp_path, trained, builder, threads
     assert "Traceback" not in proc.stderr
     assert len(errors) == 1, proc.stderr
     assert errors[0].startswith(prefix) and names in errors[0], proc.stderr
-    assert not (tmp_path / "o" / "checkpoint.dmsr").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_resume_loads_data_at_the_checkpoint_scale(tmp_path):

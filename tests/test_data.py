@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.ndimage import maximum_filter
+from scipy.ndimage import gaussian_filter, maximum_filter
 
-from dmsr.data import (DataError, _cubic_kernel, bicubic_resize, degrade,
+from dmsr.data import (DataError, _cubic_kernel, _gaussian_blur, _paint_shapes,
+                       _separated_colors, bicubic_resize, degrade,
                        parse_manifest, resize_matrix, synth_scene, synth_split)
 
 
@@ -114,6 +115,46 @@ def test_synth_scene_deterministic():
     np.testing.assert_array_equal(a.guidance, b.guidance)
     np.testing.assert_array_equal(a.depth_hr, b.depth_hr)
     np.testing.assert_array_equal(a.depth_lr, b.depth_lr)
+
+
+@pytest.mark.parametrize("shape,sigmas", [
+    ((64, 64), (0.6, 0.6)), ((3, 64, 64), (0, 2.0, 2.0)), ((3, 64, 64), (0, 0.4, 0.4)),
+    ((3, 4, 4), (2.0, 2.0, 2.0)), ((3, 4, 4), (0, 2.0, 2.0)), ((5, 5), (0.6, 0.6)),
+    ((1, 2, 9), (0.4, 2.0, 0.6)), ((7,), (3.3,))])
+def test_gaussian_blur_matches_scipy_bit_for_bit(shape, sigmas):
+    # the synth_scene sigmas, and extents smaller than the radius (8 at sigma 2)
+    x = np.random.default_rng(len(shape)).normal(size=shape)
+    want = gaussian_filter(x, sigmas, mode="nearest")
+    assert _gaussian_blur(x, sigmas).tobytes() == want.tobytes()
+
+
+def scipy_synth_scene(seed, H, W, scale=8, noise_sigma=0.0):
+    """synth_scene as it was written with scipy.ndimage.gaussian_filter: the
+    reference. Returns (guidance, depth_hr, depth_lr)."""
+    rng = np.random.default_rng(seed)
+    ids, n_shapes = _paint_shapes(rng, H, W)
+    levels = np.linspace(0.08, 0.92, n_shapes + 1)
+    rng.shuffle(levels)
+    depth = gaussian_filter(levels[ids], sigma=0.6, mode="nearest")
+    colors = _separated_colors(rng, n_shapes + 1)
+    texture = gaussian_filter(rng.normal(0.0, 1.0, size=(3, H, W)),
+                              sigma=(0, 2.0, 2.0), mode="nearest")
+    guidance = gaussian_filter(colors[ids].transpose(2, 0, 1) + 0.06 * texture,
+                               sigma=(0, 0.4, 0.4), mode="nearest")
+    depth_hr = np.clip(depth, 0.0, 1.0)[None]
+    noise_seed = int(rng.integers(0, 2**63 - 1))
+    return (np.clip(guidance, 0.0, 1.0), depth_hr,
+            degrade(depth_hr, scale, noise_sigma, noise_seed))
+
+
+@pytest.mark.parametrize("seed,size", [(0, 64), (3, 128), (7, 64)])
+def test_synth_split_scenes_match_the_scipy_blur_bit_for_bit(seed, size):
+    split = synth_split(2, 1, size, size, noise_sigma=0.02, seed=seed)
+    children = np.random.SeedSequence(seed).spawn(3)
+    for pair, child in zip(split.train + split.eval, children):
+        want = scipy_synth_scene(child, size, size, noise_sigma=0.02)
+        got = (pair.guidance, pair.depth_hr, pair.depth_lr)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def edge_alignment_score(pair, threshold=0.25):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dmsr import tensor as T
 from dmsr.tensor import Tensor, Tape, ShapeError
@@ -200,6 +201,30 @@ def test_gelu_tanh_approx_close_to_exact():
     exact = T.gelu(Tensor(grid), mode="exact").data
     approx = T.gelu(Tensor(grid), mode="tanh_approx").data
     assert np.max(np.abs(exact - approx)) < 1e-3
+
+
+def test_erf_is_scipys_bit_for_bit_on_the_unit_interval():
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, 200_000)
+    x[:4] = (-1.0, 1.0, np.nextafter(1.0, 0.0), 5e-324)
+    assert T._erf(x).tobytes() == erf(x).tobytes()
+
+
+def test_erf_is_within_one_ulp_of_scipys_on_a_wide_sample():
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.uniform(-9.0, 9.0, 200_000),
+                        rng.normal(size=100_000) * 10.0 ** rng.uniform(-300, 300, 100_000),
+                        np.nextafter([1.0, -1.0, 8.0, -8.0], [2.0, -2.0, 0.0, 0.0])])
+    got, want = T._erf(x), erf(x)
+    assert (np.sign(got) == np.sign(want)).all()
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 1
+
+
+def test_erf_is_exact_at_zeros_edges_and_infinities():
+    x = np.array([0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 27.0, -27.0, np.inf, -np.inf])
+    assert T._erf(x).tobytes() == erf(x).tobytes()
+    got = T._erf(np.array([[np.nan, 2.0], [-np.nan, 0.5]]))
+    assert got.shape == (2, 2) and np.isnan(got[:, 0]).all() and np.isfinite(got[:, 1]).all()
+    assert T._erf(np.float64(0.3)) == erf(0.3)
 
 
 def test_gelu_bad_mode():
