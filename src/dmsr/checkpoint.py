@@ -8,6 +8,7 @@ so identical runs produce identical files.
 """
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -26,39 +27,46 @@ class CheckpointError(ValueError):
     pass
 
 
-def _pack_entry(name, arr):
-    nb = name.encode()
-    code = _DTYPE_CODES[str(arr.dtype)]
-    payload = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
-    head = struct.pack("<H", len(nb)) + nb + struct.pack("<BB", code, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    head += struct.pack("<Q", len(payload))
-    return head + payload
+def _chunks(arrays, metadata):
+    """The file's bytes in order: each entry's header, then the buffer of its
+    contiguous little-endian array, which is the array itself when it
+    already is one, so no payload is copied into a bytes object."""
+    yield MAGIC + struct.pack("<HI", VERSION, len(arrays))
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        code = _DTYPE_CODES[str(arr.dtype)]
+        # 0-d comes back 1-d: the header takes its shape from arr
+        payload = np.ascontiguousarray(arr, dtype=_DTYPES[code])
+        nb = name.encode()
+        yield (struct.pack("<H", len(nb)) + nb + struct.pack("<BB", code, arr.ndim)
+               + struct.pack(f"<{arr.ndim}I", *arr.shape) + struct.pack("<Q", payload.nbytes))
+        yield payload
+    meta = "".join(f"{k} = {v}\n" for k, v in metadata.items()).encode()
+    yield struct.pack("<I", len(meta)) + meta
 
 
 def save_checkpoint(path, arrays, metadata):
     """arrays: ordered {name: ndarray}; metadata: {str: str|int|float}."""
-    blob = [MAGIC, struct.pack("<HI", VERSION, len(arrays))]
-    for name, arr in arrays.items():
-        blob.append(_pack_entry(name, np.asarray(arr)))
-    meta = "".join(f"{k} = {v}\n" for k, v in metadata.items()).encode()
-    blob.append(struct.pack("<I", len(meta)))
-    blob.append(meta)
-    atomic_write(path, b"".join(blob))
+    atomic_write(path, _chunks(arrays, metadata))
 
 
 class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
+    """Reads a checkpoint file field by field; a field that runs past the end
+    of the file is truncation."""
+
+    def __init__(self, f):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
+
+    def _check(self, n, what):
+        pos = self.f.tell()
+        if pos + n > self.size:
+            raise CheckpointError(f"truncated checkpoint while reading {what} "
+                                  f"at byte {pos}")
 
     def take(self, n, what):
-        if self.pos + n > len(self.blob):
-            raise CheckpointError(f"truncated checkpoint while reading {what} "
-                                  f"at byte {self.pos}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self._check(n, what)
+        return self.f.read(n)
 
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -69,37 +77,45 @@ class _Reader:
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{what} is not UTF-8: {e}")
 
+    def array(self, dtype, shape, nbytes, what):
+        """The next nbytes, read straight into a new array of dtype and shape."""
+        self._check(nbytes, what)
+        out = np.empty(shape, dtype=dtype)
+        self.f.readinto(out.reshape(-1).view(np.uint8))
+        return out
+
 
 def load_checkpoint(path):
     """Returns (arrays: {name: ndarray}, metadata: {str: str})."""
     try:
-        with open(path, "rb") as f:
-            r = _Reader(f.read())
+        f = open(path, "rb")
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}")
-    if r.take(4, "magic") != MAGIC:
-        raise CheckpointError(f"{path}: not a DMSR checkpoint")
-    version, count = r.unpack("<HI", "version/count")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    arrays = {}
-    for _ in range(count):
-        (nlen,) = r.unpack("<H", "name length")
-        name = r.text(nlen, "name")
-        code, ndim = r.unpack("<BB", "dtype/ndim")
-        if code not in _DTYPES:
-            raise CheckpointError(f"{path}: unknown dtype code {code}")
-        shape = r.unpack(f"<{ndim}I", "shape") if ndim else ()
-        (nbytes,) = r.unpack("<Q", "payload size")
-        want = np.dtype(_DTYPES[code]).itemsize * math.prod(shape)
-        if nbytes != want:
-            raise CheckpointError(f"{path}: entry {name} has {nbytes} payload bytes, "
-                                  f"its dtype and shape {shape} need {want}")
-        payload = r.take(nbytes, f"payload of {name}")
-        arrays[name] = np.frombuffer(payload, dtype=_DTYPES[code]).reshape(shape).copy()
-    (mlen,) = r.unpack("<I", "metadata length")
+    with f:
+        r = _Reader(f)
+        if r.take(4, "magic") != MAGIC:
+            raise CheckpointError(f"{path}: not a DMSR checkpoint")
+        version, count = r.unpack("<HI", "version/count")
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        arrays = {}
+        for _ in range(count):
+            (nlen,) = r.unpack("<H", "name length")
+            name = r.text(nlen, "name")
+            code, ndim = r.unpack("<BB", "dtype/ndim")
+            if code not in _DTYPES:
+                raise CheckpointError(f"{path}: unknown dtype code {code}")
+            shape = r.unpack(f"<{ndim}I", "shape") if ndim else ()
+            (nbytes,) = r.unpack("<Q", "payload size")
+            want = np.dtype(_DTYPES[code]).itemsize * math.prod(shape)
+            if nbytes != want:
+                raise CheckpointError(f"{path}: entry {name} has {nbytes} payload bytes, "
+                                      f"its dtype and shape {shape} need {want}")
+            arrays[name] = r.array(_DTYPES[code], shape, nbytes, f"payload of {name}")
+        (mlen,) = r.unpack("<I", "metadata length")
+        text = r.text(mlen, "metadata")
     metadata = {}
-    for line in r.text(mlen, "metadata").splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         if " = " not in line:
@@ -137,14 +153,16 @@ def config_from_metadata(metadata):
 
 
 def _entry(arrays, name, shape):
-    """arrays[name] as float64, checked against the shape it must have."""
+    """arrays[name] as float64, checked against the shape it must have; a
+    float64 entry is returned as it is, not copied."""
     if arrays[name].shape != shape:
         raise CheckpointError(f"entry {name} has shape {arrays[name].shape}, expected {shape}")
-    return arrays[name].astype(np.float64)
+    return arrays[name].astype(np.float64, copy=False)
 
 
 def restore_model(path):
-    """Rebuild (model, arrays, metadata) from a checkpoint file."""
+    """Rebuild (model, arrays, metadata) from a checkpoint file. The model's
+    float64 parameters are the very arrays in `arrays`."""
     arrays, metadata = load_checkpoint(path)
     cfg = config_from_metadata(metadata)
     model = DmsrModel(cfg, seed=0)

@@ -92,7 +92,7 @@ def _csv_row(row):
 
 
 def _write_csv(path, header, rows, flat):
-    atomic_write(path, (_csv_head(header, flat) + "".join(map(_csv_row, rows))).encode())
+    atomic_write(path, [(_csv_head(header, flat) + "".join(map(_csv_row, rows))).encode()])
 
 
 def _csv_cell(c):
@@ -271,7 +271,7 @@ def cmd_synth(args):
         save_pgm16(os.path.join(args.out, f"{pid}_depth.pgm"), pair.depth_hr)
         lines.append(f"{pid} {pid}_rgb.ppm {pid}_depth.pgm")
     manifest = os.path.join(args.out, "manifest.txt")
-    atomic_write(manifest, ("\n".join(lines) + "\n").encode())
+    atomic_write(manifest, [("\n".join(lines) + "\n").encode()])
     print(f"manifest={manifest}")
     return 0
 
@@ -371,9 +371,13 @@ def main(argv=None):
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, ImageFormatError, CheckpointError, ShapeError,
-            FileNotFoundError) as e:
+    except (DataError, ImageFormatError, CheckpointError, ShapeError) as e:
         print(f"error: data: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as e:    # a missing input, or an output path that cannot be written
+        where = e.filename2 or e.filename
+        print(f"error: data: {where}: {e.strerror}" if where else f"error: data: {e}",
+              file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergedError as e:
         print(f"error: diverged: {e}", file=sys.stderr)

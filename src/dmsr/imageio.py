@@ -36,13 +36,16 @@ class TruncatedPayloadError(ImageFormatError):
         self.actual = actual
 
 
-def atomic_write(path, payload):
-    """Write bytes via a temp file + rename so readers never see partials."""
+def atomic_write(path, chunks):
+    """Write an iterable of bytes-like chunks (bytes, memoryviews, contiguous
+    arrays), in order, via a temp file + rename so readers never see
+    partials. A generator of chunks is consumed one chunk at a time."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(payload)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -129,7 +132,7 @@ def save_pgm16(path, depth):
     q = np.round(np.clip(d, 0.0, 1.0) * 65535.0).astype(">u2")
     header = (f"P5\n# depth scaled: value = gray / 65535\n"
               f"{d.shape[1]} {d.shape[0]}\n65535\n").encode()
-    atomic_write(path, header + q.tobytes())
+    atomic_write(path, (header, q))
 
 
 def load_pgm16(path):
@@ -146,7 +149,7 @@ def save_ppm(path, rgb):
     q = np.round(np.clip(x, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = (f"P6\n# rgb scaled: value = byte / 255\n"
               f"{x.shape[2]} {x.shape[1]}\n255\n").encode()
-    atomic_write(path, header + q.transpose(1, 2, 0).tobytes())
+    atomic_write(path, (header, np.ascontiguousarray(q.transpose(1, 2, 0))))
 
 
 def load_ppm(path):
@@ -164,7 +167,7 @@ def save_pfm(path, img):
     if x.ndim == 3:
         x = x[0]
     header = f"Pf\n{x.shape[1]} {x.shape[0]}\n-1.0\n".encode()
-    atomic_write(path, header + x[::-1].tobytes())
+    atomic_write(path, (header, np.ascontiguousarray(x[::-1])))
 
 
 def load_pfm(path):

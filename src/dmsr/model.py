@@ -13,10 +13,9 @@ import numpy as np
 from . import naf as naf_mod
 from . import swin as swin_mod
 from .data import bicubic_resize
-from .ops import (Module, param_conv, zeros_param, conv2d, pixel_shuffle,
-                  pixel_unshuffle, bilinear_sample)
-from .tensor import (Tensor, ShapeError, add, mul, sigmoid, rearrange, reshape, tmean,
-                     sub, tsum)
+from .ops import (Module, param_conv, zeros_param, conv2d, joint_filter, pixel_shuffle,
+                  pixel_unshuffle)
+from .tensor import Tensor, ShapeError, add, mul, sigmoid, reshape, tmean, sub
 
 BACKBONES = ("swin", "naf")
 DEFAULT_BLOCKS = {"swin": 4, "naf": 6}
@@ -167,25 +166,8 @@ def combine_offsets(o_guide, o_target, k, r=4):
 def apply_joint_filter(target_up, kernel_field, k):
     """Weighted average of the target over a k x k neighborhood whose taps are
     displaced by the learned offsets and fetched with border-clamped bilinear
-    sampling. Differentiable end to end."""
-    B, C, H, W = target_up.shape
-    weights, offsets = kernel_field.weights, kernel_field.offsets
-    if weights.shape != (B, k * k, H, W):
-        raise ShapeError(f"apply_joint_filter: weights {weights.shape} vs "
-                         f"expected {(B, k * k, H, W)}")
-    if offsets.shape != (B, 2 * k * k, H, W):
-        raise ShapeError(f"apply_joint_filter: offsets {offsets.shape} vs "
-                         f"expected {(B, 2 * k * k, H, W)}")
-    # (2*k*k, H, W) like the offsets: each tap's pixel centre (y, x) plus its
-    # (dy, dx) displacement
-    d = np.arange(k) - k // 2
-    dy, dx, y, x = np.meshgrid(d, d, np.arange(H), np.arange(W), indexing="ij")
-    grid = np.stack((y + dy, x + dx), axis=2).reshape(2 * k * k, H, W)
-    coords = rearrange(add(offsets, grid), (B, k * k, 2, H, W), (0, 1, 3, 4, 2),
-                       (B, k * k * H, W, 2))
-    samples = reshape(bilinear_sample(target_up, coords), (B, C, k * k, H, W))
-    # the tap axis is not innermost, so the sum adds taps in order 0..k*k-1
-    return tsum(mul(reshape(weights, (B, 1, k * k, H, W)), samples), axis=2)
+    sampling: one ops.joint_filter node. Differentiable end to end."""
+    return joint_filter(target_up, kernel_field.weights, kernel_field.offsets, k)
 
 
 def identity_field(B, H, W, k):

@@ -367,7 +367,57 @@ def adaptive_avg_pool_global(x):
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling: bilinear_sample and joint_filter share _corners, _bilinear,
+# _in_range and _scatter_corners
+
+
+def _corners(cy_raw, cx_raw, H, W):
+    """The corners (y0, x0, y1, x1) of (B, Hs, Ws) pixel coordinates clamped
+    to an H x W image, and their (B, 1, Hs, Ws) fractions (ty, tx)."""
+    cy = np.clip(cy_raw, 0.0, H - 1.0)
+    cx = np.clip(cx_raw, 0.0, W - 1.0)
+    with np.errstate(invalid="ignore"):  # NaN coords index 0, then stay NaN
+        y0 = np.clip(np.floor(cy).astype(np.intp), 0, max(H - 2, 0))
+        x0 = np.clip(np.floor(cx).astype(np.intp), 0, max(W - 2, 0))
+    y1 = np.minimum(y0 + 1, H - 1)
+    x1 = np.minimum(x0 + 1, W - 1)
+    return y0, x0, y1, x1, (cy - y0)[:, None], (cx - x0)[:, None]
+
+
+def _bilinear(x, corners, slopes):
+    """The (B, C, Hs, Ws) samples of x (B, C, H, W) at `corners`, and, when
+    `slopes` is set, their derivatives along ty and tx (else None, None)."""
+    y0, x0, y1, x1, ty, tx = corners
+    bidx = np.arange(x.shape[0])[:, None, None]
+    v00 = x[bidx, :, y0, x0].transpose(0, 3, 1, 2)         # (B, C, Hs, Ws)
+    v01 = x[bidx, :, y0, x1].transpose(0, 3, 1, 2)
+    v10 = x[bidx, :, y1, x0].transpose(0, 3, 1, 2)
+    v11 = x[bidx, :, y1, x1].transpose(0, 3, 1, 2)
+    uy, ux = 1 - ty, 1 - tx
+    out = uy * ux * v00 + uy * tx * v01 + ty * ux * v10 + ty * tx * v11
+    if not slopes:
+        return out, None, None
+    dty = -ux * v00 - tx * v01 + ux * v10 + tx * v11
+    dtx = -uy * v00 + uy * v01 - ty * v10 + ty * v11
+    return out, dty, dtx
+
+
+def _in_range(cy_raw, cx_raw, H, W):
+    """(ymask, xmask): where a coordinate is not clamped, so its gradient flows."""
+    return (cy_raw > 0) & (cy_raw < H - 1), (cx_raw > 0) & (cx_raw < W - 1)
+
+
+def _scatter_corners(gx, g, corners):
+    """Add the (B, C, Hs, Ws) sample gradient g into the image gradient gx
+    (B, C, H, W) at the four corners, each weighted like its value."""
+    y0, x0, y1, x1, ty, tx = corners
+    B, C = gx.shape[:2]
+    b4 = np.arange(B)[:, None, None, None]
+    c4 = np.arange(C)[None, :, None, None]
+    np.add.at(gx, (b4, c4, y0[:, None], x0[:, None]), g * (1 - ty) * (1 - tx))
+    np.add.at(gx, (b4, c4, y0[:, None], x1[:, None]), g * (1 - ty) * tx)
+    np.add.at(gx, (b4, c4, y1[:, None], x0[:, None]), g * ty * (1 - tx))
+    np.add.at(gx, (b4, c4, y1[:, None], x1[:, None]), g * ty * tx)
 
 
 def bilinear_sample(x, coords):
@@ -380,53 +430,99 @@ def bilinear_sample(x, coords):
     B, C, H, W = x.shape
     if coords.shape[0] != B or coords.shape[-1] != 2:
         raise ShapeError(f"bilinear_sample: bad coords shape {coords.shape}")
-    cy_raw = coords.data[..., 0]
-    cx_raw = coords.data[..., 1]
-    cy = np.clip(cy_raw, 0.0, H - 1.0)
-    cx = np.clip(cx_raw, 0.0, W - 1.0)
-    with np.errstate(invalid="ignore"):  # NaN coords index 0, then stay NaN
-        y0 = np.clip(np.floor(cy).astype(np.intp), 0, max(H - 2, 0))
-        x0 = np.clip(np.floor(cx).astype(np.intp), 0, max(W - 2, 0))
-    y1 = np.minimum(y0 + 1, H - 1)
-    x1 = np.minimum(x0 + 1, W - 1)
-    ty = (cy - y0)[:, None]                                # (B, 1, Hs, Ws)
-    tx = (cx - x0)[:, None]
-
-    bidx = np.arange(B)[:, None, None]
-    v00 = x.data[bidx, :, y0, x0].transpose(0, 3, 1, 2)    # (B, C, Hs, Ws)
-    v01 = x.data[bidx, :, y0, x1].transpose(0, 3, 1, 2)
-    v10 = x.data[bidx, :, y1, x0].transpose(0, 3, 1, 2)
-    v11 = x.data[bidx, :, y1, x1].transpose(0, 3, 1, 2)
-    out = ((1 - ty) * (1 - tx) * v00 + (1 - ty) * tx * v01
-           + ty * (1 - tx) * v10 + ty * tx * v11)
-
-    # the backward keeps only what the gradients it computes read
+    cy_raw, cx_raw = coords.data[..., 0], coords.data[..., 1]
     x_grad, c_grad = x.requires_grad, coords.requires_grad
+    corners = _corners(cy_raw, cx_raw, H, W)
+    out, dty, dtx = _bilinear(x.data, corners, c_grad)
+    # the backward keeps only what the gradients it computes read
     if not x_grad:
-        y0 = x0 = y1 = x1 = None
-    if c_grad:
-        ymask = (cy_raw > 0) & (cy_raw < H - 1)
-        xmask = (cx_raw > 0) & (cx_raw < W - 1)
-    else:
-        v00 = v01 = v10 = v11 = ymask = xmask = None
+        corners = None
+    ymask, xmask = _in_range(cy_raw, cx_raw, H, W) if c_grad else (None, None)
 
     def backward(g):
         gx = gc = None
         if x_grad:
             gx = np.zeros((B, C, H, W))
-            b4 = np.arange(B)[:, None, None, None]
-            c4 = np.arange(C)[None, :, None, None]
-            np.add.at(gx, (b4, c4, y0[:, None], x0[:, None]), g * (1 - ty) * (1 - tx))
-            np.add.at(gx, (b4, c4, y0[:, None], x1[:, None]), g * (1 - ty) * tx)
-            np.add.at(gx, (b4, c4, y1[:, None], x0[:, None]), g * ty * (1 - tx))
-            np.add.at(gx, (b4, c4, y1[:, None], x1[:, None]), g * ty * tx)
-
+            _scatter_corners(gx, g, corners)
         if c_grad:
-            dty = (-(1 - tx) * v00 - tx * v01 + (1 - tx) * v10 + tx * v11)
-            dtx = (-(1 - ty) * v00 + (1 - ty) * v01 - ty * v10 + ty * v11)
-            gy = (g * dty).sum(axis=1) * ymask
-            gxc = (g * dtx).sum(axis=1) * xmask
-            gc = np.stack([gy, gxc], axis=-1)
+            gc = np.stack([(g * dty).sum(axis=1) * ymask,
+                           (g * dtx).sum(axis=1) * xmask], axis=-1)
         return gx, gc
 
     return record("bilinear_sample", (x, coords), out, backward)
+
+
+def joint_filter(x, weights, offsets, k):
+    """The kernel-field filter: out = sum over taps t of weights[:, t] times x
+    (B, C, H, W) bilinearly sampled, border-clamped, at each pixel's tap
+    position: the pixel, plus tap t's (dy, dx) in the k x k window (row-major,
+    centred), plus its learned displacement offsets[:, 2t:2t + 2].
+
+    weights is (B, k*k, H, W), offsets (B, 2*k*k, H, W). One tape node,
+    recorded as "bilinear_sample". The taps are sampled and added one at a
+    time, in order, so no array spans all k*k taps but the per-tap arrays the
+    backward reads: the samples (for the weight gradient), their slopes along
+    y and x and the clamp masks (for the offset gradient).
+    """
+    x, weights, offsets = ensure_tensor(x), ensure_tensor(weights), ensure_tensor(offsets)
+    B, C, H, W = x.shape
+    kk = k * k
+    if weights.shape != (B, kk, H, W):
+        raise ShapeError(f"joint_filter: weights {weights.shape} vs "
+                         f"expected {(B, kk, H, W)}")
+    if offsets.shape != (B, 2 * kk, H, W):
+        raise ShapeError(f"joint_filter: offsets {offsets.shape} vs "
+                         f"expected {(B, 2 * kk, H, W)}")
+    x_grad, w_grad, o_grad = x.requires_grad, weights.requires_grad, offsets.requires_grad
+    wd, od = weights.data, offsets.data
+    rows, cols = np.arange(H)[:, None] - k // 2, np.arange(W) - k // 2
+
+    def tap_coords(t):
+        """Tap t's raw (B, H, W) sampling coordinates (y, x)."""
+        dy, dx = divmod(t, k)
+        return od[:, 2 * t] + (rows + dy), od[:, 2 * t + 1] + (cols + dx)
+
+    samples = np.empty((kk, B, C, H, W)) if w_grad else None
+    dty = dtx = ymask = xmask = None
+    if o_grad:
+        dty, dtx = np.empty((2, kk, B, C, H, W))
+        ymask, xmask = np.empty((2, kk, B, H, W), dtype=bool)
+    out = None
+    for t in range(kk):
+        cy_raw, cx_raw = tap_coords(t)
+        s, sy, sx = _bilinear(x.data, _corners(cy_raw, cx_raw, H, W), o_grad)
+        term = wd[:, t:t + 1] * s
+        if out is None:
+            out = term
+        else:
+            out += term
+        if w_grad:
+            samples[t] = s
+        if o_grad:
+            dty[t], dtx[t] = sy, sx
+            ymask[t], xmask[t] = _in_range(cy_raw, cx_raw, H, W)
+
+    # the backward keeps only what the gradients it computes read
+    if not x_grad:
+        od = None
+    if not (x_grad or o_grad):
+        wd = None
+
+    def backward(g):
+        gx = np.zeros((B, C, H, W)) if x_grad else None
+        gw = np.empty((B, kk, H, W)) if w_grad else None
+        go = np.empty((B, 2 * kk, H, W)) if o_grad else None
+        for t in range(kk):
+            if w_grad:
+                gw[:, t] = (g * samples[t]).sum(axis=1)
+            if not (x_grad or o_grad):
+                continue
+            gs = g * wd[:, t:t + 1]                  # the gradient of tap t's samples
+            if o_grad:
+                go[:, 2 * t] = (gs * dty[t]).sum(axis=1) * ymask[t]
+                go[:, 2 * t + 1] = (gs * dtx[t]).sum(axis=1) * xmask[t]
+            if x_grad:
+                _scatter_corners(gx, gs, _corners(*tap_coords(t), H, W))
+        return gx, gw, go
+
+    return record("bilinear_sample", (x, weights, offsets), out, backward)

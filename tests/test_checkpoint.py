@@ -1,5 +1,8 @@
 """Checkpoint format: round trips, determinism, corruption handling."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,86 @@ def test_identical_states_produce_identical_bytes(tmp_path):
         save_checkpoint(p, arrays, meta)
         paths.append(p)
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
+def joined_checkpoint_bytes(arrays, metadata):
+    """The file as the writer that joined every entry's bytes built it: the
+    reference the streamed writer must match byte for byte."""
+    blob = [b"DMSR", struct.pack("<HI", 1, len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        nb = name.encode()
+        code = {"float64": 0, "float32": 1}[str(arr.dtype)]
+        payload = np.ascontiguousarray(arr, dtype=("<f8", "<f4")[code]).tobytes()
+        head = struct.pack("<H", len(nb)) + nb + struct.pack("<BB", code, arr.ndim)
+        head += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        head += struct.pack("<Q", len(payload))
+        blob.append(head + payload)
+    meta = "".join(f"{k} = {v}\n" for k, v in metadata.items()).encode()
+    blob.append(struct.pack("<I", len(meta)))
+    blob.append(meta)
+    return b"".join(blob)
+
+
+def test_streamed_writer_matches_the_joined_bytes(tmp_path):
+    # naf's beta and gamma are 0-d; Adam's moments double the table
+    model = DmsrModel(ModelConfig(backbone="naf", **TINY), seed=3)
+    arrays, meta = pack_state(model, Adam(model.named_parameters()), {"train.seed": 3})
+    assert any(np.ndim(a) == 0 for a in arrays.values())
+    arrays["extra.f32"] = np.arange(6.0, dtype=np.float32).reshape(2, 3)
+    arrays["extra.strided"] = np.arange(12.0).reshape(3, 4)[:, ::2]
+    path = tmp_path / "s.dmsr"
+    save_checkpoint(str(path), arrays, meta)
+    assert path.read_bytes() == joined_checkpoint_bytes(arrays, meta)
+
+
+@pytest.fixture(scope="module")
+def default_swin_checkpoint(tmp_path_factory):
+    """(path, arrays, metadata) of the default swin model with Adam state."""
+    model = DmsrModel(ModelConfig(backbone="swin"), seed=0)
+    arrays, meta = pack_state(model, Adam(model.named_parameters()), {"train.seed": 0})
+    path = str(tmp_path_factory.mktemp("ckpt") / "swin.dmsr")
+    save_checkpoint(path, arrays, meta)
+    return path, arrays, meta
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_checkpoint_copies_no_payload(default_swin_checkpoint, tmp_path):
+    # a 12.4 MB file; joining every entry's bytes peaked at 24.9 MB, streaming
+    # each array's own buffer at 0.1
+    _, arrays, meta = default_swin_checkpoint
+    peak = _traced_peak_mb(lambda: save_checkpoint(str(tmp_path / "c.dmsr"), arrays, meta))
+    assert peak <= 1, f"{peak:.1f} MB > 1 MB"
+
+
+def test_restore_model_reads_each_payload_once(default_swin_checkpoint):
+    # 16.8 MB: the 12.4 MB of entries read straight into their arrays, plus
+    # the 4.1 MB of parameters the model is built with before they are
+    # replaced. Reading the whole file, then copying each payload twice,
+    # peaked at 25.6 MB.
+    path = default_swin_checkpoint[0]
+    peak = _traced_peak_mb(lambda: restore_model(path))
+    assert peak <= 18, f"{peak:.1f} MB > 18 MB"
+
+
+def test_truncated_payload_rejected_before_it_is_read(default_swin_checkpoint, tmp_path):
+    # the file ends 8 bytes into the first payload, whose size field is intact
+    blob = open(default_swin_checkpoint[0], "rb").read()
+    (nlen,) = struct.unpack_from("<H", blob, 10)
+    (ndim,) = struct.unpack_from("<B", blob, 12 + nlen + 1)
+    payload_at = 12 + nlen + 2 + 4 * ndim + 8
+    (tmp_path / "cut.dmsr").write_bytes(blob[:payload_at + 8])
+    with pytest.raises(CheckpointError, match=f"truncated checkpoint while reading "
+                                              f"payload of .* at byte {payload_at}"):
+        load_checkpoint(str(tmp_path / "cut.dmsr"))
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -415,6 +415,24 @@ def _eval_manifest_naming_a_directory(tmp_path, trained):
     (tmp_path / "m.txt").write_text("p0 . .\n")    # paths relative to tmp_path
     return ["eval", trained, str(tmp_path / "m.txt")]
 
+
+def _train_out_is_a_file(tmp_path, trained):
+    (tmp_path / "f").write_text("")
+    return [*TINY_TRAIN, "--out", str(tmp_path / "f")]
+
+
+def _eval_csv_is_a_directory(tmp_path, trained):
+    assert main(["synth", "1", "--height", "32", "--width", "32",
+                 "--out", str(tmp_path / "data")]) == 0
+    return ["eval", trained, str(tmp_path / "data" / "manifest.txt"), "--csv", str(tmp_path)]
+
+
+def _infer_out_is_a_directory(tmp_path, trained):
+    save_ppm(str(tmp_path / "g.ppm"), np.zeros((3, 32, 32)))
+    save_pgm16(str(tmp_path / "d.pgm"), np.zeros((4, 4)))
+    return ["infer", trained, str(tmp_path / "g.ppm"), str(tmp_path / "d.pgm"),
+            "--out", str(tmp_path)]
+
 # (id, argv builder, DMSR_THREADS, exit code, the one stderr error line's start,
 #  a text it must contain)
 BAD_INPUTS = [
@@ -500,6 +518,15 @@ BAD_INPUTS = [
      None, 2, "error: config:", "not divisible by 16"),
     ("threads-not-a-number", _train_with_flags(), "abc", 2, "error: config:", "DMSR_THREADS"),
     ("threads-0", _train_with_flags(), "0", 2, "error: config:", "DMSR_THREADS"),
+    ("train-out-is-a-file", _train_out_is_a_file, None, 3, "error: data:", "f: File exists"),
+    ("eval-csv-is-a-directory", _eval_csv_is_a_directory, None, 3, "error: data:",
+     "Is a directory"),
+    ("bench-csv-is-a-directory",
+     lambda tmp_path, trained: ["bench", "--checkpoint", trained, "--width", "32",
+                                "--height", "32", "--repeats", "3", "--csv", str(tmp_path)],
+     None, 3, "error: data:", "Is a directory"),
+    ("infer-out-is-a-directory", _infer_out_is_a_directory, None, 3, "error: data:",
+     "Is a directory"),
 ]
 
 

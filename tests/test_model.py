@@ -168,6 +168,22 @@ def test_apply_joint_filter_matches_per_tap_loop_exactly(k):
         np.testing.assert_array_equal(got, want)
 
 
+def test_apply_joint_filter_matches_per_tap_loop_over_channels():
+    # C > 1: each tap's weight and offset gradients sum over the channels
+    rng = np.random.default_rng(11)
+    target = Tensor(rng.random((2, 3, 5, 6)))
+    w = Tensor(rng.uniform(0, 1, (2, 9, 5, 6)), requires_grad=True)
+    o = Tensor(rng.uniform(-3, 3, (2, 18, 5, 6)), requires_grad=True)
+    results = []
+    for fn in (apply_joint_filter, per_tap_joint_filter):
+        with Tape() as tape:
+            out = fn(target, KernelField(w, o), 3)
+            grads = tape.backward(weighted_sum_loss(out))
+        results.append((out.data, grads[w], grads[o]))
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_apply_joint_filter_gradients(k):
     rng = np.random.default_rng(7)
@@ -183,17 +199,61 @@ def test_apply_joint_filter_gradients(k):
 
 
 def test_apply_joint_filter_tape_does_not_grow_with_k():
-    # all taps go through one bilinear_sample: no per-tap nodes
+    # all taps go through one joint_filter node, recorded as bilinear_sample
     rng = np.random.default_rng(9)
     target = Tensor(rng.random((1, 1, 5, 5)))
-    counts = []
     for k in (1, 3, 5):
         w = Tensor(rng.uniform(0, 1, (1, k * k, 5, 5)), requires_grad=True)
         o = Tensor(rng.uniform(-1, 1, (1, 2 * k * k, 5, 5)), requires_grad=True)
         with Tape() as tape:
             apply_joint_filter(target, KernelField(w, o), k)
-        counts.append(len(tape.nodes))
-    assert counts[0] == counts[1] == counts[2] <= 10, counts
+        assert [node.op for node in tape.nodes] == ["bilinear_sample"], k
+
+
+def _joint_filter_at_benchmark_size(weights_grad, offsets_grad):
+    """The fused joint-filter node at (1, 1, 128, 128), k=3, the target
+    constant: (its node, the forward's tracemalloc peak in MB)."""
+    rng = np.random.default_rng(16)
+    target = Tensor(rng.random((1, 1, 128, 128)))
+    w = Tensor(rng.uniform(0, 1, (1, 9, 128, 128)), requires_grad=weights_grad)
+    o = Tensor(rng.uniform(-3, 3, (1, 18, 128, 128)), requires_grad=offsets_grad)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            apply_joint_filter(target, KernelField(w, o), 3)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    (node,) = tape.nodes
+    return node, peak
+
+
+# per tap, (1, 1, 128, 128) float64 arrays and (1, 128, 128) bool masks
+TAP_ARRAY, TAP_MASK = 128 * 128 * 8, 128 * 128
+
+
+@pytest.mark.parametrize("weights_grad,offsets_grad,floats,masks",
+                         [(True, True, 9 + 9 + 18, 18), (True, False, 9, 0),
+                          (False, True, 9 + 18, 18)],
+                         ids=["weights-and-offsets", "weights-only", "offsets-only"])
+def test_joint_filter_node_holds_only_what_its_backward_reads(weights_grad, offsets_grad,
+                                                              floats, masks):
+    # weights: the samples of each tap; offsets: the weights, each tap's slopes
+    # along y and x and its two clamp masks; never the target or the offsets
+    node, _ = _joint_filter_at_benchmark_size(weights_grad, offsets_grad)
+    reached = closure_reach(node.backward)
+    assert not [obj for obj in reached if isinstance(obj, Tensor)]
+    held = [a for a in held_arrays(reached) if a.size > 128]    # not the tap grid
+    assert sum(a.nbytes for a in held if a.dtype == np.float64) == floats * TAP_ARRAY
+    assert sum(a.nbytes for a in held if a.dtype == bool) == masks * TAP_MASK
+    assert all(a.dtype in (np.float64, bool) for a in held)
+
+
+def test_joint_filter_forward_peak_is_bounded():
+    # 6.7 MB: the 5.0 MB the backward keeps, the output and one tap's
+    # temporaries. Sampling all taps in one batched call peaked at 26.0 MB.
+    _, peak = _joint_filter_at_benchmark_size(True, True)
+    assert peak <= 8, f"{peak:.1f} MB > 8 MB"
 
 
 # one training step at the benchmark workloads' configs: scale 8, k=3, default
@@ -214,21 +274,24 @@ def _record_loss(model, guidance, depth_lr, depth_hr):
     return tape, loss
 
 
+# The joint filter is one node: 7 (an add of the tap grid, a rearrange, a
+# batched bilinear_sample, two reshapes, a mul and a sum) became 1.
 @pytest.mark.parametrize("backbone,size,position_bias,nodes",
-                         [("swin", 64, False, 475), ("swin", 64, True, 523),
-                          ("naf", 128, False, 271)],
-                         ids=["swin-64-475", "swin-64-position-bias-523", "naf-128-271"])
+                         [("swin", 64, False, 469), ("swin", 64, True, 517),
+                          ("naf", 128, False, 265)],
+                         ids=["swin-64-469", "swin-64-position-bias-517", "naf-128-265"])
 def test_training_step_tape_size_is_pinned(backbone, size, position_bias, nodes):
     tape, _ = _record_loss(*_training_step_inputs(backbone, size, position_bias))
     assert len(tape.nodes) == nodes
 
 
 # The arrays the backward closures of one step hold after the forward,
-# parameters included, counted once per owning buffer: 25.2 MB (swin 64) and
-# 70.4 MB (naf 128). Closures that kept their input Tensors, and conv2d with a
-# stored im2col matrix, held 66.9 and 147.1 MB.
-@pytest.mark.parametrize("backbone,size,bound_mb", [("swin", 64, 28), ("naf", 128, 78)],
-                         ids=["swin-64-28MB", "naf-128-78MB"])
+# parameters included, counted once per owning buffer: 24.0 MB (swin 64) and
+# 65.7 MB (naf 128). Closures that kept their input Tensors, and conv2d with a
+# stored im2col matrix, held 66.9 and 147.1 MB; the joint filter as seven
+# nodes around one batched bilinear_sample, 25.2 and 70.4 MB.
+@pytest.mark.parametrize("backbone,size,bound_mb", [("swin", 64, 28), ("naf", 128, 70)],
+                         ids=["swin-64-28MB", "naf-128-70MB"])
 def test_training_step_saved_arrays_are_pinned(backbone, size, bound_mb):
     tape, _ = _record_loss(*_training_step_inputs(backbone, size))
     reached = [obj for node in tape.nodes for obj in closure_reach(node.backward)]
@@ -238,7 +301,7 @@ def test_training_step_saved_arrays_are_pinned(backbone, size, bound_mb):
     assert held <= bound_mb, f"{held:.1f} MB > {bound_mb} MB"
 
 
-@pytest.fixture(scope="module", params=[("swin", 64, 33), ("naf", 128, 96)],
+@pytest.fixture(scope="module", params=[("swin", 64, 33), ("naf", 128, 84)],
                 ids=["swin-64", "naf-128"])
 def training_step(request):
     """One step, forward and backward, under tracemalloc: (tape, loss, leaf
@@ -258,7 +321,8 @@ def training_step(request):
 def test_training_step_peak_memory_is_bounded(training_step):
     # a sweep that kept every intermediate gradient to its end peaked at
     # 104 MB (swin 64) and 258 MB (naf 128); freeing them as it goes, 73 and 158;
-    # with closures that keep only the arrays they read, 30.0 and 87.4
+    # with closures that keep only the arrays they read, 30.0 and 87.4; with
+    # the joint filter sampled tap by tap, 28.9 and 75.7
     *_, peak, bound_mb = training_step
     assert peak <= bound_mb, f"{peak:.1f} MB > {bound_mb} MB"
 

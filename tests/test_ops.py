@@ -685,6 +685,8 @@ CONSTANT_INPUT_CASES = [
      [(2, 3, 5, 4), (3, 3, 3), (3,)]),
     ("layer_norm", ops.layer_norm, [(2, 3, 4), (4,), (4,)]),
     ("bilinear_sample", ops.bilinear_sample, [(1, 2, 5, 4), (1, 3, 3, 2)]),
+    ("joint_filter", lambda x, w, o: ops.joint_filter(x, w, o, 3),
+     [(2, 2, 5, 4), (2, 9, 5, 4), (2, 18, 5, 4)]),
 ]
 
 
