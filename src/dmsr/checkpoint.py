@@ -153,10 +153,12 @@ def config_from_metadata(metadata):
 
 
 def _entry(arrays, name, shape):
-    """arrays[name] as float64, checked against the shape it must have; a
-    float64 entry is returned as it is, not copied."""
+    """arrays[name] as float64, checked against the shape it must have and
+    for NaN and inf; a float64 entry is returned as it is, not copied."""
     if arrays[name].shape != shape:
         raise CheckpointError(f"entry {name} has shape {arrays[name].shape}, expected {shape}")
+    if not np.isfinite(arrays[name]).all():
+        raise CheckpointError(f"entry {name} holds NaN or inf")
     return arrays[name].astype(np.float64, copy=False)
 
 

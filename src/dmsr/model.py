@@ -15,7 +15,7 @@ from . import swin as swin_mod
 from .data import bicubic_resize
 from .ops import (Module, param_conv, zeros_param, conv2d, joint_filter, pixel_shuffle,
                   pixel_unshuffle)
-from .tensor import Tensor, ShapeError, add, mul, sigmoid, reshape, tmean, sub
+from .tensor import Tensor, ShapeError, add, mul, sigmoid, tmean, sub
 
 BACKBONES = ("swin", "naf")
 DEFAULT_BLOCKS = {"swin": 4, "naf": 6}
@@ -134,23 +134,19 @@ class HeadConvs(Module):
 
 
 def combine_weights(w_guide, w_target, k, r=4):
-    """Sigmoid both raw tensors, multiply, subtract the per-pixel tap mean,
-    add 1/k^2 so taps sum to one, then stitch to full resolution.
+    """Sigmoid both raw tensors, multiply, stitch to full resolution, then
+    subtract the per-pixel tap mean and add 1/k^2 so taps sum to one.
 
     Inputs are (B, k*k*r*r, h, w) with tap-major channel layout; output is
     (B, k*k, h*r, w*r) and satisfies the sum-to-one normalization exactly.
     """
-    B, C, h, w = w_guide.shape
     kk = k * k
-    if C != kk * r * r or w_target.shape != w_guide.shape:
+    if w_guide.shape[1] != kk * r * r or w_target.shape != w_guide.shape:
         raise ShapeError(f"combine_weights: expected {kk * r * r} channels, "
                          f"got {w_guide.shape} and {w_target.shape}")
-    p = mul(sigmoid(w_guide), sigmoid(w_target))
-    p = reshape(p, (B, kk, r * r, h, w))
+    p = pixel_shuffle(mul(sigmoid(w_guide), sigmoid(w_target)), r)
     p = sub(p, tmean(p, axis=1, keepdims=True))
-    p = add(p, 1.0 / kk)
-    p = reshape(p, (B, kk * r * r, h, w))
-    return pixel_shuffle(p, r)
+    return add(p, 1.0 / kk)
 
 
 def combine_offsets(o_guide, o_target, k, r=4):

@@ -9,8 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, record, ensure_tensor, matmul, rearrange,
-                     transpose, tmean, softmax_lastaxis, add, slice_axis)
+from .tensor import Tensor, ShapeError, record, ensure_tensor, matmul, rearrange, tmean, add
 
 
 class Module:
@@ -258,29 +257,67 @@ def multi_head_attention(x, p, mask=None):
     """Softmax attention over tokens; x is (N, L, C), mask (nW, L, L) or None.
 
     When a mask is given, N must be a multiple of nW and window i of every
-    batch entry receives mask[i] added to its logits.
+    batch entry receives mask[i] added to its logits. One tape node: its
+    backward repeats the arithmetic of the node chain this op once recorded,
+    bit for bit, and packs the q, k and v gradients into one buffer.
     """
+    x = ensure_tensor(x)
     N, L, C = x.shape
     h, d = p.num_heads, p.head_dim
     if C != h * d:
         raise ShapeError(f"attention: channels {C} != heads*head_dim {h * d}")
-    qkv = linear(x, p.qkv_w, p.qkv_b)                      # (N, L, 3C)
-    qkv = rearrange(qkv, (N, L, 3 * h, d), (0, 2, 1, 3))   # (N, 3h, L, d)
-    q, k, v = (slice_axis(qkv, 1, i * h, (i + 1) * h) for i in range(3))
-    logits = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
-    if p.pos_bias is not None:
-        if p._pos_gather.shape[0] != L * L:
-            raise ShapeError(f"position bias built for "
-                             f"{int(np.sqrt(p._pos_gather.shape[0]))} tokens, got {L}")
-        bias = matmul(Tensor(p._pos_gather), p.pos_bias)   # (L*L, heads)
-        logits = add(logits, rearrange(bias, (L, L, h), (2, 0, 1), (1, h, L, L)))
-    if mask is not None:
-        # window i of every batch entry, the same for every head
-        logits = add(logits, Tensor(np.tile(mask, (N // mask.shape[0], 1, 1))[:, None]))
-    attn = softmax_lastaxis(logits)
-    out = matmul(attn, v)                                  # (N, h, L, d)
-    out = rearrange(out, out.shape, (0, 2, 1, 3), (N, L, C))
-    return linear(out, p.proj_w, p.proj_b)
+    inputs = (x, p.qkv_w, p.qkv_b, p.proj_w, p.proj_b)
+    gather = p._pos_gather
+    if gather is not None:
+        if gather.shape[0] != L * L:
+            raise ShapeError(f"position bias built for {len(gather)} token pairs, got {L * L}")
+        inputs += (p.pos_bias,)
+    x_grad, qw_grad, qb_grad, pw_grad, pb_grad, *pos_grad = (t.requires_grad for t in inputs)
+    pos_grad = any(pos_grad)
+    deep = x_grad or qw_grad or qb_grad or pos_grad     # the gradient reaches the logits
+    n_in, scale = len(inputs), 1.0 / np.sqrt(d)
+
+    qkv = np.matmul(x.data, p.qkv_w.data) + p.qkv_b.data
+    qkv = np.ascontiguousarray(qkv.reshape(N, L, 3 * h, d).transpose(0, 2, 1, 3))
+    q, v = qkv[:, :h].copy(), qkv[:, 2 * h:].copy()                     # (N, h, L, d)
+    kT = np.ascontiguousarray(qkv[:, h:2 * h].transpose(0, 1, 3, 2))    # (N, h, d, L)
+    probs = np.matmul(q, kT) * scale
+    if gather is not None:
+        probs += np.matmul(gather, p.pos_bias.data).reshape(L, L, h).transpose(2, 0, 1)
+    if mask is not None:            # window i of every batch entry, the same for every head
+        windows = probs.reshape(-1, mask.shape[0], h, L, L)
+        windows += mask[:, None]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    merged = np.ascontiguousarray(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(N, L, C)
+    out = np.matmul(merged, p.proj_w.data) + p.proj_b.data
+    # each operand of a projection is kept only for the gradient that reads it
+    xd, qw = (x.data if qw_grad else None), (p.qkv_w.data if x_grad else None)
+    pw, merged = (p.proj_w.data if deep else None), (merged if pw_grad else None)
+
+    def backward(g):
+        gpw = np.matmul(np.swapaxes(merged, -1, -2), g).sum(axis=0) if pw_grad else None
+        gpb = g.sum(axis=(0, 1)) if pb_grad else None
+        if not deep:
+            return (None, None, None, gpw, gpb, None)[:n_in]
+        go = np.matmul(g, pw.T).reshape(N, L, h, d).transpose(0, 2, 1, 3)
+        gp = np.matmul(go, np.swapaxes(v, -1, -2))
+        glogits = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+        gpos = (np.matmul(gather.T, glogits.sum(axis=0).transpose(1, 2, 0).reshape(L * L, h))
+                if pos_grad else None)
+        glogits *= scale
+        gqkv = np.empty((N, 3 * h, L, d))
+        gqkv[:, :h] = np.matmul(glogits, np.swapaxes(kT, -1, -2))
+        gqkv[:, h:2 * h] = np.matmul(np.swapaxes(q, -1, -2), glogits).transpose(0, 1, 3, 2)
+        gqkv[:, 2 * h:] = np.matmul(np.swapaxes(probs, -1, -2), go)
+        gqkv = gqkv.transpose(0, 2, 1, 3).reshape(N, L, 3 * C)
+        gqb = gqkv.sum(axis=(0, 1)) if qb_grad else None
+        gqw = np.matmul(np.swapaxes(xd, -1, -2), gqkv).sum(axis=0) if qw_grad else None
+        gx = np.matmul(gqkv, qw.T) if x_grad else None
+        return (gx, gqw, gqb, gpw, gpb, gpos)[:n_in]
+
+    return record("multi_head_attention", inputs, out, backward)
 
 
 # ---------------------------------------------------------------------------

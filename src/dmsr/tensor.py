@@ -49,37 +49,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; scalars and ndarrays auto-wrap as constants
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class GradHandle:
     """The tape's key for the gradient of a recorded op output: its shape,
@@ -434,21 +403,6 @@ def transpose(a, axes):
     return rearrange(a, ensure_tensor(a).shape, axes)
 
 
-def slice_axis(a, axis, start, stop):
-    a = ensure_tensor(a)
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    shape = a.shape
-
-    def backward(g):
-        gx = np.zeros(shape)
-        gx[idx] = g
-        return (gx,)
-
-    return record("slice", (a,), a.data[idx].copy(), backward)
-
-
 # ---------------------------------------------------------------------------
 # contractions
 
@@ -479,11 +433,3 @@ def matmul(a, b):
 
     return record("matmul", (a, b), out, backward)
 
-
-def softmax_lastaxis(a):
-    a = ensure_tensor(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-    return record("softmax", (a,), s,
-                  lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dmsr.tensor import Tape
+from dmsr.tensor import Tape, ensure_tensor, record
 
 
 def numeric_grad(fn, tensor, idx, eps=1e-4):
@@ -100,3 +100,31 @@ def held_arrays(objects):
                 obj = obj.base
             owners[id(obj)] = obj
     return list(owners.values())
+
+
+# The slice and softmax nodes that dmsr.tensor had before attention became one
+# node, kept as references for tests that compare against the chains they built.
+
+
+def slice_axis(a, axis, start, stop):
+    a = ensure_tensor(a)
+    idx = [slice(None)] * a.ndim
+    idx[axis] = slice(start, stop)
+    idx = tuple(idx)
+    shape = a.shape
+
+    def backward(g):
+        gx = np.zeros(shape)
+        gx[idx] = g
+        return (gx,)
+
+    return record("slice", (a,), a.data[idx].copy(), backward)
+
+
+def softmax_lastaxis(a):
+    a = ensure_tensor(a)
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+    return record("softmax", (a,), s,
+                  lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))

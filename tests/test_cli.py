@@ -94,12 +94,14 @@ def test_indivisible_synthetic_extents_exit_3(tmp_path):
 
 
 def test_diverged_training_exits_4(tmp_path, trained):
-    # poison one parameter of a real checkpoint; the resumed run must detect
-    # the non-finite loss before step 0 completes and exit 4
+    # poison one parameter of a real checkpoint with the largest finite value,
+    # so its forward overflows (a NaN entry is rejected on load, exit 3); the
+    # resumed run must detect the non-finite loss before step 0 completes and
+    # exit 4
     from dmsr.checkpoint import load_checkpoint, save_checkpoint
     arrays, meta = load_checkpoint(trained)
     name = next(k for k in arrays if not k.startswith("optim."))
-    arrays[name] = np.full_like(arrays[name], np.nan)
+    arrays[name] = np.full_like(arrays[name], np.finfo(np.float64).max)
     poisoned = str(tmp_path / "poisoned.dmsr")
     save_checkpoint(poisoned, arrays, meta)
     code = main(["train", "--synthetic", "1", "--epochs", "2", *TINY_FLAGS,
@@ -384,6 +386,26 @@ def _resume_with_moment_of_shape(shape):
     return argv
 
 
+def _with_entry_value(tmp_path, trained, name, value):
+    """The trained checkpoint with the first value of entry `name` set to `value`."""
+    from dmsr.checkpoint import load_checkpoint, save_checkpoint
+    arrays, meta = load_checkpoint(trained)
+    arrays[name].reshape(-1)[0] = value
+    path = str(tmp_path / "bad.dmsr")
+    save_checkpoint(path, arrays, meta)
+    return path
+
+
+def _infer_with_entry_value(name, value):
+    def argv(tmp_path, trained):
+        save_ppm(str(tmp_path / "g.ppm"), np.zeros((3, 32, 32)))
+        save_pgm16(str(tmp_path / "d.pgm"), np.zeros((4, 4)))
+        return ["infer", _with_entry_value(tmp_path, trained, name, value),
+                str(tmp_path / "g.ppm"), str(tmp_path / "d.pgm"),
+                "--out", str(tmp_path / "sr.pfm")]
+    return argv
+
+
 def _eval_with_metadata(key, value):
     return lambda tmp_path, trained: [
         "eval", _with_metadata(tmp_path, trained, key, value), str(tmp_path / "manifest.txt")]
@@ -490,6 +512,19 @@ BAD_INPUTS = [
      None, 3, "error: data:", "entry guide_backbone.conv_in_w has 27648 payload bytes"),
     ("resume-optim-moment-wrong-shape", _resume_with_moment_of_shape((3,)), None, 3,
      "error: data:", "entry optim.m.guide_backbone.conv_in_b has shape (3,), expected (8,)"),
+    ("eval-parameter-nan",
+     lambda tmp_path, trained: [
+         "eval", _with_entry_value(tmp_path, trained, "target_head.w4", np.nan),
+         str(tmp_path / "manifest.txt")],
+     None, 3, "error: data:", "entry target_head.w4 holds NaN or inf"),
+    ("infer-parameter-inf", _infer_with_entry_value("target_head.w4", np.inf), None, 3,
+     "error: data:", "entry target_head.w4 holds NaN or inf"),
+    ("resume-optim-moment-nan",
+     lambda tmp_path, trained: [
+         *TINY_TRAIN, "--resume",
+         _with_entry_value(tmp_path, trained, "optim.m.guide_backbone.conv_in_b", np.nan),
+         "--out", str(tmp_path / "o")],
+     None, 3, "error: data:", "entry optim.m.guide_backbone.conv_in_b holds NaN or inf"),
     ("checkpoint-is-directory",
      lambda tmp_path, trained: ["eval", str(tmp_path), str(tmp_path / "manifest.txt")],
      None, 3, "error: data:", "checkpoint"),

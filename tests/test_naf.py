@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dmsr.naf import NafBackbone, NafBlock, ScaParams, sca, simple_gate
-from dmsr.tensor import Tensor, Tape, ShapeError, mul, slice_axis
+from dmsr.tensor import Tensor, Tape, ShapeError, mul
 
-from helpers import check_gradients, weighted_sum_loss
+from helpers import check_gradients, slice_axis, weighted_sum_loss
 
 ACTIVATION_OPS = {"gelu", "sigmoid", "tanh", "softmax", "relu", "erf", "exp"}
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from dmsr import ops, tensor
-from dmsr.tensor import (Tensor, Tape, ShapeError, add, div, matmul, mul, record,
-                         slice_axis, softmax_lastaxis, sub)
+from dmsr import ops
+from dmsr.tensor import Tensor, Tape, ShapeError, add, div, matmul, mul, record, sub
 
-from helpers import check_gradients, closure_reach, held_arrays, weighted_sum_loss
+from helpers import (check_gradients, closure_reach, held_arrays, slice_axis, softmax_lastaxis,
+                     weighted_sum_loss)
 from test_swin import loop_shift_mask
 
 
@@ -351,25 +351,17 @@ def test_attention_single_token_is_value_projection():
     np.testing.assert_allclose(out.data, want, atol=1e-12)
 
 
-def test_attention_softmax_rows_sum_to_one(monkeypatch):
+def test_attention_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
     p = _attn_params(rng, 8, 2)
     x = Tensor(rng.uniform(-1, 1, (2, 16, 8)))
-    outputs = {}                          # handle -> output of each recorded tensor op
-
-    def keep_output(op, inputs, out_data, backward):
-        out = record(op, inputs, out_data, backward)
-        outputs[out.handle] = out
-        return out
-
-    monkeypatch.setattr(tensor, "record", keep_output)
     with Tape() as tape:
         ops.multi_head_attention(x, p)
-    softmax_nodes = [n for n in tape.nodes if n.op == "softmax"]
-    assert softmax_nodes, "attention must softmax its logits"
-    for node in softmax_nodes:
-        sums = outputs[node.out].data.sum(axis=-1)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+    (node,) = tape.nodes
+    # the probabilities the backward keeps are its one (N, heads, L, L) array
+    (probs,) = [a for a in closure_reach(node.backward)
+                if isinstance(a, np.ndarray) and a.shape == (2, 2, 16, 16)]
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_attention_permutation_equivariance():
@@ -388,12 +380,14 @@ def test_attention_head_divisibility():
         ops.AttentionParams(rng, 10, 3)
 
 
-def test_attention_gradients():
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "shift_mask"])
+def test_attention_gradients(masked):
     rng = np.random.default_rng(14)
     p = _attn_params(rng, 4, 2)
-    x = Tensor(rng.uniform(-1, 1, (2, 6, 4)), requires_grad=True)
+    mask = loop_shift_mask(4, 4, 2, 1) if masked else None      # 4 windows of 4 tokens
+    x = Tensor(rng.uniform(-1, 1, (8, 4, 4) if masked else (2, 6, 4)), requires_grad=True)
     leaves = [x] + p.parameters()
-    check_gradients(lambda: weighted_sum_loss(ops.multi_head_attention(x, p)),
+    check_gradients(lambda: weighted_sum_loss(ops.multi_head_attention(x, p, mask)),
                     leaves, n_coords=4)
 
 
@@ -513,7 +507,7 @@ def reference_attention(x, p, mask=None):
     qkv = chain_reshape(qkv, (N, L, 3, h, d))
     qkv = chain_transpose(qkv, (2, 0, 3, 1, 4))
     q, k, v = (chain_reshape(slice_axis(qkv, 0, i, i + 1), (N, h, L, d)) for i in range(3))
-    logits = matmul(q, chain_transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d))
+    logits = mul(matmul(q, chain_transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
     if p.pos_bias is not None:
         bias = matmul(Tensor(p._pos_gather), p.pos_bias)
         bias = chain_transpose(chain_reshape(bias, (L, L, h)), (2, 0, 1))
@@ -577,15 +571,16 @@ def test_attention_bit_equal_to_the_reshape_chains(masked, position_bias):
         _output_and_grads(lambda: reference_attention(x, p, mask), leaves)
 
 
-def test_attention_qkv_split_has_no_reshape():
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("position_bias", [False, True], ids=["no_bias", "bias"])
+def test_attention_is_one_node(masked, position_bias):
     rng = np.random.default_rng(19)
-    p = _attn_params(rng, 8, 2)
-    x = Tensor(rng.uniform(-1, 1, (2, 16, 8)), requires_grad=True)
+    p = ops.AttentionParams(rng, 8, 2, window=4, position_bias=position_bias)
+    mask = loop_shift_mask(8, 8, 4, 2) if masked else None
+    x = Tensor(rng.uniform(-1, 1, (2 * 4, 16, 8)), requires_grad=True)
     with Tape() as tape:
-        ops.multi_head_attention(x, p)
-    assert [node.op for node in tape.nodes] == [
-        "matmul", "add", "transpose", "slice", "slice", "slice", "transpose", "matmul",
-        "mul", "softmax", "matmul", "transpose", "matmul", "add"]
+        ops.multi_head_attention(x, p, mask)
+    assert [node.op for node in tape.nodes] == ["multi_head_attention"]
 
 
 # pooling -----------------------------------------------------------------------
@@ -672,6 +667,13 @@ def test_bilinear_constant_image_skips_its_gradient_only():
 # Every op with more than one input returns None for each input with
 # requires_grad False, and the same bytes as before for the other inputs.
 
+def _attention_of(x, qkv_w, qkv_b, proj_w, proj_b, pos_bias):
+    """Shifted-window attention with position bias over the given arrays."""
+    p = ops.AttentionParams(np.random.default_rng(0), 4, 2, window=2, position_bias=True)
+    p.qkv_w, p.qkv_b, p.proj_w, p.proj_b, p.pos_bias = qkv_w, qkv_b, proj_w, proj_b, pos_bias
+    return ops.multi_head_attention(x, p, loop_shift_mask(4, 4, 2, 1))
+
+
 CONSTANT_INPUT_CASES = [
     ("add", add, [(2, 3, 4), (3, 1)]),
     ("sub", sub, [(2, 3, 4), (3, 1)]),
@@ -687,6 +689,8 @@ CONSTANT_INPUT_CASES = [
     ("bilinear_sample", ops.bilinear_sample, [(1, 2, 5, 4), (1, 3, 3, 2)]),
     ("joint_filter", lambda x, w, o: ops.joint_filter(x, w, o, 3),
      [(2, 2, 5, 4), (2, 9, 5, 4), (2, 18, 5, 4)]),
+    ("multi_head_attention", _attention_of,
+     [(8, 4, 4), (4, 12), (12,), (4, 4), (4,), (9, 2)]),
 ]
 
 
