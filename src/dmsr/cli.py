@@ -33,7 +33,7 @@ EXIT_DIVERGED = 4
 # data.* and train.* keys: default, valid range and its check. The model.*
 # keys are the fields of ModelConfig, which holds their defaults and checks.
 SETTINGS = {
-    "data.noise_sigma": (0.0, ">= 0", lambda v: v >= 0),
+    "data.noise_sigma": (0.0, ">= 0 and finite", lambda v: 0 <= v < math.inf),
     "data.synth_height": (64, ">= 1", lambda v: v >= 1),
     "data.synth_width": (64, ">= 1", lambda v: v >= 1),
     "train.epochs": (20, ">= 1", lambda v: v >= 1),

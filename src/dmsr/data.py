@@ -212,10 +212,13 @@ def parse_manifest(path):
 
 
 def load_manifest_pairs(path, scale, noise_sigma=0.0, seed=0):
-    """Load every manifest pair, degrading HR depth to LR. Missing files are
-    reported exhaustively before aborting. LR depth is snapped to the 16-bit
-    grid so that on-disk LR files reproduce in-memory evaluation exactly."""
+    """Load every manifest pair, degrading HR depth to LR. A manifest with no
+    pair and missing files (all of them, named) are data errors. LR depth is
+    snapped to the 16-bit grid so that on-disk LR files reproduce in-memory
+    evaluation exactly."""
     entries = parse_manifest(path)
+    if not entries:
+        raise DataError(f"manifest {path} lists no pairs")
     missing = [p for _, g, d in entries for p in (g, d) if not os.path.exists(p)]
     if missing:
         raise DataError("missing files: " + ", ".join(sorted(set(missing))))

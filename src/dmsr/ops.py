@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, record, ensure_tensor, matmul, rearrange, tmean, add
+from .tensor import Tensor, ShapeError, record, ensure_tensor, matmul, rearrange, add
 
 
 class Module:
@@ -62,56 +62,124 @@ def ones_param(shape):
 
 # ---------------------------------------------------------------------------
 # convolution (stride 1)
+#
+# Array-level kernels, shared by the recorded ops below and by the NAF
+# block's one node: conv2d_forward and depthwise_forward take the input, the
+# weight, the bias (or None) and the padding and return the output;
+# conv2d_grads and depthwise_grads take the output gradient, the input, the
+# weight and the padding and return (input gradient, weight gradient), None
+# for each not asked for. The bias gradient is g.sum(axis=(0, 2, 3)).
 
 
-def _conv(op, x, weight, bias, padding, kernel):
+def _taps(x_shape, w_shape, p):
+    """(Ho, Wo) and, for each kernel tap (i, j) in row-major order, the index
+    of its shifted (Ho, Wo) window in the input zero-padded by p."""
+    kh, kw = w_shape[-2:]
+    Ho, Wo = x_shape[2] + 2 * p - kh + 1, x_shape[3] + 2 * p - kw + 1
+    return Ho, Wo, [np.s_[..., i:i + Ho, j:j + Wo] for i in range(kh) for j in range(kw)]
+
+
+def _pad(x, p):
+    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+
+
+def _input_grad(tap_grads, taps, x_shape, p):
+    """The input gradient from the gradients of its tap windows in tap order,
+    each added in before the next is drawn."""
+    B, C, H, W = x_shape
+    if len(taps) == 1:                # a 1x1 kernel's one window is all of xp
+        (gxp,) = tap_grads
+    else:
+        gxp = np.zeros((B, C, H + 2 * p, W + 2 * p))
+        for t, gt in zip(taps, tap_grads):
+            gxp[t] += gt
+    return gxp[..., p:p + H, p:p + W]
+
+
+def _im2col(x, w_shape, p):
+    """(B, C * taps, Ho * Wo); the one window of a 1x1 kernel is xp itself."""
+    Ho, Wo, taps = _taps(x.shape, w_shape, p)
+    xp = _pad(x, p)
+    cols = xp[:, :, None] if len(taps) == 1 else np.stack([xp[t] for t in taps], axis=2)
+    return cols.reshape(x.shape[0], -1, Ho * Wo)
+
+
+def _add_bias(out, b):
+    if b is not None:
+        out += b.reshape(1, -1, 1, 1)
+    return out
+
+
+def conv2d_forward(x, w, b, p):
+    B, O = x.shape[0], w.shape[0]
+    Ho, Wo, _ = _taps(x.shape, w.shape, p)
+    return _add_bias(np.matmul(w.reshape(O, -1), _im2col(x, w.shape, p)).reshape(B, O, Ho, Wo),
+                     b)
+
+
+def conv2d_grads(g, x, w, p, x_grad, w_grad):
+    B, O, Ho, Wo = g.shape
+    g2 = g.reshape(B, O, Ho * Wo)
+    gx = gw = None
+    if x_grad:
+        _, _, taps = _taps(x.shape, w.shape, p)
+        dcols = np.matmul(w.reshape(O, -1).T, g2)
+        gx = _input_grad(np.moveaxis(dcols.reshape(B, -1, len(taps), Ho, Wo), 2, 0),
+                         taps, x.shape, p)
+    if w_grad:
+        # rebuilt, not kept from the forward: taps times the input's size
+        gw = np.matmul(g2, _im2col(x, w.shape, p).swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
+    return gx, gw
+
+
+def depthwise_forward(x, w, b, p):
+    """The taps' multiply-adds, summed in row-major order."""
+    Ho, Wo, taps = _taps(x.shape, w.shape, p)
+    xp = _pad(x, p)
+    wt = w.reshape(len(w), -1, 1, 1)     # (C, taps, 1, 1)
+    out = np.zeros((x.shape[0], len(w), Ho, Wo))
+    for n, t in enumerate(taps):
+        out += xp[t] * wt[:, n]
+    return _add_bias(out, b)
+
+
+def depthwise_grads(g, x, w, p, x_grad, w_grad):
+    _, _, taps = _taps(x.shape, w.shape, p)
+    gx = gw = None
+    if x_grad:
+        wt = w.reshape(len(w), -1, 1, 1)
+        gt = np.empty(g.shape)           # one buffer for every tap's gradient
+        gx = _input_grad((np.multiply(g, wt[:, n], out=gt) for n in range(len(taps))),
+                         taps, x.shape, p)
+    if w_grad:
+        xp = _pad(x, p)                  # padded again, not kept from the forward
+        gw = np.stack([np.einsum("bchw,bchw->c", g, xp[t]) for t in taps], axis=1)
+        gw = gw.reshape(w.shape)
+    return gx, gw
+
+
+def _conv(op, x, weight, bias, padding, forward, grads):
     """What conv2d and depthwise_conv2d share: the channel and output-extent
-    checks, the zero padding, the tap windows, the optional per-channel bias
-    and the input gradient.
-
-    kernel(x, pad, w, taps, Ho, Wo) gets the input array, pad(x) -> the input
-    zero-padded by `padding`, the weight array and, for each kernel tap (i, j)
-    in row-major order, the index of its shifted (Ho, Wo) window in the
-    padded input. It returns the output, weight_grad(g) -> gw and
-    tap_grads(g) -> the gradients of the tap windows in tap order. Neither is
-    called for an input that needs no gradient.
-    """
+    checks, the optional per-channel bias and the tape node, whose backward
+    keeps the input and the weight."""
     x, weight = ensure_tensor(x), ensure_tensor(weight)
-    _, C, H, W = x.shape
-    Cw, kh, kw = weight.shape[-3:]
+    C, Cw = x.shape[1], weight.shape[-3]
     if C != Cw:
         raise ShapeError(f"{op}: input has {C} channels, weight expects {Cw}")
-    Ho, Wo = H + 2 * padding - kh + 1, W + 2 * padding - kw + 1
+    Ho, Wo, _ = _taps(x.shape, weight.shape, padding)
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"{op}: non-positive output extent ({Ho}x{Wo})")
-    p = padding
-
-    def pad(a):
-        return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p))) if p else a
-
-    taps = [np.s_[..., i:i + Ho, j:j + Wo] for i in range(kh) for j in range(kw)]
-    out, weight_grad, tap_grads = kernel(x.data, pad, weight.data, taps, Ho, Wo)
-    padded_shape = (x.shape[0], C, H + 2 * p, W + 2 * p)
+    xd, wd = x.data, weight.data
     x_grad, w_grad, b_grad = x.requires_grad, weight.requires_grad, None  # None: no bias
-
     inputs = (x, weight)
     if bias is not None:
         bias = ensure_tensor(bias)
-        out = out + bias.data.reshape(1, -1, 1, 1)
         inputs += (bias,)
         b_grad = bias.requires_grad
+    out = forward(xd, wd, None if bias is None else bias.data, padding)
 
     def backward(g):
-        gx = None
-        if x_grad:
-            if len(taps) == 1:            # a 1x1 kernel's one window is all of xp
-                (gxp,) = tap_grads(g)
-            else:
-                gxp = np.zeros(padded_shape)
-                for t, gt in zip(taps, tap_grads(g)):
-                    gxp[t] += gt
-            gx = gxp[..., p:p + H, p:p + W]
-        gw = weight_grad(g) if w_grad else None
+        gx, gw = grads(g, xd, wd, padding, x_grad, w_grad)
         if b_grad is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3)) if b_grad else None
@@ -122,60 +190,52 @@ def _conv(op, x, weight, bias, padding, kernel):
 def conv2d(x, weight, bias=None, padding=0):
     """Stride-1 cross-correlation of NCHW input with (out_ch, in_ch, kh, kw)
     weights, zero-padded by `padding` on each side: one matmul over im2col."""
-
-    def im2col_matmul(x, pad, w, taps, Ho, Wo):
-        B, O = x.shape[0], w.shape[0]
-
-        def im2col():
-            # (B, C, taps, Ho, Wo); the one window of a 1x1 kernel is xp itself
-            xp = pad(x)
-            cols = xp[:, :, None] if len(taps) == 1 else np.stack([xp[t] for t in taps],
-                                                                  axis=2)
-            return cols.reshape(B, -1, Ho * Wo)
-
-        w2 = w.reshape(O, -1)
-        out = np.matmul(w2, im2col()).reshape(B, O, Ho, Wo)
-
-        def weight_grad(g):
-            # rebuilt, not kept from the forward: taps times the input's size
-            g2 = g.reshape(B, O, Ho * Wo)
-            return np.matmul(g2, im2col().swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
-
-        def tap_grads(g):
-            dcols = np.matmul(w2.T, g.reshape(B, O, Ho * Wo))
-            return np.moveaxis(dcols.reshape(B, -1, len(taps), Ho, Wo), 2, 0)
-
-        return out, weight_grad, tap_grads
-
-    return _conv("conv2d", x, weight, bias, padding, im2col_matmul)
+    return _conv("conv2d", x, weight, bias, padding, conv2d_forward, conv2d_grads)
 
 
 def depthwise_conv2d(x, weight, bias=None, padding=0):
     """Stride-1 per-channel convolution with (C, kh, kw) weights, zero-padded
     by `padding` on each side: one multiply-add per tap, and the forward sums
     the taps in row-major order."""
-
-    def shifted_multiply_adds(x, pad, w, taps, Ho, Wo):
-        xp = pad(x)
-        wt = w.reshape(len(w), -1, 1, 1)     # (C, taps, 1, 1)
-        out = np.zeros((xp.shape[0], len(w), Ho, Wo))
-        for n, t in enumerate(taps):
-            out += xp[t] * wt[:, n]
-
-        def weight_grad(g):
-            gw = np.stack([np.einsum("bchw,bchw->c", g, xp[t]) for t in taps], axis=1)
-            return gw.reshape(w.shape)
-
-        def tap_grads(g):
-            return (g * wt[:, n] for n in range(len(taps)))
-
-        return out, weight_grad, tap_grads
-
-    return _conv("depthwise_conv2d", x, weight, bias, padding, shifted_multiply_adds)
+    return _conv("depthwise_conv2d", x, weight, bias, padding, depthwise_forward,
+                 depthwise_grads)
 
 
 # ---------------------------------------------------------------------------
 # normalization, linear, attention
+
+
+def normalize(x, eps=1e-5):
+    """(xhat, inv): the last axis of x normalised to zero mean and unit
+    variance, and inv, its inverse standard deviation. Layer norm's output is
+    gamma * xhat + beta."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xc *= inv
+    return xc, inv
+
+
+def layer_norm_grads(g, xhat, inv, gamma, x_grad, gamma_grad, beta_grad):
+    """(gx, ggamma, gbeta) of gamma * xhat + beta; None where not asked for."""
+    n = xhat.shape[-1]
+    gx = ggamma = gbeta = None
+    if gamma_grad:
+        ggamma = (g * xhat).reshape(-1, n).sum(axis=0)
+    if beta_grad:
+        gbeta = g.reshape(-1, n).sum(axis=0)
+    if x_grad:
+        # inv * (gc - mean(gc) - xhat * mean(gc * xhat)) in two buffers, each
+        # step in the memory order the expression would give it
+        gc = g * gamma
+        gx = gc * xhat
+        m1, m2 = gc.mean(axis=-1, keepdims=True), gx.mean(axis=-1, keepdims=True)
+        gc -= m1
+        np.multiply(xhat, m2, out=gx)
+        np.subtract(gc, gx, out=gx)
+        gx *= inv
+    return gx, ggamma, gbeta
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -183,29 +243,18 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
     x, gamma, beta = ensure_tensor(x), ensure_tensor(gamma), ensure_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat, inv = normalize(x.data, eps)
     out = gamma.data * xhat + beta.data
-    n = x.shape[-1]
     x_grad = x.requires_grad
     gamma_shape = gamma.shape if gamma.requires_grad else None
     beta_shape = beta.shape if beta.requires_grad else None
     gd = gamma.data if x_grad else None
 
     def backward(g):
-        gx = ggamma = gbeta = None
-        if gamma_shape is not None:
-            ggamma = (g * xhat).reshape(-1, n).sum(axis=0).reshape(gamma_shape)
-        if beta_shape is not None:
-            gbeta = g.reshape(-1, n).sum(axis=0).reshape(beta_shape)
-        if x_grad:
-            gc = g * gd
-            gx = inv * (gc - gc.mean(axis=-1, keepdims=True)
-                        - xhat * (gc * xhat).mean(axis=-1, keepdims=True))
-        return gx, ggamma, gbeta
+        gx, ggamma, gbeta = layer_norm_grads(g, xhat, inv, gd, x_grad,
+                                             gamma_shape is not None, beta_shape is not None)
+        return (gx, None if ggamma is None else ggamma.reshape(gamma_shape),
+                None if gbeta is None else gbeta.reshape(beta_shape))
 
     return record("layer_norm", (x, gamma, beta), out, backward)
 
@@ -396,11 +445,6 @@ def pixel_shuffle(x, r):
         raise ShapeError(f"pixel_shuffle: channels {Cr2} not divisible by {r * r}")
     C = Cr2 // (r * r)
     return rearrange(x, (B, C, r, r, H, W), (0, 1, 4, 2, 5, 3), (B, C, H * r, W * r))
-
-
-def adaptive_avg_pool_global(x):
-    """Per-channel spatial mean, kept as (B, C, 1, 1)."""
-    return tmean(x, axis=(2, 3), keepdims=True)
 
 
 # ---------------------------------------------------------------------------

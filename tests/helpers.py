@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from dmsr.tensor import Tape, ensure_tensor, record
+from dmsr.ops import conv2d, depthwise_conv2d, layer_norm
+from dmsr.tensor import ShapeError, Tape, add, ensure_tensor, mul, record, tmean, transpose
 
 
 def numeric_grad(fn, tensor, idx, eps=1e-4):
@@ -128,3 +129,55 @@ def softmax_lastaxis(a):
     s = e / e.sum(axis=-1, keepdims=True)
     return record("softmax", (a,), s,
                   lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))
+
+
+# The SimpleGate, SCA, channel layer norm and global pool ops that dmsr had
+# before the NAF block became one node, and the block as the chain of nodes
+# they built: references for tests that compare the node against that chain.
+
+
+def simple_gate(x):
+    """Split (B, C, H, W) into channel halves y, z and return y * z, as one
+    "mul" node whose backward joins (g * z, g * y) along the channels."""
+    x = ensure_tensor(x)
+    C = x.shape[1]
+    if C % 2:
+        raise ShapeError(f"simple_gate: odd channel count {C}")
+    y, z = x.data[:, :C // 2], x.data[:, C // 2:]
+    return record("mul", (x,), y * z,
+                  lambda g: (np.concatenate((g * z, g * y), axis=1),))
+
+
+def adaptive_avg_pool_global(x):
+    """Per-channel spatial mean, kept as (B, C, 1, 1)."""
+    return tmean(x, axis=(2, 3), keepdims=True)
+
+
+def sca(x, p):
+    """Simplified channel attention: x * conv1x1(global_avg_pool(x))."""
+    pooled = adaptive_avg_pool_global(x)
+    scale = conv2d(pooled, p.w, p.b)
+    return mul(x, scale)
+
+
+def channel_layer_norm(x, gamma, beta):
+    """LayerNorm over the channel axis of (B, C, H, W) at every position."""
+    y = transpose(x, (0, 2, 3, 1))
+    y = layer_norm(y, gamma, beta)
+    return transpose(y, (0, 3, 1, 2))
+
+
+def naf_block_chain(block, x):
+    """dmsr.naf.NafBlock.forward as the 20-node chain it recorded."""
+    h = channel_layer_norm(x, block.norm1_g, block.norm1_b)
+    h = conv2d(h, block.pw1_w, block.pw1_b)
+    h = depthwise_conv2d(h, block.dw_w, block.dw_b, padding=1)
+    h = simple_gate(h)
+    h = sca(h, block.sca)
+    h = conv2d(h, block.pw2_w, block.pw2_b)
+    y = add(x, mul(h, block.beta))
+    h2 = channel_layer_norm(y, block.norm2_g, block.norm2_b)
+    h2 = conv2d(h2, block.pw3_w, block.pw3_b)
+    h2 = simple_gate(h2)
+    h2 = conv2d(h2, block.pw4_w, block.pw4_b)
+    return add(y, mul(h2, block.gamma))

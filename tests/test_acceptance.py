@@ -24,7 +24,7 @@ from dmsr.ops import (AttentionParams, bilinear_sample, conv2d, layer_norm,
 from dmsr.tensor import Tensor
 from dmsr.train import Adam, evaluate, psnr, train_epochs
 
-from helpers import check_gradients, weighted_sum_loss
+from helpers import check_gradients, naf_block_chain, weighted_sum_loss
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,
             k=3, scale=4)
@@ -87,14 +87,12 @@ def test_criterion_1_gradient_suite():
     check_gradients(lambda: weighted_sum_loss(bilinear_sample(xs, cs)),
                     [xs, cs], rel_tol=1e-3, n_coords=6)
 
-    xg = Tensor(rng.uniform(-1, 1, (1, 4, 4, 4)), requires_grad=True)
-    check_gradients(lambda: weighted_sum_loss(naf_mod.simple_gate(xg)),
-                    [xg], n_coords=6)
-
-    sp = naf_mod.ScaParams(np.random.default_rng(102), 3)
-    xsc = Tensor(rng.uniform(-1, 1, (1, 3, 4, 4)), requires_grad=True)
-    check_gradients(lambda: weighted_sum_loss(naf_mod.sca(xsc, sp)),
-                    [xsc] + sp.parameters(), n_coords=5)
+    # the NAF block node: its SimpleGates and SCA, with both residual branches live
+    nb = naf_mod.NafBlock(np.random.default_rng(102), 4)
+    nb.beta.data[...], nb.gamma.data[...] = 0.4, -0.3
+    xn = Tensor(rng.uniform(-1, 1, (1, 4, 4, 4)), requires_grad=True)
+    check_gradients(lambda: weighted_sum_loss(nb.forward(xn)),
+                    [xn] + nb.parameters(), n_coords=2)
 
     wg = Tensor(rng.uniform(-2, 2, (1, 9 * 16, 2, 2)), requires_grad=True)
     wt = Tensor(rng.uniform(-2, 2, (1, 9 * 16, 2, 2)), requires_grad=True)
@@ -276,14 +274,24 @@ def test_criterion_9_block_audit():
                 3 * 16 if branch is model.guide_backbone else 16, 8, 8))))
             assert len(calls) == expected, f"{backbone}: {len(calls)} blocks ran"
 
+    # A block records one "naf_block" node, so the audit reads the chain of
+    # nodes that node is bit-equal to
     rng = np.random.default_rng(901)
     naf_bb = naf_mod.NafBackbone(rng, 8, 8, 6)
     for block in naf_bb.blocks:
         block.beta.data[...] = 0.5
         block.gamma.data[...] = 0.5
     x = Tensor(rng.uniform(-1, 1, (1, 8, 8, 8)), requires_grad=True)
+    chain = node = x
     with T.Tape() as tape:
-        naf_bb.forward(x)
+        for block in naf_bb.blocks:
+            chain = naf_block_chain(block, chain)
     forbidden = {"gelu", "sigmoid", "tanh", "softmax", "relu", "erf", "exp"}
     used = {node.op for node in tape.nodes}
     assert used & forbidden == set(), f"activation nodes on tape: {used & forbidden}"
+    assert {"conv2d", "depthwise_conv2d", "mul", "layer_norm"} <= used
+    with T.Tape() as tape:
+        for block in naf_bb.blocks:
+            node = block.forward(node)
+    assert [n.op for n in tape.nodes] == ["naf_block"] * 6
+    assert node.data.tobytes() == chain.data.tobytes()

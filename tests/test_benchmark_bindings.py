@@ -21,13 +21,14 @@ MODULES = {"tensor": tensor, "ops": ops, "swin": swin, "naf": naf, "model": mode
            "cli": cli}
 
 
-def test_tracer_binds_attention_and_restores_every_original(monkeypatch):
-    monkeypatch.syspath_prepend(PERFBENCH)
+def _traced_step(cfg):
+    """The span names of one tiny traced training step; asserts that the
+    tracer, once uninstalled, has put every module and class attribute back."""
     tracing = importlib.import_module("tracing")
     owners = list(MODULES.values()) + [getattr(MODULES[m], c) for m, c, _, _ in tracing.METHODS]
     before = [dict(vars(owner)) for owner in owners]
 
-    net = DmsrModel(ModelConfig(embed_dim=8, window=4, heads=1, num_blocks=1, k=3, scale=4))
+    net = DmsrModel(cfg)
     rng = np.random.default_rng(0)
     guidance, depth_lr = Tensor(rng.random((1, 3, 16, 16))), Tensor(rng.random((1, 1, 4, 4)))
     tracer = tracing.Tracer(MODULES)
@@ -36,9 +37,23 @@ def test_tracer_binds_attention_and_restores_every_original(monkeypatch):
             loss = l1_loss(net.forward(guidance, depth_lr), Tensor(rng.random((1, 1, 16, 16))))
         tape.backward(loss)
 
-    names = {span[tracing.NAME] for span in tracer.spans}
-    assert {"ops.multi_head_attention", "ops.bwd.multi_head_attention"} <= names
     for owner, attrs in zip(owners, before):
         now = vars(owner)
         assert now.keys() == attrs.keys(), owner
         assert all(now[k] is v for k, v in attrs.items()), owner
+    return {span[tracing.NAME] for span in tracer.spans}
+
+
+def test_tracer_binds_attention_and_restores_every_original(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    names = _traced_step(ModelConfig(embed_dim=8, window=4, heads=1, num_blocks=1, k=3,
+                                     scale=4))
+    assert {"ops.multi_head_attention", "ops.bwd.multi_head_attention"} <= names
+
+
+def test_tracer_binds_the_naf_block_and_restores_every_original(monkeypatch):
+    # the block records through tensor.record, which the tracer wraps; its
+    # input conv still calls the conv2d that naf imports by name
+    monkeypatch.syspath_prepend(PERFBENCH)
+    names = _traced_step(ModelConfig(backbone="naf", embed_dim=8, num_blocks=1, k=3, scale=4))
+    assert {"naf.block", "tensor.bwd.naf_block", "ops.conv2d"} <= names

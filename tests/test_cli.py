@@ -433,6 +433,20 @@ def _manifest_not_utf8(tmp_path):
     return str(tmp_path / "m.txt")
 
 
+def _empty_manifest(tmp_path):
+    """A manifest of a comment and blank lines: no pairs."""
+    (tmp_path / "empty.txt").write_text("# no pairs yet\n\n   \n")
+    return str(tmp_path / "empty.txt")
+
+
+def _train_with_empty_eval_manifest(tmp_path, trained):
+    assert main(["synth", "1", "--height", "32", "--width", "32",
+                 "--out", str(tmp_path / "data")]) == 0
+    return ["train", "--data", str(tmp_path / "data" / "manifest.txt"),
+            "--eval-data", _empty_manifest(tmp_path), "--epochs", "1", *TINY_FLAGS,
+            "--out", str(tmp_path / "o")]
+
+
 def _eval_manifest_naming_a_directory(tmp_path, trained):
     (tmp_path / "m.txt").write_text("p0 . .\n")    # paths relative to tmp_path
     return ["eval", trained, str(tmp_path / "m.txt")]
@@ -472,6 +486,8 @@ BAD_INPUTS = [
     ("lr-negative", _train_with_flags("--lr", "-1"), None, 2, "error: config:", "train.lr"),
     ("lr-inf", _train_with_flags("--lr", "inf"), None, 2, "error: config:", "train.lr"),
     ("noise-sigma-negative", _train_with_flags("--noise-sigma", "-1"), None, 2,
+     "error: config:", "data.noise_sigma"),
+    ("noise-sigma-inf", _train_with_flags("--noise-sigma", "inf"), None, 2,
      "error: config:", "data.noise_sigma"),
     ("eps-0", _train_with_config("train.eps = 0"), None, 2, "error: config:", "train.eps"),
     ("beta1-above-1", _train_with_config("train.beta1 = 1.5"), None, 2, "error: config:",
@@ -543,6 +559,15 @@ BAD_INPUTS = [
     ("manifest-not-utf8-eval",
      lambda tmp_path, trained: ["eval", trained, _manifest_not_utf8(tmp_path)],
      None, 3, "error: data:", "m.txt: 'utf-8' codec can't decode"),
+    ("manifest-empty-train",
+     lambda tmp_path, trained: ["train", "--data", _empty_manifest(tmp_path), "--epochs", "1",
+                                *TINY_FLAGS, "--out", str(tmp_path / "o")],
+     None, 3, "error: data:", "empty.txt lists no pairs"),
+    ("manifest-empty-train-eval-data", _train_with_empty_eval_manifest, None, 3,
+     "error: data:", "empty.txt lists no pairs"),
+    ("manifest-empty-eval",
+     lambda tmp_path, trained: ["eval", trained, _empty_manifest(tmp_path)],
+     None, 3, "error: data:", "empty.txt lists no pairs"),
     ("bench-repeats-1",
      lambda tmp_path, trained: ["bench", "--backbone", "naf", "--blocks", "1",
                                 "--width", "32", "--height", "32", "--repeats", "1"],

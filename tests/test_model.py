@@ -275,11 +275,12 @@ def _record_loss(model, guidance, depth_lr, depth_hr):
 
 # Each attention call is one node: 14 (17 with position bias) became 1 in
 # each of swin's 16 calls. combine_weights shuffles before it normalises, so
-# its two reshapes went.
+# its two reshapes went. Each NAF block is one node: 20 became 1 in each of
+# naf's 12 blocks.
 @pytest.mark.parametrize("backbone,size,position_bias,nodes",
                          [("swin", 64, False, 251), ("swin", 64, True, 251),
-                          ("naf", 128, False, 263)],
-                         ids=["swin-64-251", "swin-64-position-bias-251", "naf-128-263"])
+                          ("naf", 128, False, 35)],
+                         ids=["swin-64-251", "swin-64-position-bias-251", "naf-128-35"])
 def test_training_step_tape_size_is_pinned(backbone, size, position_bias, nodes):
     tape, _ = _record_loss(*_training_step_inputs(backbone, size, position_bias))
     assert len(tape.nodes) == nodes
@@ -287,11 +288,12 @@ def test_training_step_tape_size_is_pinned(backbone, size, position_bias, nodes)
 
 # The arrays the backward closures of one step hold after the forward,
 # parameters included, counted once per owning buffer: 24.0 MB (swin 64) and
-# 65.7 MB (naf 128). Closures that kept their input Tensors, and conv2d with a
+# 30.3 MB (naf 128). Closures that kept their input Tensors, and conv2d with a
 # stored im2col matrix, held 66.9 and 147.1 MB; the joint filter as seven
-# nodes around one batched bilinear_sample, 25.2 and 70.4 MB.
-@pytest.mark.parametrize("backbone,size,bound_mb", [("swin", 64, 28), ("naf", 128, 70)],
-                         ids=["swin-64-28MB", "naf-128-70MB"])
+# nodes around one batched bilinear_sample, 25.2 and 70.4 MB; each NAF block
+# as a chain of 20 nodes, naf 65.7 MB.
+@pytest.mark.parametrize("backbone,size,bound_mb", [("swin", 64, 28), ("naf", 128, 33)],
+                         ids=["swin-64-28MB", "naf-128-33MB"])
 def test_training_step_saved_arrays_are_pinned(backbone, size, bound_mb):
     tape, _ = _record_loss(*_training_step_inputs(backbone, size))
     reached = [obj for node in tape.nodes for obj in closure_reach(node.backward)]
@@ -301,7 +303,7 @@ def test_training_step_saved_arrays_are_pinned(backbone, size, bound_mb):
     assert held <= bound_mb, f"{held:.1f} MB > {bound_mb} MB"
 
 
-@pytest.fixture(scope="module", params=[("swin", 64, 33), ("naf", 128, 84)],
+@pytest.fixture(scope="module", params=[("swin", 64, 33), ("naf", 128, 44)],
                 ids=["swin-64", "naf-128"])
 def training_step(request):
     """One step, forward and backward, under tracemalloc: (tape, loss, leaf
@@ -322,7 +324,8 @@ def test_training_step_peak_memory_is_bounded(training_step):
     # a sweep that kept every intermediate gradient to its end peaked at
     # 104 MB (swin 64) and 258 MB (naf 128); freeing them as it goes, 73 and 158;
     # with closures that keep only the arrays they read, 30.0 and 87.4; with
-    # the joint filter sampled tap by tap, 28.9 and 75.7
+    # the joint filter sampled tap by tap, 28.9 and 75.7; with each NAF block
+    # one node, naf 39.9
     *_, peak, bound_mb = training_step
     assert peak <= bound_mb, f"{peak:.1f} MB > {bound_mb} MB"
 

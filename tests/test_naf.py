@@ -1,12 +1,14 @@
-"""NAF backbone: SimpleGate, SCA, identity-at-init, activation-free audit."""
+"""NAF backbone: SimpleGate, SCA, identity-at-init, activation-free audit, and
+the block as one tape node against the chain of nodes it replaced."""
 
 import numpy as np
 import pytest
 
-from dmsr.naf import NafBackbone, NafBlock, ScaParams, sca, simple_gate
+from dmsr.naf import NafBackbone, NafBlock, ScaParams
 from dmsr.tensor import Tensor, Tape, ShapeError, mul
 
-from helpers import check_gradients, slice_axis, weighted_sum_loss
+from helpers import (check_gradients, closure_reach, held_arrays, naf_block_chain, sca,
+                     simple_gate, slice_axis, weighted_sum_loss)
 
 ACTIVATION_OPS = {"gelu", "sigmoid", "tanh", "softmax", "relu", "erf", "exp"}
 
@@ -62,6 +64,10 @@ def test_simple_gate_is_one_mul_node_byte_equal_to_slices_and_mul():
     with Tape() as tape:
         simple_gate(x)
     assert [node.op for node in tape.nodes] == ["mul"]
+
+
+# SimpleGate and SCA are the record-based references in helpers; the block
+# computes both inside its one node
 
 
 def test_sca_identity_conv_on_constant():
@@ -144,10 +150,92 @@ def test_tape_audit_no_activation_nodes_in_blocks():
     x = Tensor(rng.uniform(-1, 1, (1, 8, 8, 8)), requires_grad=True)
     with Tape() as tape:
         backbone.forward(x)
+    assert {node.op for node in tape.nodes} == {"conv2d", "naf_block"}
+    # each block's node is bit-equal to the chain of nodes in helpers
+    # (test_naf_block_is_one_node_bit_equal_to_the_chain), so audit that chain
+    with Tape() as tape:
+        h = x
+        for block in backbone.blocks:
+            h = naf_block_chain(block, h)
     ops_used = {node.op for node in tape.nodes}
     assert ops_used & ACTIVATION_OPS == set(), f"activations found: {ops_used}"
     # sanity: the forward actually recorded work
     assert {"conv2d", "depthwise_conv2d", "mul", "layer_norm"} <= ops_used
+
+
+def _live_block(rng, channels, beta, gamma):
+    """A block with the given residual scales and non-trivial norm affines."""
+    block = NafBlock(rng, channels)
+    block.beta.data[...], block.gamma.data[...] = beta, gamma
+    for t in (block.norm1_g, block.norm1_b, block.norm2_g, block.norm2_b):
+        t.data += rng.uniform(-0.3, 0.3, t.shape)
+    return block
+
+
+def _chain_and_node_sweeps(blocks, x, g):
+    """(output, gradients keyed by leaf) of the blocks in series, as chains of
+    nodes and as one node each, the output's gradient seeded with g."""
+    results = []
+    for forward in (naf_block_chain, lambda block, h: block.forward(h)):
+        with Tape() as tape:
+            h = x
+            for block in blocks:
+                h = forward(block, h)
+        local = {h.handle: g}      # Tape.backward's sweep, minus its copy of the leaves
+        for node in reversed(tape.nodes):
+            gout = local.pop(node.out, None)
+            if gout is None:
+                continue
+            for t, gi in zip(node.inputs, node.backward(gout)):
+                if gi is not None:
+                    local[t] = gi if t not in local else local[t] + gi
+        results.append((h, local, len(tape.nodes)))
+    return results
+
+
+@pytest.mark.parametrize("beta,gamma", [(0.0, 0.0), (0.3, -0.2)], ids=["identity", "live"])
+@pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+def test_naf_block_is_one_node_bit_equal_to_the_chain(beta, gamma, layout):
+    rng = np.random.default_rng(12)
+    blocks = [_live_block(rng, 8, beta, gamma) for _ in range(2)]
+    x = Tensor(rng.uniform(-1, 1, (2, 8, 6, 5)), requires_grad=True)
+    g = rng.uniform(-1, 1, (2, 6, 5, 8))
+    # the output gradient as a conv or a channels-last transpose would hand it back
+    g = g.transpose(0, 3, 1, 2) if layout == "nhwc" else np.ascontiguousarray(
+        g.transpose(0, 3, 1, 2))
+    (chain, want, n_chain), (node, got, n_node) = _chain_and_node_sweeps(blocks, x, g)
+    assert (n_chain, n_node) == (40, 2)
+    assert node.data.tobytes() == chain.data.tobytes()
+    leaves = [x] + [p for block in blocks for p in block.parameters()]
+    for leaf in leaves:
+        assert got[leaf].tobytes() == want[leaf].tobytes(), leaf.shape
+        # the same memory order too, so whatever sums it upstream rounds alike
+        assert got[leaf].strides == want[leaf].strides, leaf.shape
+
+
+def test_naf_block_keeps_three_arrays_per_kind():
+    # at the naf-128 block size: each layer norm's xhat and inv, the depthwise
+    # output, SCA's pooled vector and scale; the chain kept about 4.0 MB
+    rng = np.random.default_rng(13)
+    block = _live_block(rng, 32, 0.3, -0.2)
+    x = Tensor(rng.uniform(-1, 1, (1, 32, 32, 32)), requires_grad=True)
+    with Tape() as tape:
+        block.forward(x)
+    (node,) = tape.nodes
+    reached = closure_reach(node.backward)
+    assert not [obj for obj in reached if isinstance(obj, Tensor)]
+    params = {id(p.data) for p in block.parameters()}
+    kept = [a for a in held_arrays(reached) if id(a) not in params]
+    assert sorted(a.size for a in kept) == sorted([32 * 32 * 32, 32 * 32] * 2
+                                                  + [64 * 32 * 32, 32, 32])
+    held = sum(a.nbytes for a in kept) / 1e6
+    assert held <= 1.1, f"{held:.2f} MB"
+
+
+def test_naf_block_rejects_a_wrong_channel_count():
+    block = NafBlock(np.random.default_rng(14), 4)
+    with pytest.raises(ShapeError, match="naf_block"):
+        block.forward(Tensor(np.ones((1, 3, 4, 4))))
 
 
 def test_naf_block_gradients():

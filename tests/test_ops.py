@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dmsr import ops
+from dmsr.naf import NafBlock
 from dmsr.tensor import Tensor, Tape, ShapeError, add, div, matmul, mul, record, sub
 
-from helpers import (check_gradients, closure_reach, held_arrays, slice_axis, softmax_lastaxis,
-                     weighted_sum_loss)
+from helpers import (adaptive_avg_pool_global, check_gradients, closure_reach, held_arrays,
+                     slice_axis, softmax_lastaxis, weighted_sum_loss)
 from test_swin import loop_shift_mask
 
 
@@ -584,24 +585,25 @@ def test_attention_is_one_node(masked, position_bias):
 
 
 # pooling -----------------------------------------------------------------------
+# helpers.adaptive_avg_pool_global is the SCA pool of the reference NAF chain.
 
 
 def test_global_pool_constant():
     x = np.full((1, 2, 3, 3), 0.4)
-    out = ops.adaptive_avg_pool_global(Tensor(x))
+    out = adaptive_avg_pool_global(Tensor(x))
     assert out.shape == (1, 2, 1, 1)
     np.testing.assert_allclose(out.data, 0.4)
 
 
 def test_global_pool_small_example():
     x = np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 1, 2, 2)
-    assert ops.adaptive_avg_pool_global(Tensor(x)).data.item() == 4.0
+    assert adaptive_avg_pool_global(Tensor(x)).data.item() == 4.0
 
 
 def test_global_pool_matches_mean():
     rng = np.random.default_rng(17)
     x = rng.random((2, 3, 5, 7))
-    got = ops.adaptive_avg_pool_global(Tensor(x)).data
+    got = adaptive_avg_pool_global(Tensor(x)).data
     want = x.mean(axis=(2, 3), keepdims=True)
     assert np.abs(got - want).max() < 1e-12
 
@@ -674,6 +676,15 @@ def _attention_of(x, qkv_w, qkv_b, proj_w, proj_b, pos_bias):
     return ops.multi_head_attention(x, p, loop_shift_mask(4, 4, 2, 1))
 
 
+def _naf_block_of(x, *params):
+    """A NafBlock over the given parameters, in the order of its node's inputs."""
+    block = NafBlock(np.random.default_rng(0), x.shape[1])
+    (block.norm1_g, block.norm1_b, block.pw1_w, block.pw1_b, block.dw_w, block.dw_b,
+     block.sca.w, block.sca.b, block.pw2_w, block.pw2_b, block.beta, block.norm2_g,
+     block.norm2_b, block.pw3_w, block.pw3_b, block.pw4_w, block.pw4_b, block.gamma) = params
+    return block.forward(x)
+
+
 CONSTANT_INPUT_CASES = [
     ("add", add, [(2, 3, 4), (3, 1)]),
     ("sub", sub, [(2, 3, 4), (3, 1)]),
@@ -691,6 +702,9 @@ CONSTANT_INPUT_CASES = [
      [(2, 2, 5, 4), (2, 9, 5, 4), (2, 18, 5, 4)]),
     ("multi_head_attention", _attention_of,
      [(8, 4, 4), (4, 12), (12,), (4, 4), (4,), (9, 2)]),
+    ("naf_block", _naf_block_of,
+     [(2, 4, 5, 4), (4,), (4,), (8, 4, 1, 1), (8,), (8, 3, 3), (8,), (4, 4, 1, 1), (4,),
+      (4, 4, 1, 1), (4,), (), (4,), (4,), (8, 4, 1, 1), (8,), (4, 4, 1, 1), (4,), ()]),
 ]
 
 
