@@ -20,8 +20,7 @@ from .data import (DataError, load_manifest_pairs, synth_split, synth_scene,
                    DatasetSplit)
 from .imageio import (ImageFormatError, atomic_write, load_pgm16, load_ppm,
                       save_pfm, save_pgm16, save_ppm)
-from .model import (BACKBONES, ConfigError, DmsrModel, ModelConfig, identity_field,
-                    apply_joint_filter, parse, upsample_lr)
+from .model import BACKBONES, ConfigError, DmsrModel, ModelConfig, parse
 from .tensor import ShapeError, Tensor
 from .train import (ADAM_SETTINGS, Adam, TrainingDivergedError, bench, evaluate, psnr,
                     train_epochs, worker_count)
@@ -111,6 +110,8 @@ def cmd_train(args):
     seed = flat["train.seed"]
     if not (args.synthetic or args.data):
         raise ConfigError("train needs --synthetic N or --data MANIFEST")
+    if args.eval_data and not args.data:
+        raise ConfigError("--eval-data needs --data, not --synthetic")
 
     if args.resume:
         model, arrays, metadata = restore_model(args.resume)
@@ -122,7 +123,9 @@ def cmd_train(args):
                          beta1=flat["train.beta1"], beta2=flat["train.beta2"],
                          eps=flat["train.eps"])
         start_epoch = 0
+    # the settings that run: a resumed checkpoint's model and optimizer
     flat.update(model.cfg.to_flat_dict())
+    flat.update({f"train.{name}": getattr(optimizer, name) for name in ADAM_SETTINGS})
 
     # the data follow the model's scale, which a resumed checkpoint sets
     scale, noise = model.cfg.scale, flat["data.noise_sigma"]
@@ -134,7 +137,7 @@ def cmd_train(args):
         train_pairs = load_manifest_pairs(args.data, scale, noise, seed)
         eval_pairs = (load_manifest_pairs(args.eval_data, scale, noise, seed)
                       if args.eval_data else [])
-        split = DatasetSplit(train_pairs, eval_pairs, seed)
+        split = DatasetSplit(train_pairs, eval_pairs)
 
     # divisibility must fail before step 0, not mid-epoch
     for pair in list(split.train) + list(split.eval):
@@ -195,14 +198,7 @@ def cmd_infer(args):
     except ShapeError as e:
         raise DataError(f"{e} (guidance {H}x{W}, depth_lr {lr_h}x{lr_w})")
 
-    g, d = Tensor(guidance[None]), Tensor(depth_lr[None])
-    if args.identity_head:
-        target_up = upsample_lr(d, model.cfg.scale)
-        pred = apply_joint_filter(target_up, identity_field(1, H, W, model.cfg.k),
-                                  model.cfg.k)
-    else:
-        pred = model.forward(g, d)
-    sr = pred.data[0]
+    sr = model.forward(Tensor(guidance[None]), Tensor(depth_lr[None])).data[0]
     save_pfm(args.out, sr)
     if args.out_preview:
         save_pgm16(args.out_preview, sr)
@@ -302,9 +298,10 @@ def build_parser():
 
     t = sub.add_parser("train", help="train a model")
     common(t)
-    t.add_argument("--synthetic", type=positive_int, metavar="N",
-                   help="train on N generated scenes")
-    t.add_argument("--data", help="training manifest")
+    source = t.add_mutually_exclusive_group()
+    source.add_argument("--synthetic", type=positive_int, metavar="N",
+                        help="train on N generated scenes")
+    source.add_argument("--data", help="training manifest")
     t.add_argument("--eval-data", dest="eval_data", help="evaluation manifest")
     key_flag(t, "--backbone", "model.backbone", help=" or ".join(BACKBONES))
     key_flag(t, "--blocks", "model.num_blocks", help="override block count")
@@ -328,8 +325,6 @@ def build_parser():
     i.add_argument("--out", required=True, help="SR output (PFM)")
     i.add_argument("--out-preview", dest="out_preview", help="16-bit PGM preview")
     i.add_argument("--gt", help="ground-truth depth (PGM) for PSNR")
-    i.add_argument("--identity-head", dest="identity_head", action="store_true",
-                   help="debug: delta kernel, output equals bicubic upsample")
     i.set_defaults(func=cmd_infer)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint over a manifest")

@@ -27,14 +27,12 @@ class ScenePair:
     guidance: np.ndarray
     depth_hr: np.ndarray
     depth_lr: np.ndarray
-    noise_sigma: float = 0.0
 
 
 @dataclass
 class DatasetSplit:
     train: list
     eval: list
-    seed: int = 0
 
 
 def _cubic_kernel(t):
@@ -170,8 +168,7 @@ def synth_scene(seed, H, W, scale=8, noise_sigma=0.0, pair_id=None):
     guidance = np.clip(guidance, 0.0, 1.0)
     noise_seed = int(rng.integers(0, 2**63 - 1))
     depth_lr = degrade(depth_hr, scale, noise_sigma, noise_seed)
-    return ScenePair(pair_id or f"synth{seed}", guidance, depth_hr, depth_lr,
-                     noise_sigma)
+    return ScenePair(pair_id or f"synth{seed}", guidance, depth_hr, depth_lr)
 
 
 def synth_split(n_train, n_eval, H, W, scale=8, noise_sigma=0.0, seed=0):
@@ -180,7 +177,7 @@ def synth_split(n_train, n_eval, H, W, scale=8, noise_sigma=0.0, seed=0):
     pairs = [synth_scene(children[i], H, W, scale, noise_sigma,
                          pair_id=f"synth{seed}_{i:03d}")
              for i in range(n_train + n_eval)]
-    return DatasetSplit(pairs[:n_train], pairs[n_train:], seed)
+    return DatasetSplit(pairs[:n_train], pairs[n_train:])
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +186,8 @@ def synth_split(n_train, n_eval, H, W, scale=8, noise_sigma=0.0, seed=0):
 
 def parse_manifest(path):
     """`pair_id guidance_path depth_path` per line, '#' comments; paths are
-    relative to the manifest. Returns entries sorted by pair id."""
-    entries = []
+    relative to the manifest. Returns entries sorted by pair id, each id once."""
+    entries, first_line = [], {}
     base = os.path.dirname(os.path.abspath(path))
     try:
         with open(path, encoding="utf-8") as f:
@@ -206,6 +203,9 @@ def parse_manifest(path):
             raise DataError(f"{path}:{lineno}: expected "
                             f"'pair_id guidance_path depth_path', got {line!r}")
         pid, gpath, dpath = parts
+        if pid in first_line:
+            raise DataError(f"{path}:{lineno}: pair id {pid!r} repeats line {first_line[pid]}")
+        first_line[pid] = lineno
         entries.append((pid, os.path.join(base, gpath), os.path.join(base, dpath)))
     entries.sort(key=lambda e: e[0])
     return entries
@@ -229,7 +229,7 @@ def load_manifest_pairs(path, scale, noise_sigma=0.0, seed=0):
         lr = degrade(depth_hr, scale, noise_sigma,
                      np.random.SeedSequence((seed, i)))
         lr = quantize16(lr)
-        pairs.append(ScenePair(pid, guidance, depth_hr, lr, noise_sigma))
+        pairs.append(ScenePair(pid, guidance, depth_hr, lr))
     return pairs
 
 

@@ -234,7 +234,7 @@ class DmsrModel(Module):
 def upsample_lr(depth_lr, scale):
     """Bicubic-upsample the LR depth to full resolution as a constant tensor
     (the upsample is input preprocessing, not a trained stage)."""
-    x = depth_lr.data if isinstance(depth_lr, Tensor) else np.asarray(depth_lr)
+    x = depth_lr.data
     B, C, h, w = x.shape
     up = np.stack([bicubic_resize(x[b], h * scale, w * scale) for b in range(B)])
     return Tensor(up)

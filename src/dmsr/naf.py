@@ -8,7 +8,7 @@ nonlinearities are multiplications.
 import numpy as np
 
 from . import tensor
-from .ops import (Module, param_conv, param_depthwise, zeros_param, ones_param, conv2d,
+from .ops import (Module, param, param_conv, zeros_param, ones_param, conv2d,
                   conv2d_forward, conv2d_grads, depthwise_forward, depthwise_grads,
                   normalize, layer_norm_grads)
 from .tensor import ShapeError, ensure_tensor
@@ -74,7 +74,7 @@ class NafBlock(Module):
         self.norm1_b = zeros_param((c,))
         self.pw1_w = param_conv(rng, 2 * c, c, 1, 1)
         self.pw1_b = zeros_param((2 * c,))
-        self.dw_w = param_depthwise(rng, 2 * c, 3, 3)
+        self.dw_w = param(rng, (2 * c, 3, 3), np.sqrt(2.0 / 9))   # fan-in scaled, 3x3 per channel
         self.dw_b = zeros_param((2 * c,))
         self.sca = ScaParams(rng, c)
         self.pw2_w = param_conv(rng, c, c, 1, 1)

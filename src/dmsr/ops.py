@@ -46,12 +46,6 @@ def param_conv(rng, out_ch, in_ch, kh, kw):
                   requires_grad=True)
 
 
-def param_depthwise(rng, channels, kh, kw):
-    """Fan-in scaled depthwise conv weight, one (kh, kw) filter per channel."""
-    std = np.sqrt(2.0 / (kh * kw))
-    return Tensor(rng.normal(0.0, std, size=(channels, kh, kw)), requires_grad=True)
-
-
 def zeros_param(shape):
     return Tensor(np.zeros(shape), requires_grad=True)
 
@@ -205,14 +199,14 @@ def depthwise_conv2d(x, weight, bias=None, padding=0):
 # normalization, linear, attention
 
 
-def normalize(x, eps=1e-5):
+def normalize(x):
     """(xhat, inv): the last axis of x normalised to zero mean and unit
-    variance, and inv, its inverse standard deviation. Layer norm's output is
-    gamma * xhat + beta."""
+    variance (eps 1e-5), and inv, its inverse standard deviation. Layer norm's
+    output is gamma * xhat + beta."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xc *= inv
     return xc, inv
 
@@ -238,12 +232,10 @@ def layer_norm_grads(g, xhat, inv, gamma, x_grad, gamma_grad, beta_grad):
     return gx, ggamma, gbeta
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
     x, gamma, beta = ensure_tensor(x), ensure_tensor(gamma), ensure_tensor(beta)
-    xhat, inv = normalize(x.data, eps)
+    xhat, inv = normalize(x.data)
     out = gamma.data * xhat + beta.data
     x_grad = x.requires_grad
     gamma_shape = gamma.shape if gamma.requires_grad else None

@@ -105,9 +105,6 @@ class Tape:
         assert popped is self
         return False
 
-    def grad(self, tensor):
-        return self.grads.get(tensor)
-
     def backward(self, loss):
         """Reverse sweep from a scalar loss. A node's output gradient is final
         once the node is swept (its consumers were recorded after it), so it is
@@ -215,48 +212,12 @@ def mul(a, b):
                              None if sb is None else _unbroadcast(g * ad, sb)))
 
 
-def div(a, b):
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    if np.any(b.data == 0.0):
-        raise ZeroDivisionError("div: denominator contains zero")
-    sa, sb = _grad_shape(a), _grad_shape(b)
-    out = _binary_data(a, b, np.divide)
-    bd = b.data
-    quotient = None if sb is None else out
-    return record("div", (a, b), out,
-                  lambda g: (None if sa is None else _unbroadcast(g / bd, sa),
-                             None if sb is None else _unbroadcast(-g * quotient / bd, sb)))
-
-
-def neg(a):
-    a = ensure_tensor(a)
-    return record("neg", (a,), -a.data, lambda g: (-g,))
-
-
-def tanh(a):
-    a = ensure_tensor(a)
-    t = np.tanh(a.data)
-    return record("tanh", (a,), t, lambda g: (g * (1.0 - t * t),))
-
-
 def sigmoid(a):
     a = ensure_tensor(a)
     # stable in both tails
     e = np.exp(-np.abs(a.data))
     s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
-
-
-def sqrt(a):
-    a = ensure_tensor(a)
-    r = np.sqrt(a.data)
-    return record("sqrt", (a,), r, lambda g: (g * 0.5 / r,))
-
-
-def square(a):
-    a = ensure_tensor(a)
-    x = a.data
-    return record("square", (a,), x * x, lambda g: (g * 2.0 * x,))
 
 
 def absolute(a):
@@ -349,31 +310,18 @@ def gelu(a, mode="exact"):
 # reductions and shape ops
 
 
-def _expand_reduced(g, shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        for ax in sorted(a % len(shape) for a in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = ensure_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    shape = a.shape
-    return record("sum", (a,), out,
-                  lambda g: (_expand_reduced(g, shape, axis, keepdims).copy(),))
-
-
 def tmean(a, axis=None, keepdims=False):
     a = ensure_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     n = a.data.size / out.size
     shape = a.shape
-    return record("mean", (a,), out,
-                  lambda g: (_expand_reduced(g, shape, axis, keepdims) / n,))
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape) / n,)
+
+    return record("mean", (a,), out, backward)
 
 
 def rearrange(a, split, axes=None, shape=None):
@@ -393,10 +341,6 @@ def rearrange(a, split, axes=None, shape=None):
 
     return record("reshape" if axes is None else "transpose", (a,),
                   x if shape is None else x.reshape(shape), backward)
-
-
-def reshape(a, shape):
-    return rearrange(a, shape)
 
 
 def transpose(a, axes):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import ScenePair, to_tensors
 from .model import ConfigError
-from .tensor import ShapeError, Tape, Tensor, absolute, sub, tmean
+from .tensor import ShapeError, Tape, absolute, sub, tmean
 
 # Published comparison-table numbers for x8 noisy upsampling on the full
 # sensor dataset; documentation constants, not desk-scale expectations.
@@ -41,18 +41,16 @@ def l1_loss(pred, gt):
     return tmean(absolute(sub(pred, gt)))
 
 
-def psnr(pred, gt, x_max=1.0):
-    """20*log10(x_max / RMSE) in dB; +inf when the images are identical."""
-    a = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
-    b = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
+def psnr(pred, gt):
+    """20*log10(1 / RMSE) in dB of two arrays in [0, 1]; +inf when they are
+    identical."""
+    a, b = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"psnr: shapes {a.shape} vs {b.shape}")
-    if x_max <= 0:
-        raise ValueError("psnr: x_max must be positive")
     mse = np.mean((a - b) ** 2)
     if mse == 0.0:
         return math.inf
-    return 20.0 * math.log10(x_max / math.sqrt(mse))
+    return 20.0 * math.log10(1.0 / math.sqrt(mse))
 
 
 # Adam settings as (default, valid range, its check). The train.<name> config

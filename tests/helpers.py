@@ -3,7 +3,8 @@
 import numpy as np
 
 from dmsr.ops import conv2d, depthwise_conv2d, layer_norm
-from dmsr.tensor import ShapeError, Tape, add, ensure_tensor, mul, record, tmean, transpose
+from dmsr.tensor import (ShapeError, Tape, Tensor, add, ensure_tensor, mul, record, tmean,
+                         transpose)
 
 
 def numeric_grad(fn, tensor, idx, eps=1e-4):
@@ -42,10 +43,18 @@ def check_gradients(build, leaves, rel_tol=1e-4, n_coords=6, seed=0):
     return worst
 
 
+def tsum(a):
+    """The sum of every element as one "sum" node: the full reduction that
+    dmsr.tensor recorded before its only callers were tests, kept as the
+    reference for the tests' scalar losses."""
+    a = ensure_tensor(a)
+    shape = a.shape
+    return record("sum", (a,), a.data.sum(), lambda g: (np.broadcast_to(g, shape).copy(),))
+
+
 def weighted_sum_loss(out, seed=0):
     """sum(out * R) with a fixed random sign-varying R, so the scalar loss is
     sensitive to every output coordinate."""
-    from dmsr.tensor import Tensor, tsum, mul
     rng = np.random.default_rng(seed)
     r = Tensor(rng.uniform(-1.0, 1.0, size=out.shape))
     return tsum(mul(out, r))

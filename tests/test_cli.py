@@ -11,6 +11,7 @@ import pytest
 from dmsr.cli import main
 from dmsr.data import bicubic_resize, degrade
 from dmsr.imageio import load_pfm, load_pgm16, save_pgm16, save_ppm
+from dmsr.model import DmsrModel, identity_field
 
 TINY_FLAGS = ["--embed-dim", "8", "--window", "4", "--heads", "1",
               "--blocks", "1", "--height", "32", "--width", "32"]
@@ -213,7 +214,7 @@ def test_synth_then_train_then_eval(tmp_path, trained):
     assert float(mean_line.split("=")[1]) == pytest.approx(np.mean(scores))
 
 
-def test_infer_identity_head_equals_bicubic(tmp_path, trained):
+def test_infer_identity_head_equals_bicubic(tmp_path, trained, monkeypatch):
     data = str(tmp_path / "data")
     main(["synth", "1", "--height", "32", "--width", "32", "--seed", "6",
           "--out", data])
@@ -221,11 +222,13 @@ def test_infer_identity_head_equals_bicubic(tmp_path, trained):
     lr = degrade(depth, 8, 0.0, 0)
     lr_path = str(tmp_path / "lr.pgm")
     save_pgm16(lr_path, lr)
+    # swap the learned head for the delta kernel; the rest of infer is unchanged
+    monkeypatch.setattr(DmsrModel, "kernel_field", lambda self, guidance, target_up:
+                        identity_field(1, 32, 32, self.cfg.k))
     out_path = str(tmp_path / "sr.pfm")
     preview_path = str(tmp_path / "sr_preview.pgm")
     code = main(["infer", trained, os.path.join(data, "scene000_rgb.ppm"),
-                 lr_path, "--out", out_path, "--identity-head",
-                 "--out-preview", preview_path])
+                 lr_path, "--out", out_path, "--out-preview", preview_path])
     assert code == 0
     sr = load_pfm(out_path)
     want = bicubic_resize(load_pgm16(lr_path), 32, 32)
@@ -247,14 +250,21 @@ def test_infer_psnr_matches_eval(tmp_path, trained, capsys):
     depth = load_pgm16(os.path.join(data, "scene000_depth.pgm"))
     lr_path = str(tmp_path / "lr.pgm")
     save_pgm16(lr_path, degrade(depth, 8, 0.0, 0))
+    preview_path = str(tmp_path / "sr_preview.pgm")
     code = main(["infer", trained, os.path.join(data, "scene000_rgb.ppm"),
                  lr_path, "--out", str(tmp_path / "sr.pfm"),
-                 "--gt", os.path.join(data, "scene000_depth.pgm")])
+                 "--gt", os.path.join(data, "scene000_depth.pgm"),
+                 "--out-preview", preview_path])
     assert code == 0
     infer_out = capsys.readouterr().out
     infer_psnr = float([l for l in infer_out.splitlines()
                         if l.startswith("psnr_db=")][0].split("=")[1])
     assert abs(infer_psnr - eval_psnr) < 1e-9
+    # the preview is the PFM output quantized to 16 bits
+    sr = np.clip(load_pfm(str(tmp_path / "sr.pfm")), 0.0, 1.0)
+    preview = load_pgm16(preview_path)
+    assert preview.shape == (1, 32, 32)
+    assert np.abs(preview - sr).max() <= 1.0 / 65535.0
 
 
 def test_eval_inf_sentinel_on_zero_scene(tmp_path, trained, capsys):
@@ -447,6 +457,14 @@ def _train_with_empty_eval_manifest(tmp_path, trained):
             "--out", str(tmp_path / "o")]
 
 
+def _eval_manifest_repeating_an_id(tmp_path, trained):
+    assert main(["synth", "2", "--height", "32", "--width", "32",
+                 "--out", str(tmp_path / "data")]) == 0
+    manifest = tmp_path / "data" / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("scene001 ", "scene000 "))
+    return ["eval", trained, str(manifest)]
+
+
 def _eval_manifest_naming_a_directory(tmp_path, trained):
     (tmp_path / "m.txt").write_text("p0 . .\n")    # paths relative to tmp_path
     return ["eval", trained, str(tmp_path / "m.txt")]
@@ -494,6 +512,10 @@ BAD_INPUTS = [
      "train.beta1"),
     ("synthetic-negative", _train_with_flags("--synthetic", "-1"), None, 2,
      "dmsr train: error:", "--synthetic"),
+    ("synthetic-and-data", _train_with_flags("--data", "m.txt"), None, 2,
+     "dmsr train: error:", "--data: not allowed with argument --synthetic"),
+    ("synthetic-and-eval-data", _train_with_flags("--eval-data", "m.txt"), None, 2,
+     "error: config:", "--eval-data needs --data"),
     ("metadata-key-missing", _eval_with_metadata("model.k", None), None, 3, "error: data:",
      "model.k"),
     ("metadata-unparsable", _eval_with_metadata("model.embed_dim", "eight"), None, 3,
@@ -565,6 +587,8 @@ BAD_INPUTS = [
      None, 3, "error: data:", "empty.txt lists no pairs"),
     ("manifest-empty-train-eval-data", _train_with_empty_eval_manifest, None, 3,
      "error: data:", "empty.txt lists no pairs"),
+    ("manifest-repeats-a-pair-id", _eval_manifest_repeating_an_id, None, 3, "error: data:",
+     "manifest.txt:3: pair id 'scene000' repeats line 2"),
     ("manifest-empty-eval",
      lambda tmp_path, trained: ["eval", trained, _empty_manifest(tmp_path)],
      None, 3, "error: data:", "empty.txt lists no pairs"),
@@ -618,6 +642,22 @@ def test_resume_loads_data_at_the_checkpoint_scale(tmp_path):
     from dmsr.checkpoint import load_checkpoint
     _, meta = load_checkpoint(os.path.join(out, "checkpoint.dmsr"))
     assert meta["model.scale"] == "4" and meta["optim.step"] == "2"
+
+
+def test_resume_echoes_the_optimizer_settings_it_ran(tmp_path):
+    first = str(tmp_path / "a")
+    assert main([*TINY_TRAIN, "--lr", "0.002", "--out", first]) == 0
+    out = str(tmp_path / "b")
+    # --lr is overridden by the checkpoint's optim.lr, and the CSVs must say so
+    assert main(["train", "--synthetic", "1", "--epochs", "2", *TINY_FLAGS, "--lr", "0.5",
+                 "--resume", os.path.join(first, "checkpoint.dmsr"), "--out", out]) == 0
+    from dmsr.checkpoint import load_checkpoint
+    _, meta = load_checkpoint(os.path.join(out, "checkpoint.dmsr"))
+    assert meta["optim.lr"] == "0.002"
+    for name in ("steps.csv", "epochs.csv"):
+        header = open(os.path.join(out, name)).read().splitlines()
+        for key in ("lr", "beta1", "beta2", "eps"):
+            assert f"# train.{key} = {meta[f'optim.{key}']}" in header, (name, key)
 
 
 # What a default swin model trained with Adam writes: the checkpoint metadata

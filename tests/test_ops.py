@@ -5,7 +5,7 @@ import pytest
 
 from dmsr import ops
 from dmsr.naf import NafBlock
-from dmsr.tensor import Tensor, Tape, ShapeError, add, div, matmul, mul, record, sub
+from dmsr.tensor import Tensor, Tape, ShapeError, add, matmul, mul, record, sub
 
 from helpers import (adaptive_avg_pool_global, check_gradients, closure_reach, held_arrays,
                      slice_axis, softmax_lastaxis, weighted_sum_loss)
@@ -269,22 +269,16 @@ def test_layer_norm_constant_row():
 
 def test_layer_norm_already_normalized():
     out = ops.layer_norm(Tensor([-1.0, 1.0]), Tensor(np.ones(2)),
-                         Tensor(np.zeros(2)), eps=1e-12)
+                         Tensor(np.zeros(2)))
     np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-5)
 
 
 def test_layer_norm_statistics():
     rng = np.random.default_rng(5)
     x = rng.uniform(-3, 3, (10, 16))
-    out = ops.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16)),
-                         eps=1e-5).data
+    out = ops.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
     assert np.abs(out.mean(axis=-1)).max() < 1e-6
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-3
-
-
-def test_layer_norm_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        ops.layer_norm(Tensor([1.0]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
 
 
 def test_layer_norm_gradients():
@@ -689,7 +683,6 @@ CONSTANT_INPUT_CASES = [
     ("add", add, [(2, 3, 4), (3, 1)]),
     ("sub", sub, [(2, 3, 4), (3, 1)]),
     ("mul", mul, [(2, 3, 4), (3, 1)]),
-    ("div", div, [(2, 3, 4), (3, 1)]),
     ("matmul", matmul, [(2, 3, 4), (4, 5)]),
     ("conv2d_1x1", ops.conv2d, [(2, 3, 5, 4), (4, 3, 1, 1), (4,)]),
     ("conv2d_3x3_pad1", lambda x, w, b: ops.conv2d(x, w, b, padding=1),

@@ -1,0 +1,64 @@
+"""Library surface: every public function of dmsr.tensor and dmsr.ops has a
+caller in the package, or is bound by name by the benchmark's tracer
+(perfbench/tracing.py's FUNCTIONS). A function only the tests call fails here.
+"""
+
+import ast
+import os
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src", "dmsr")
+
+
+def _tree(path):
+    with open(path, encoding="utf-8") as f:
+        return ast.parse(f.read())
+
+
+def _public_functions(module):
+    return {node.name for node in _tree(os.path.join(SRC, module + ".py")).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _traced(module):
+    """The functions of `module` named in the tracer's FUNCTIONS table."""
+    for node in _tree(os.path.join(ROOT, "perfbench", "tracing.py")).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "FUNCTIONS"):
+            return {row.elts[1].value for row in node.value.elts
+                    if row.elts[0].value == module}
+    raise AssertionError("perfbench/tracing.py has no FUNCTIONS table")
+
+
+def _referenced(module):
+    """The names of `module` that the package's code reads: imported from it,
+    read through a name the module is imported as, or read inside it."""
+    found = set()
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        nodes = list(ast.walk(_tree(os.path.join(SRC, fname))))
+        aliases = set()
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == module:
+                    found.update(a.name for a in node.names)
+                elif node.module is None:
+                    aliases.update(a.asname or a.name for a in node.names if a.name == module)
+        for node in nodes:
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                found.add(node.attr)
+            elif fname == module + ".py" and isinstance(node, ast.Name):
+                found.add(node.id)
+    return found
+
+
+@pytest.mark.parametrize("module", ["tensor", "ops"])
+def test_public_functions_have_a_caller_outside_the_tests(module):
+    public = _public_functions(module)
+    assert public
+    unused = public - _referenced(module) - _traced(module)
+    assert not unused, f"dmsr.{module} functions only the tests call: {sorted(unused)}"

@@ -10,7 +10,11 @@ from scipy.special import erf
 from dmsr import tensor as T
 from dmsr.tensor import Tensor, Tape, ShapeError
 
-from helpers import check_gradients, weighted_sum_loss
+from helpers import check_gradients, tsum, weighted_sum_loss
+
+
+def square(x):
+    return T.mul(x, x)
 
 
 def test_mul_elementwise():
@@ -32,18 +36,10 @@ def test_sigmoid_bit_equal_to_the_three_exp_form():
     assert T.sigmoid(Tensor(x)).data.tobytes() == want.tobytes()
 
 
-def test_tanh_grad_at_zero():
-    x = Tensor([0.0], requires_grad=True)
-    with Tape() as tape:
-        y = T.tsum(T.tanh(x))
-    g = tape.backward(y)
-    assert g[x][0] == pytest.approx(1.0)
-
-
 def test_backward_sum_of_squares():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        loss = T.tsum(T.square(x))
+        loss = tsum(square(x))
     g = tape.backward(loss)
     np.testing.assert_allclose(g[x], [2.0, 4.0, 6.0])
 
@@ -51,7 +47,7 @@ def test_backward_sum_of_squares():
 def test_backward_sigmoid_quarter():
     x = Tensor([0.0], requires_grad=True)
     with Tape() as tape:
-        loss = T.tsum(T.sigmoid(x))
+        loss = tsum(T.sigmoid(x))
     g = tape.backward(loss)
     assert g[x][0] == pytest.approx(0.25)
 
@@ -59,7 +55,7 @@ def test_backward_sigmoid_quarter():
 def test_backward_requires_scalar_loss():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        y = T.square(x)
+        y = square(x)
     with pytest.raises(ShapeError):
         tape.backward(y)
 
@@ -67,19 +63,19 @@ def test_backward_requires_scalar_loss():
 def test_backward_accumulates_across_calls():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        loss = T.tsum(T.square(x))
+        loss = tsum(square(x))
     tape.backward(loss)
     tape.backward(loss)
-    np.testing.assert_allclose(tape.grad(x), [4.0, 8.0])
+    np.testing.assert_allclose(tape.grads[x], [4.0, 8.0])
 
 
 def test_grads_hold_leaf_gradients_only():
     x = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([3.0, 4.0])
     with Tape() as tape:
-        loss = T.tsum(T.mul(T.square(x), c))
+        loss = tsum(T.mul(square(x), c))
     assert set(tape.backward(loss)) == {x}
-    np.testing.assert_array_equal(tape.grad(x), [6.0, 16.0])
+    np.testing.assert_array_equal(tape.grads[x], [6.0, 16.0])
 
 
 def test_backward_peak_does_not_grow_with_chain_length():
@@ -91,8 +87,8 @@ def test_backward_peak_does_not_grow_with_chain_length():
         with Tape() as tape:
             y = x
             for _ in range(n):
-                y = T.tanh(y)
-            loss = T.tsum(y)
+                y = T.sigmoid(y)
+            loss = tsum(y)
         tracemalloc.start()
         try:
             tape.backward(loss)
@@ -101,13 +97,6 @@ def test_backward_peak_does_not_grow_with_chain_length():
             tracemalloc.stop()
     assert peaks[32] < peaks[4] + 0.5, peaks
     assert peaks[32] < 6.0, peaks
-
-
-def test_division_by_zero_is_an_error():
-    with pytest.raises(ZeroDivisionError):
-        T.div(Tensor([1.0]), Tensor([0.0]))
-    with pytest.raises(ZeroDivisionError):
-        T.div(Tensor([1.0, 1.0]), Tensor([2.0, 0.0]))
 
 
 def test_non_broadcastable_shapes_rejected():
@@ -238,8 +227,8 @@ def test_gelu_bad_mode():
 def test_tape_topological_order():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        y = T.mul(T.add(x, 1.0), T.tanh(x))
-        T.tsum(T.square(y))
+        y = T.mul(T.add(x, 1.0), T.sigmoid(x))
+        tsum(square(y))
     seen = set()
     for node in tape.nodes:
         for inp in node.inputs:
@@ -252,7 +241,7 @@ def test_leaf_gradients_have_leaf_shapes():
     a = Tensor(rng.random((3, 1, 4)), requires_grad=True)
     b = Tensor(rng.random((2, 4)), requires_grad=True)
     with Tape() as tape:
-        loss = T.tsum(T.mul(a, b))
+        loss = tsum(T.mul(a, b))
     g = tape.backward(loss)
     assert g[a].shape == a.shape
     assert g[b].shape == b.shape
@@ -264,26 +253,26 @@ def test_ops_in_another_thread_stay_off_this_threads_tape():
 
     def worker():
         for _ in range(5):
-            foreign.append(T.square(x))     # no tape is open in this thread
+            foreign.append(square(x))       # no tape is open in this thread
         with Tape() as own:
-            T.tanh(x)
+            T.sigmoid(x)
         own_nodes.extend(own.nodes)
 
     with Tape() as tape:
-        loss = T.tsum(T.square(x))
+        loss = tsum(square(x))
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
     assert len(foreign) == 5
-    assert [node.op for node in tape.nodes] == ["square", "sum"]
+    assert [node.op for node in tape.nodes] == ["mul", "sum"]
     assert all(t.handle is None for t in foreign)     # no tape recorded them
-    assert [node.op for node in own_nodes] == ["tanh"]
+    assert [node.op for node in own_nodes] == ["sigmoid"]
     np.testing.assert_array_equal(tape.backward(loss)[x], [2.0, 4.0])
 
 
 def test_no_tape_records_nothing():
     x = Tensor([1.0], requires_grad=True)
-    y = T.square(x)
+    y = square(x)
     assert y.requires_grad
     with Tape() as tape:
         pass
@@ -294,11 +283,7 @@ def test_no_tape_records_nothing():
 
 
 UNARY_CASES = [
-    ("neg", T.neg, (-2.0, 2.0)),
-    ("tanh", T.tanh, (-2.0, 2.0)),
     ("sigmoid", T.sigmoid, (-2.0, 2.0)),
-    ("sqrt", T.sqrt, (0.2, 2.0)),
-    ("square", T.square, (-2.0, 2.0)),
     ("abs", T.absolute, (0.2, 2.0)),
     ("gelu_exact", lambda t: T.gelu(t, "exact"), (-2.0, 2.0)),
     ("gelu_tanh", lambda t: T.gelu(t, "tanh_approx"), (-2.0, 2.0)),
@@ -314,7 +299,7 @@ def test_unary_gradients(name, fn, rng_range):
 
 
 BINARY_CASES = [
-    ("add", T.add), ("sub", T.sub), ("mul", T.mul), ("div", T.div),
+    ("add", T.add), ("sub", T.sub), ("mul", T.mul),
 ]
 
 
@@ -345,7 +330,7 @@ REARRANGE_CASES = [
     ("split_permute", lambda t: T.rearrange(t, (2, 3, 2, 2), (3, 1, 0, 2))),
     ("reshape_only", lambda t: T.rearrange(t, (4, 6))),
     ("transpose", lambda t: T.transpose(t, (1, 2, 0))),
-    ("reshape", lambda t: T.reshape(t, (3, -1))),
+    ("reshape", lambda t: T.rearrange(t, (3, -1))),
 ]
 
 
@@ -362,17 +347,17 @@ def test_reduction_and_shape_op_gradients():
 
     def build():
         y = T.tmean(x, axis=1)
-        y = T.reshape(y, (4, 2))
+        y = T.rearrange(y, (4, 2))
         y = T.transpose(y, (1, 0))
         return weighted_sum_loss(y)
 
     check_gradients(build, [x], n_coords=10)
 
 
-def test_sum_keepdims_gradient():
+def test_mean_keepdims_gradient():
     rng = np.random.default_rng(24)
     x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-    check_gradients(lambda: weighted_sum_loss(T.tsum(x, axis=0, keepdims=True)),
+    check_gradients(lambda: weighted_sum_loss(T.tmean(x, axis=0, keepdims=True)),
                     [x], n_coords=8)
 
 
@@ -382,7 +367,7 @@ def test_rearrange_is_one_node_named_by_whether_it_permutes():
         moved = T.rearrange(x, (2, 3, 2, 2), (0, 2, 1, 3), (4, 6))
         flat = T.rearrange(x, (6, 4))
         T.transpose(x, (2, 0, 1))
-        T.reshape(x, (4, 6))
+        T.rearrange(x, (4, 6))
     assert [node.op for node in tape.nodes] == ["transpose", "reshape", "transpose", "reshape"]
     np.testing.assert_array_equal(
         moved.data, x.data.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3).reshape(4, 6))

@@ -116,7 +116,7 @@ def test_psnr_identical_is_inf():
 def test_psnr_full_scale_error_is_zero_db():
     gt = np.zeros((4, 4))
     pred = np.ones((4, 4))
-    assert psnr(pred, gt, x_max=1.0) == pytest.approx(0.0)
+    assert psnr(pred, gt) == pytest.approx(0.0)
 
 
 def test_psnr_matches_direct_formula():
@@ -142,11 +142,6 @@ def test_psnr_monotone_in_noise():
         noisy = gt + np.random.default_rng(12).normal(0, sigma, gt.shape)
         scores.append(psnr(noisy, gt))
     assert scores[0] > scores[1] > scores[2]
-
-
-def test_psnr_rejects_bad_xmax():
-    with pytest.raises(ValueError):
-        psnr(np.ones((2, 2)), np.zeros((2, 2)), x_max=0.0)
 
 
 # training loop --------------------------------------------------------------------
