@@ -21,6 +21,7 @@ MAGIC = b"DMSR"
 VERSION = 1
 _DTYPES = {0: "<f8", 1: "<f4"}
 _DTYPE_CODES = {"float64": 0, "float32": 1}
+_MAX_NDIM = 64      # numpy's limit
 
 
 class CheckpointError(ValueError):
@@ -105,6 +106,9 @@ def load_checkpoint(path):
             code, ndim = r.unpack("<BB", "dtype/ndim")
             if code not in _DTYPES:
                 raise CheckpointError(f"{path}: unknown dtype code {code}")
+            if ndim > _MAX_NDIM:
+                raise CheckpointError(f"{path}: entry {name} has {ndim} dimensions, "
+                                      f"at most {_MAX_NDIM} are supported")
             shape = r.unpack(f"<{ndim}I", "shape") if ndim else ()
             (nbytes,) = r.unpack("<Q", "payload size")
             want = np.dtype(_DTYPES[code]).itemsize * math.prod(shape)
@@ -175,22 +179,24 @@ def restore_model(path):
     return model, arrays, metadata
 
 
-def metadata_value(metadata, key, kind, default=None):
-    """metadata[key] parsed as `kind`, or `default` when the key is absent."""
+def metadata_value(metadata, key, kind, default=None, check=None):
+    """metadata[key] parsed as `kind`, or `default` when the key is absent.
+    `check`, a (valid, ok) pair from a settings table, range-checks a value
+    the metadata holds."""
+    if key not in metadata:
+        return default
     try:
-        return parse(kind, metadata[key]) if key in metadata else default
+        value = parse(kind, metadata[key])
     except ValueError as e:
         raise CheckpointError(f"bad metadata {key}: {e}")
+    if check is not None and not check[1](value):
+        raise CheckpointError(f"metadata {key} must be {check[0]}, got {metadata[key]}")
+    return value
 
 
 def restore_optimizer(model, arrays, metadata):
-    settings = {}
-    for name, (_, valid, ok) in ADAM_SETTINGS.items():
-        key = f"optim.{name}"
-        if key in metadata:
-            settings[name] = metadata_value(metadata, key, float)
-            if not ok(settings[name]):
-                raise CheckpointError(f"metadata {key} must be {valid}, got {metadata[key]}")
+    settings = {name: metadata_value(metadata, f"optim.{name}", float, default, (valid, ok))
+                for name, (default, valid, ok) in ADAM_SETTINGS.items()}
     opt = Adam(model.named_parameters(), **settings)
     opt.step_count = metadata_value(metadata, "optim.step", int, 0)
     for name, p in opt.named_params:

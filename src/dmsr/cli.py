@@ -107,7 +107,6 @@ def _csv_cell(c):
 def cmd_train(args):
     flat = effective_config(args)
     cfg = ModelConfig.from_flat(flat)
-    seed = flat["train.seed"]
     if not (args.synthetic or args.data):
         raise ConfigError("train needs --synthetic N or --data MANIFEST")
     if args.eval_data and not args.data:
@@ -117,8 +116,12 @@ def cmd_train(args):
         model, arrays, metadata = restore_model(args.resume)
         optimizer = restore_optimizer(model, arrays, metadata)
         start_epoch = metadata_value(metadata, "train.epoch", int, -1) + 1
+        # the run goes on with the scenes and order it began with
+        for key in ("train.seed", "data.noise_sigma"):
+            flat[key] = metadata_value(metadata, key, type(DEFAULTS[key]), flat[key],
+                                       SETTINGS[key][1:])
     else:
-        model = DmsrModel(cfg, seed=seed)
+        model = DmsrModel(cfg, seed=flat["train.seed"])
         optimizer = Adam(model.named_parameters(), lr=flat["train.lr"],
                          beta1=flat["train.beta1"], beta2=flat["train.beta2"],
                          eps=flat["train.eps"])
@@ -128,7 +131,7 @@ def cmd_train(args):
     flat.update({f"train.{name}": getattr(optimizer, name) for name in ADAM_SETTINGS})
 
     # the data follow the model's scale, which a resumed checkpoint sets
-    scale, noise = model.cfg.scale, flat["data.noise_sigma"]
+    scale, noise, seed = model.cfg.scale, flat["data.noise_sigma"], flat["train.seed"]
     if args.synthetic:
         n_eval = max(1, round(args.synthetic * 449 / 1000))  # published split ratio
         split = synth_split(args.synthetic, n_eval, flat["data.synth_height"],
@@ -362,7 +365,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         worker_count()      # a bad DMSR_THREADS fails before any work starts
-        return args.func(args)
+        # a non-finite value shows in the command's output or its exit code;
+        # numpy's floating-point warnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy float64 arrays. Operations executed while a Tape is active
-are recorded as TapeNodes; Tape.backward sweeps the record in reverse and
-accumulates gradients keyed by identity: a recorded op output by its
-GradHandle, a leaf by the Tensor itself. A node keeps no Tensor, and each
-backward closure only the shapes, flags and arrays it reads, so an activation
-that no backward reads is freed as soon as the forward drops it.
+are recorded as TapeNodes; Tape.backward sweeps the record in reverse,
+consuming it, and accumulates gradients keyed by identity: a recorded op
+output by its GradHandle, a leaf by the Tensor itself. A node keeps no
+Tensor, and each backward closure only the shapes, flags and arrays it reads,
+so an activation that no backward reads is freed as soon as the forward drops
+it.
 """
 
 import math
@@ -85,7 +86,8 @@ _TAPE_STACK = threading.local()
 
 
 class Tape:
-    """Ordered record of executed operations plus accumulated gradients.
+    """Ordered record of executed operations, then the leaf gradients of its
+    one reverse sweep.
 
     Single-owner: must not be shared across threads. A tape records the ops
     of the thread that opened it. Nodes are appended in execution order,
@@ -94,7 +96,7 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self.grads = {}
+        self.grads = None       # the leaf gradients of the one sweep
 
     def __enter__(self):
         vars(_TAPE_STACK).setdefault("tapes", []).append(self)
@@ -106,14 +108,21 @@ class Tape:
         return False
 
     def backward(self, loss):
-        """Reverse sweep from a scalar loss. A node's output gradient is final
-        once the node is swept (its consumers were recorded after it), so it is
-        freed then, and the sweep ends holding leaf gradients only. Accumulates
-        them into self.grads, so repeated calls without reset add up."""
+        """Reverse sweep from a scalar loss; returns self.grads, the leaf
+        gradients. The sweep consumes the tape: each node is popped off
+        self.nodes as it is swept, so its closure and saved arrays are freed
+        before the next node runs, and its output gradient, final once the
+        node is swept (its consumers were recorded after it), goes with it.
+        A tape is swept once; a second call raises RuntimeError."""
+        if self.grads is not None:
+            raise RuntimeError("this tape was already swept; record the step again")
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
+        self.grads = {}         # a sweep that raises midway is spent too
         local = {loss.handle or loss: np.ones_like(loss.data)}
-        for node in reversed(self.nodes):
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
             gout = local.pop(node.out, None)
             if gout is None:
                 continue
@@ -122,9 +131,7 @@ class Tape:
                     continue
                 acc = local.get(t)
                 local[t] = g if acc is None else acc + g
-        for t, g in local.items():
-            acc = self.grads.get(t)
-            self.grads[t] = g.copy() if acc is None else acc + g
+        self.grads = {t: g.copy() for t, g in local.items()}
         return self.grads
 
 

@@ -155,13 +155,13 @@ def train_epochs(model, optimizer, split, epochs, seed, start_epoch=0,
         for idx in order:
             guidance, depth_lr, depth_hr = to_tensors(split.train[idx])
             with Tape() as tape:
-                pred = model.forward(guidance, depth_lr)
-                loss = l1_loss(pred, depth_hr)
+                loss = l1_loss(model.forward(guidance, depth_lr), depth_hr)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDivergedError(f"non-finite loss {value} at step {step}")
-            grads = tape.backward(loss)
-            optimizer.step(grads)
+            # the gradients go with this tape, which the next step's `with`
+            # replaces before its forward
+            optimizer.step(tape.backward(loss))
             step += 1
             log.step_losses.append((step, value))
             if on_step is not None:

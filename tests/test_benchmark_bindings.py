@@ -23,7 +23,8 @@ MODULES = {"tensor": tensor, "ops": ops, "swin": swin, "naf": naf, "model": mode
 
 def _traced_step(cfg):
     """The span names of one tiny traced training step; asserts that the
-    tracer, once uninstalled, has put every module and class attribute back."""
+    sweep consumed the tape and that the tracer, once uninstalled, has put
+    every module and class attribute back."""
     tracing = importlib.import_module("tracing")
     owners = list(MODULES.values()) + [getattr(MODULES[m], c) for m, c, _, _ in tracing.METHODS]
     before = [dict(vars(owner)) for owner in owners]
@@ -36,6 +37,9 @@ def _traced_step(cfg):
         with Tape() as tape:
             loss = l1_loss(net.forward(guidance, depth_lr), Tensor(rng.random((1, 1, 16, 16))))
         tape.backward(loss)
+    # the sweep consumed the tape, so the closures the tracer wraps, and the
+    # input Tensors they hold, went with it
+    assert tape.nodes == []
 
     for owner, attrs in zip(owners, before):
         now = vars(owner)

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -532,6 +533,10 @@ BAD_INPUTS = [
      "error: data:", "optim.beta1 must be in [0, 1)"),
     ("resume-epoch-unparsable", _resume_with_metadata("train.epoch", "x"), None, 3,
      "error: data:", "train.epoch"),
+    ("resume-seed-unparsable", _resume_with_metadata("train.seed", "seven"), None, 3,
+     "error: data:", "train.seed"),
+    ("resume-seed-negative", _resume_with_metadata("train.seed", "-1"), None, 3,
+     "error: data:", "train.seed must be >= 0"),
     ("metadata-not-utf8",
      lambda tmp_path, trained: [
          "eval", _with_patched_bytes(tmp_path, trained, b"= swin", b"= \xffwin"),
@@ -632,6 +637,69 @@ def test_bad_input_exits_with_one_error_line(tmp_path, trained, builder, threads
     assert not (tmp_path / "o").exists()
 
 
+def _structure_offsets(blob):
+    """The offsets of every checkpoint byte outside an entry payload: the file
+    header, each entry's header and the metadata block."""
+    (count,) = struct.unpack_from("<I", blob, 6)
+    spans, at = [range(0, 10)], 10
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", blob, at)
+        ndim = blob[at + nlen + 3]
+        head = nlen + 4 + 4 * ndim + 8             # name length, name, dtype, ndim, shape, size
+        spans.append(range(at, at + head))
+        at += head + struct.unpack_from("<Q", blob, at + head - 8)[0]
+    spans.append(range(at, len(blob)))
+    return [i for span in spans for i in span]
+
+
+def test_mutated_checkpoints_exit_0_or_3_with_at_most_one_line(tmp_path, capsys):
+    # a seeded sweep over a tiny naf checkpoint: 200 single bytes flipped or
+    # set, half of them in headers and metadata, and 20 truncations. A mutated
+    # payload value may evaluate as another model (exit 0); anything else the
+    # reader must reject with one error line (exit 3), never a traceback or
+    # a numpy warning
+    run, data = str(tmp_path / "run"), str(tmp_path / "data")
+    assert main(["train", "--synthetic", "1", "--epochs", "1", "--backbone", "naf",
+                 "--scale", "4", *TINY_FLAGS, "--out", run]) == 0
+    assert main(["synth", "1", "--scale", "4", "--height", "32", "--width", "32",
+                 "--out", data]) == 0
+    blob = open(os.path.join(run, "checkpoint.dmsr"), "rb").read()
+    rng, structure = np.random.default_rng(6), _structure_offsets(blob)
+    offsets = np.concatenate([rng.integers(0, len(blob), 100), rng.choice(structure, 100)])
+    cases = []
+    for at in offsets:
+        mutated = bytearray(blob)
+        mutated[at] = (mutated[at] ^ 1 << rng.integers(8) if rng.random() < 0.5
+                       else rng.integers(256))
+        cases.append(bytes(mutated))
+    cases += [blob[:n] for n in np.concatenate([rng.integers(0, len(blob), 10),
+                                                rng.choice(structure, 10)])]
+    path = tmp_path / "mutated.dmsr"
+    capsys.readouterr()
+    codes = []
+    for i, case in enumerate(cases):
+        path.write_bytes(case)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codes.append(main(["eval", str(path), os.path.join(data, "manifest.txt")]))
+        err = capsys.readouterr().err.splitlines()
+        assert codes[-1] in (0, 3) and len(err) <= 1 and not caught, (i, codes[-1], err,
+                                                                      caught)
+    assert 0 < codes.count(3) < len(cases)
+
+
+def test_eval_with_a_huge_parameter_prints_no_numpy_warning(tmp_path, trained):
+    # the layer norm's variance overflows to inf and its output stays finite;
+    # numpy's overflow RuntimeWarning would add two stderr lines to a clean exit
+    assert main(["synth", "1", "--height", "32", "--width", "32",
+                 "--out", str(tmp_path / "data")]) == 0
+    code, stdout, stderr = run_cli([
+        "eval", _with_entry_value(tmp_path, trained, "guide_backbone.conv_in_w", 1e200),
+        str(tmp_path / "data" / "manifest.txt")])
+    assert code == 0 and stderr == "", stderr
+    assert "mean_psnr_db=" in stdout
+
+
 def test_resume_loads_data_at_the_checkpoint_scale(tmp_path):
     first = str(tmp_path / "a")
     assert main([*TINY_TRAIN, "--scale", "4", "--out", first]) == 0
@@ -658,6 +726,22 @@ def test_resume_echoes_the_optimizer_settings_it_ran(tmp_path):
         header = open(os.path.join(out, name)).read().splitlines()
         for key in ("lr", "beta1", "beta2", "eps"):
             assert f"# train.{key} = {meta[f'optim.{key}']}" in header, (name, key)
+
+
+def test_resumed_run_writes_the_uninterrupted_runs_checkpoint(tmp_path):
+    # the resume names no --seed and no --noise-sigma: it takes both from the
+    # checkpoint, trains on the same scenes in the same order and says so
+    run = ["train", "--synthetic", "2", *TINY_FLAGS]
+    first, resumed, straight = (str(tmp_path / d) for d in "abc")
+    data = ["--seed", "7", "--noise-sigma", "0.02"]
+    assert main([*run, *data, "--epochs", "1", "--out", first]) == 0
+    assert main([*run, "--epochs", "2", "--resume", os.path.join(first, "checkpoint.dmsr"),
+                 "--out", resumed]) == 0
+    assert main([*run, *data, "--epochs", "2", "--out", straight]) == 0
+    ckpt = [open(os.path.join(d, "checkpoint.dmsr"), "rb").read() for d in (resumed, straight)]
+    assert ckpt[0] == ckpt[1]
+    header = open(os.path.join(resumed, "steps.csv")).read().splitlines()
+    assert "# train.seed = 7" in header and "# data.noise_sigma = 0.02" in header
 
 
 # What a default swin model trained with Adam writes: the checkpoint metadata

@@ -11,7 +11,8 @@ from dmsr.model import (DmsrModel, KernelField, ModelConfig, apply_joint_filter,
                         upsample_lr)
 from dmsr.ops import bilinear_sample, pixel_shuffle
 from dmsr.tensor import GradHandle, Tape, Tensor, ShapeError, add, mul, rearrange
-from dmsr.train import l1_loss
+from dmsr.data import DatasetSplit, ScenePair
+from dmsr.train import Adam, l1_loss, train_epochs
 
 from helpers import (check_gradients, closure_reach, held_arrays, reference_backward,
                      slice_axis, weighted_sum_loss)
@@ -303,21 +304,25 @@ def test_training_step_saved_arrays_are_pinned(backbone, size, bound_mb):
     assert held <= bound_mb, f"{held:.1f} MB > {bound_mb} MB"
 
 
-@pytest.fixture(scope="module", params=[("swin", 64, 33), ("naf", 128, 44)],
+@pytest.fixture(scope="module", params=[("swin", 64, 24), ("naf", 128, 35)],
                 ids=["swin-64", "naf-128"])
 def training_step(request):
-    """One step, forward and backward, under tracemalloc: (tape, loss, leaf
-    gradients, peak MB, bound MB)."""
+    """One step, forward and backward, under tracemalloc: (its inputs, leaf
+    gradients, the forward's peak MB, the sweep's peak MB, bound MB). The
+    sweep consumes the tape, so a test that reads its nodes records the
+    identical step again; no node list outlives the measured sweep."""
     backbone, size, bound_mb = request.param
     inputs = _training_step_inputs(backbone, size)
     tracemalloc.start()
     try:
         tape, loss = _record_loss(*inputs)
+        forward_peak = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.reset_peak()
         grads = tape.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1] / 1e6
+        sweep_peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    return tape, loss, grads, peak, bound_mb
+    return inputs, grads, forward_peak, sweep_peak, bound_mb
 
 
 def test_training_step_peak_memory_is_bounded(training_step):
@@ -325,13 +330,17 @@ def test_training_step_peak_memory_is_bounded(training_step):
     # 104 MB (swin 64) and 258 MB (naf 128); freeing them as it goes, 73 and 158;
     # with closures that keep only the arrays they read, 30.0 and 87.4; with
     # the joint filter sampled tap by tap, 28.9 and 75.7; with each NAF block
-    # one node, naf 39.9
-    *_, peak, bound_mb = training_step
+    # one node, naf 39.9; with the sweep freeing each node as it runs it, the
+    # step peaks in its forward, at 21.5 and 32.7
+    *_, forward_peak, sweep_peak, bound_mb = training_step
+    peak = max(forward_peak, sweep_peak)
     assert peak <= bound_mb, f"{peak:.1f} MB > {bound_mb} MB"
+    assert sweep_peak <= forward_peak, f"sweep {sweep_peak:.1f} MB > forward {forward_peak:.1f} MB"
 
 
 def test_lean_sweep_matches_the_reference_sweep(training_step):
-    tape, loss, grads, *_ = training_step
+    inputs, grads, *_ = training_step
+    tape, loss = _record_loss(*inputs)
     want = reference_backward(tape.nodes, loss)
     del want[loss.handle]                 # the lean sweep keeps leaves only
     assert set(grads) == set(want)
@@ -340,7 +349,7 @@ def test_lean_sweep_matches_the_reference_sweep(training_step):
 
 
 def test_backwards_return_none_exactly_for_constants(training_step):
-    tape = training_step[0]
+    tape, _ = _record_loss(*training_step[0])
     constants = 0
     for node in tape.nodes:
         got = node.backward(np.ones(node.out.shape))
@@ -351,6 +360,25 @@ def test_backwards_return_none_exactly_for_constants(training_step):
             assert (g is None) == (t is None), node.op
             constants += t is None
     assert constants > 0
+
+
+def test_two_training_steps_peak_like_one():
+    # a gradient dict still bound when the next step's forward runs adds its
+    # 3.2 MB to that forward's peak
+    model, *arrays = _training_step_inputs("naf", 128)
+    pairs = [ScenePair(f"p{i}", arrays[0].data[0], arrays[2].data[0], arrays[1].data[0])
+             for i in range(2)]
+    optimizer = Adam(model.named_parameters())
+    train_epochs(model, optimizer, DatasetSplit(pairs[:1], []), 1, 0)    # fills caches
+    peaks = []
+    for n in (1, 2):
+        tracemalloc.start()
+        try:
+            train_epochs(model, optimizer, DatasetSplit(pairs[:n], []), 1, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1.0, f"two steps {peaks[1]:.1f} MB, one {peaks[0]:.1f} MB"
 
 
 # head convs ------------------------------------------------------------------

@@ -60,13 +60,17 @@ def test_backward_requires_scalar_loss():
         tape.backward(y)
 
 
-def test_backward_accumulates_across_calls():
+def test_second_backward_raises():
+    # the sweep consumes the tape: its nodes are gone, its gradients stay
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
         loss = tsum(square(x))
-    tape.backward(loss)
-    tape.backward(loss)
-    np.testing.assert_allclose(tape.grads[x], [4.0, 8.0])
+    grads = tape.backward(loss)
+    assert tape.nodes == []
+    with pytest.raises(RuntimeError):
+        tape.backward(loss)
+    assert tape.grads is grads
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0])
 
 
 def test_grads_hold_leaf_gradients_only():
