@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, record, ensure_tensor, matmul, rearrange, add
+from .tensor import Tensor, ShapeError, record, ensure_tensor, rearrange
 
 
 class Module:
@@ -196,7 +196,7 @@ def depthwise_conv2d(x, weight, bias=None, padding=0):
 
 
 # ---------------------------------------------------------------------------
-# normalization, linear, attention
+# normalization, attention
 
 
 def normalize(x):
@@ -251,14 +251,6 @@ def layer_norm(x, gamma, beta):
     return record("layer_norm", (x, gamma, beta), out, backward)
 
 
-def linear(x, weight, bias=None):
-    """x @ weight (+ bias) over the last axis; weight is (in, out)."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
-
-
 class AttentionParams(Module):
     """QKV/output projections; optional learned relative-position bias over a
     square token window (off by default)."""
@@ -294,13 +286,32 @@ def _relative_index(window):
     return rel[..., 0] * (2 * window - 1) + rel[..., 1]
 
 
+def _split_heads(x, w, b, h, d):
+    """(q, kT, v) of the (N, L, C) rows x: q and v (N, h, L, d), kT (N, h, d, L),
+    each its own contiguous array."""
+    N, L, _ = x.shape
+    qkv = np.matmul(x, w) + b
+    qkv = np.ascontiguousarray(qkv.reshape(N, L, 3 * h, d).transpose(0, 2, 1, 3))
+    q, v = qkv[:, :h].copy(), qkv[:, 2 * h:].copy()
+    kT = np.ascontiguousarray(qkv[:, h:2 * h].transpose(0, 1, 3, 2))
+    return q, kT, v
+
+
+def _merge_heads(probs, v):
+    """probs @ v with the heads joined back into (N, L, C) rows."""
+    N, h, L, d = v.shape
+    return np.ascontiguousarray(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(N, L, h * d)
+
+
 def multi_head_attention(x, p, mask=None):
     """Softmax attention over tokens; x is (N, L, C), mask (nW, L, L) or None.
 
     When a mask is given, N must be a multiple of nW and window i of every
     batch entry receives mask[i] added to its logits. One tape node: its
     backward repeats the arithmetic of the node chain this op once recorded,
-    bit for bit, and packs the q, k and v gradients into one buffer.
+    bit for bit, and packs the q, k and v gradients into one buffer. It keeps
+    the input rows and the softmax probabilities, and rebuilds q, k, v and
+    the merged heads from them with the forward's own helpers.
     """
     x = ensure_tensor(x)
     N, L, C = x.shape
@@ -318,10 +329,8 @@ def multi_head_attention(x, p, mask=None):
     deep = x_grad or qw_grad or qb_grad or pos_grad     # the gradient reaches the logits
     n_in, scale = len(inputs), 1.0 / np.sqrt(d)
 
-    qkv = np.matmul(x.data, p.qkv_w.data) + p.qkv_b.data
-    qkv = np.ascontiguousarray(qkv.reshape(N, L, 3 * h, d).transpose(0, 2, 1, 3))
-    q, v = qkv[:, :h].copy(), qkv[:, 2 * h:].copy()                     # (N, h, L, d)
-    kT = np.ascontiguousarray(qkv[:, h:2 * h].transpose(0, 1, 3, 2))    # (N, h, d, L)
+    xd, qw, qb = x.data, p.qkv_w.data, p.qkv_b.data
+    q, kT, v = _split_heads(xd, qw, qb, h, d)
     probs = np.matmul(q, kT) * scale
     if gather is not None:
         probs += np.matmul(gather, p.pos_bias.data).reshape(L, L, h).transpose(2, 0, 1)
@@ -331,14 +340,16 @@ def multi_head_attention(x, p, mask=None):
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    merged = np.ascontiguousarray(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(N, L, C)
-    out = np.matmul(merged, p.proj_w.data) + p.proj_b.data
-    # each operand of a projection is kept only for the gradient that reads it
-    xd, qw = (x.data if qw_grad else None), (p.qkv_w.data if x_grad else None)
-    pw, merged = (p.proj_w.data if deep else None), (merged if pw_grad else None)
+    out = np.matmul(_merge_heads(probs, v), p.proj_w.data) + p.proj_b.data
+    # the projections' inputs are kept only for a gradient that reads them
+    if not (deep or pw_grad):
+        xd = qw = qb = None
+    pw = p.proj_w.data if deep else None
 
     def backward(g):
-        gpw = np.matmul(np.swapaxes(merged, -1, -2), g).sum(axis=0) if pw_grad else None
+        q, kT, v = _split_heads(xd, qw, qb, h, d) if deep or pw_grad else (None,) * 3
+        gpw = (np.matmul(np.swapaxes(_merge_heads(probs, v), -1, -2), g).sum(axis=0)
+               if pw_grad else None)
         gpb = g.sum(axis=(0, 1)) if pb_grad else None
         if not deep:
             return (None, None, None, gpw, gpb, None)[:n_in]

@@ -4,10 +4,14 @@ Layers keep the spatial extents of the resampled input (no downsampling);
 attention alternates between unshifted and half-window-shifted grids.
 """
 
+import numpy as np
+
+from . import tensor
 from .ops import (Module, AttentionParams, param, param_conv, zeros_param,
-                  ones_param, conv2d, layer_norm, linear, multi_head_attention,
+                  ones_param, conv2d, layer_norm, multi_head_attention,
                   shifted_windows, window_partition, window_merge)
-from .tensor import ShapeError, gelu, transpose, add
+from .tensor import (ShapeError, add, ensure_tensor, gelu_cdf, gelu_slope, transpose,
+                     unbroadcast)
 
 
 class Mlp(Module):
@@ -18,7 +22,48 @@ class Mlp(Module):
         self.fc2_b = zeros_param((dim,))
 
     def forward(self, x):
-        return linear(gelu(linear(x, self.fc1_w, self.fc1_b)), self.fc2_w, self.fc2_b)
+        """One "mlp" tape node over the last axis of x: fc1 and its bias,
+        exact GELU, fc2 and its bias.
+
+        Forward and backward do the arithmetic of the matmul, add, gelu,
+        matmul, add chain it replaces, op for op, so the output and every
+        gradient are bit-equal to that chain's. The backward keeps the input
+        rows, the pre-activation a and its Phi, and rebuilds a * Phi for
+        fc2's weight gradient.
+        """
+        x = ensure_tensor(x)
+        inputs = (x, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b)
+        if x.shape[-1] != self.fc1_w.shape[0]:
+            raise ShapeError(f"mlp: input {x.shape} vs {self.fc1_w.shape[0]} channels")
+        x_grad, w1_grad, b1_grad, w2_grad, b2_grad = (t.requires_grad for t in inputs)
+        deep = x_grad or w1_grad or b1_grad         # the gradient reaches the GELU
+        xd, w1, b1, w2, b2 = (t.data for t in inputs)
+        a = np.matmul(xd, w1) + b1
+        cdf = gelu_cdf(a)
+        out = np.matmul(a * cdf, w2) + b2
+        # each array is kept only for a gradient that reads it
+        if not w1_grad:
+            xd = None
+        if not (deep or w2_grad):
+            a = cdf = None
+
+        def backward(g):
+            gx = gw1 = gb1 = None
+            gw2 = (unbroadcast(np.matmul(np.swapaxes(a * cdf, -1, -2), g), w2.shape)
+                   if w2_grad else None)
+            gb2 = unbroadcast(g, b2.shape) if b2_grad else None
+            if deep:
+                ga = np.matmul(g, np.swapaxes(w2, -1, -2)) * gelu_slope(a, cdf)
+                gb1 = unbroadcast(ga, b1.shape) if b1_grad else None
+                if w1_grad:
+                    gw1 = unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), ga), w1.shape)
+                if x_grad:
+                    gx = np.matmul(ga, np.swapaxes(w1, -1, -2))
+            return gx, gw1, gb1, gw2, gb2
+
+        # through the module attribute, so a wrapper installed on tensor.record (as
+        # perfbench/tracing.py does) counts this node with the other tensor ops
+        return tensor.record("mlp", inputs, out, backward)
 
 
 class SwinLayer(Module):

@@ -14,9 +14,6 @@ import threading
 
 import numpy as np
 
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_GELU_CUBIC = 0.044715
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -164,7 +161,7 @@ def record(op, inputs, out_data, backward):
     return out
 
 
-def _unbroadcast(g, shape):
+def unbroadcast(g, shape):
     """Sum a gradient down to `shape` after numpy stretch-extent-1 broadcasting."""
     extra = g.ndim - len(shape)
     if extra > 0:
@@ -196,16 +193,16 @@ def add(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
     sa, sb = _grad_shape(a), _grad_shape(b)
     return record("add", (a, b), _binary_data(a, b, np.add),
-                  lambda g: (None if sa is None else _unbroadcast(g, sa),
-                             None if sb is None else _unbroadcast(g, sb)))
+                  lambda g: (None if sa is None else unbroadcast(g, sa),
+                             None if sb is None else unbroadcast(g, sb)))
 
 
 def sub(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
     sa, sb = _grad_shape(a), _grad_shape(b)
     return record("sub", (a, b), _binary_data(a, b, np.subtract),
-                  lambda g: (None if sa is None else _unbroadcast(g, sa),
-                             None if sb is None else _unbroadcast(-g, sb)))
+                  lambda g: (None if sa is None else unbroadcast(g, sa),
+                             None if sb is None else unbroadcast(-g, sb)))
 
 
 def mul(a, b):
@@ -215,8 +212,8 @@ def mul(a, b):
     bd = None if sa is None else b.data
     ad = None if sb is None else a.data
     return record("mul", (a, b), _binary_data(a, b, np.multiply),
-                  lambda g: (None if sa is None else _unbroadcast(g * bd, sa),
-                             None if sb is None else _unbroadcast(g * ad, sb)))
+                  lambda g: (None if sa is None else unbroadcast(g * bd, sa),
+                             None if sb is None else unbroadcast(g * ad, sb)))
 
 
 def sigmoid(a):
@@ -283,34 +280,15 @@ def _erf(x):
     return out.reshape(shape)
 
 
-def gelu(a, mode="exact"):
-    """x * Phi(x); `tanh_approx` uses the cubic tanh form.
+def gelu_cdf(x):
+    """Phi(x), the standard normal CDF: exact GELU is x * Phi(x)."""
+    return 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
 
-    The cubic coefficient multiplies x**3 (the standard form), selectable
-    against the exact CDF via `mode` for fidelity checks.
-    """
-    a = ensure_tensor(a)
-    x = a.data
-    if mode == "exact":
-        phi = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
-        out = x * phi
 
-        def backward(g):
-            pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-            return (g * (phi + x * pdf),)
-
-    elif mode == "tanh_approx":
-        u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x**3)
-        t = np.tanh(u)
-        out = 0.5 * x * (1.0 + t)
-
-        def backward(g):
-            du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x * x)
-            return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
-
-    else:
-        raise ValueError(f"unknown gelu mode {mode!r}")
-    return record("gelu", (a,), out, backward)
+def gelu_slope(x, cdf):
+    """The derivative of exact GELU at x, given cdf = gelu_cdf(x)."""
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return cdf + x * pdf
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +355,9 @@ def matmul(a, b):
     def backward(g):
         ga = gb = None
         if sa is not None:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
+            ga = unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
         if sb is not None:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
+            gb = unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
         return ga, gb
 
     return record("matmul", (a, b), out, backward)

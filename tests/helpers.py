@@ -1,10 +1,12 @@
 """Shared test utilities: central finite-difference gradient checking."""
 
+import math
+
 import numpy as np
 
 from dmsr.ops import conv2d, depthwise_conv2d, layer_norm
-from dmsr.tensor import (ShapeError, Tape, Tensor, add, ensure_tensor, mul, record, tmean,
-                         transpose)
+from dmsr.tensor import (ShapeError, Tape, Tensor, add, ensure_tensor, gelu_cdf, gelu_slope,
+                         matmul, mul, record, tmean, transpose)
 
 
 def numeric_grad(fn, tensor, idx, eps=1e-4):
@@ -190,3 +192,50 @@ def naf_block_chain(block, x):
     h2 = simple_gate(h2)
     h2 = conv2d(h2, block.pw4_w, block.pw4_b)
     return add(y, mul(h2, block.gamma))
+
+
+# The GELU node and the linear layer that dmsr had before each swin MLP became
+# one node, and the MLP as the chain of nodes they built: references for tests
+# that compare the node against that chain.
+
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_GELU_CUBIC = 0.044715
+
+
+def gelu(a, mode="exact"):
+    """x * Phi(x) as one "gelu" node; `tanh_approx` uses the cubic tanh form,
+    whose cubic coefficient multiplies x**3 (the standard form)."""
+    a = ensure_tensor(a)
+    x = a.data
+    if mode == "exact":
+        phi = gelu_cdf(x)
+        out = x * phi
+
+        def backward(g):
+            return (g * gelu_slope(x, phi),)
+
+    elif mode == "tanh_approx":
+        u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x**3)
+        t = np.tanh(u)
+        out = 0.5 * x * (1.0 + t)
+
+        def backward(g):
+            du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x * x)
+            return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+
+    else:
+        raise ValueError(f"unknown gelu mode {mode!r}")
+    return record("gelu", (a,), out, backward)
+
+
+def linear(x, weight, bias=None):
+    """x @ weight (+ bias) over the last axis; weight is (in, out)."""
+    out = matmul(x, weight)
+    if bias is not None:
+        out = add(out, bias)
+    return out
+
+
+def mlp_chain(mlp, x):
+    """dmsr.swin.Mlp.forward as the 5-node chain it recorded."""
+    return linear(gelu(linear(x, mlp.fc1_w, mlp.fc1_b)), mlp.fc2_w, mlp.fc2_b)

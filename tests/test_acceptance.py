@@ -24,7 +24,7 @@ from dmsr.ops import (AttentionParams, bilinear_sample, conv2d, layer_norm,
 from dmsr.tensor import Tensor
 from dmsr.train import Adam, evaluate, psnr, train_epochs
 
-from helpers import check_gradients, naf_block_chain, weighted_sum_loss
+from helpers import check_gradients, gelu, naf_block_chain, weighted_sum_loss
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,
             k=3, scale=4)
@@ -56,7 +56,7 @@ def test_criterion_1_gradient_suite():
     y = Tensor(rng.uniform(0.5, 2.0, (4,)), requires_grad=True)
     for fn in (T.add, T.sub, T.mul):
         check_gradients(lambda: weighted_sum_loss(fn(x, y)), [x, y], n_coords=4)
-    for fn in (T.sigmoid, T.absolute, T.gelu):
+    for fn in (T.sigmoid, T.absolute, gelu):
         check_gradients(lambda: weighted_sum_loss(fn(x)), [x], n_coords=4)
 
     a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
@@ -79,6 +79,15 @@ def test_criterion_1_gradient_suite():
     xa = Tensor(rng.uniform(-1, 1, (2, 6, 4)), requires_grad=True)
     check_gradients(lambda: weighted_sum_loss(multi_head_attention(xa, ap)),
                     [xa] + ap.parameters(), n_coords=3)
+
+    # the swin MLP node: fc1, exact GELU and fc2 over the last axis of a 4-D input
+    mrng = np.random.default_rng(104)
+    mp = swin_mod.Mlp(mrng, 4, 8)
+    for t in mp.parameters():
+        t.data[...] = mrng.uniform(-1, 1, t.shape)
+    xm = Tensor(mrng.uniform(-1, 1, (2, 2, 3, 4)), requires_grad=True)
+    check_gradients(lambda: weighted_sum_loss(mp.forward(xm)),
+                    [xm] + mp.parameters(), n_coords=3)
 
     xs = Tensor(rng.uniform(-1, 1, (1, 2, 6, 6)), requires_grad=True)
     coords = rng.uniform(0.8, 4.2, (1, 3, 3, 2))
@@ -160,8 +169,8 @@ def test_criterion_3_identity_chain():
 @criterion(4, "tanh GELU within 1e-3 of exact on [-5, 5]")
 def test_criterion_4_gelu_fidelity():
     grid = np.arange(-5.0, 5.0 + 1e-12, 0.01)
-    exact = T.gelu(Tensor(grid), mode="exact").data
-    approx = T.gelu(Tensor(grid), mode="tanh_approx").data
+    exact = gelu(Tensor(grid), mode="exact").data
+    approx = gelu(Tensor(grid), mode="tanh_approx").data
     assert np.max(np.abs(exact - approx)) < 1e-3
 
 

@@ -53,6 +53,8 @@ def test_tracer_binds_attention_and_restores_every_original(monkeypatch):
     names = _traced_step(ModelConfig(embed_dim=8, window=4, heads=1, num_blocks=1, k=3,
                                      scale=4))
     assert {"ops.multi_head_attention", "ops.bwd.multi_head_attention"} <= names
+    # the MLP node records through tensor.record, which the tracer wraps
+    assert "tensor.bwd.mlp" in names
 
 
 def test_tracer_binds_the_naf_block_and_restores_every_original(monkeypatch):

@@ -688,6 +688,56 @@ def test_mutated_checkpoints_exit_0_or_3_with_at_most_one_line(tmp_path, capsys)
     assert 0 < codes.count(3) < len(cases)
 
 
+def _mutations(rng, blob, header, flips, cuts):
+    """`flips` copies of blob with one byte flipped or set, half of them in
+    its first `header` bytes, and `cuts` truncations, half in the header."""
+    at = np.concatenate([rng.integers(0, len(blob), flips - flips // 2),
+                         rng.integers(0, header, flips // 2)])
+    cases = []
+    for i in at:
+        mutated = bytearray(blob)
+        mutated[i] = mutated[i] ^ 1 << rng.integers(8) if rng.random() < 0.5 else rng.integers(256)
+        cases.append(bytes(mutated))
+    ends = np.concatenate([rng.integers(0, len(blob), cuts - cuts // 2),
+                           rng.integers(0, header, cuts // 2)])
+    return cases + [blob[:n] for n in ends]
+
+
+def test_mutated_images_and_manifests_exit_0_or_3_with_at_most_one_line(tmp_path, trained,
+                                                                           capsys):
+    # a seeded sweep over one pair's files: the 8-bit PPM guidance, the 16-bit
+    # PGM depth and the manifest, each with single bytes flipped or set and
+    # with truncations. A mutated pixel may evaluate as another scene (exit 0);
+    # anything else the loaders must reject with one error line (exit 3), never
+    # a traceback or a numpy warning
+    data = tmp_path / "data"
+    assert main(["synth", "1", "--height", "32", "--width", "32", "--out", str(data)]) == 0
+    rng = np.random.default_rng(8)
+    files = []
+    for name, end_of_header in (("scene000_rgb.ppm", b"\n255\n"),
+                                ("scene000_depth.pgm", b"\n65535\n"),
+                                ("manifest.txt", None)):
+        blob = (data / name).read_bytes()
+        header = len(blob) if end_of_header is None else (blob.index(end_of_header)
+                                                          + len(end_of_header))
+        flips, cuts = (30, 6) if end_of_header else (24, 4)
+        files += [(data / name, blob, case)
+                  for case in _mutations(rng, blob, header, flips, cuts)]
+    manifest = str(data / "manifest.txt")
+    capsys.readouterr()
+    codes = []
+    for i, (path, blob, case) in enumerate(files):
+        path.write_bytes(case)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codes.append(main(["eval", trained, manifest]))
+        path.write_bytes(blob)
+        err = capsys.readouterr().err.splitlines()
+        assert codes[-1] in (0, 3) and len(err) <= 1 and not caught, (i, path.name,
+                                                                      codes[-1], err, caught)
+    assert 0 < codes.count(3) < len(files)
+
+
 def test_eval_with_a_huge_parameter_prints_no_numpy_warning(tmp_path, trained):
     # the layer norm's variance overflows to inf and its output stays finite;
     # numpy's overflow RuntimeWarning would add two stderr lines to a clean exit

@@ -8,7 +8,7 @@ from dmsr.naf import NafBlock
 from dmsr.tensor import Tensor, Tape, ShapeError, add, matmul, mul, record, sub
 
 from helpers import (adaptive_avg_pool_global, check_gradients, closure_reach, held_arrays,
-                     slice_axis, softmax_lastaxis, weighted_sum_loss)
+                     linear, slice_axis, softmax_lastaxis, weighted_sum_loss)
 from test_swin import loop_shift_mask
 
 
@@ -498,7 +498,7 @@ def reference_pixel_shuffle(x, r):
 def reference_attention(x, p, mask=None):
     N, L, C = x.shape
     h, d = p.num_heads, p.head_dim
-    qkv = ops.linear(x, p.qkv_w, p.qkv_b)
+    qkv = linear(x, p.qkv_w, p.qkv_b)
     qkv = chain_reshape(qkv, (N, L, 3, h, d))
     qkv = chain_transpose(qkv, (2, 0, 3, 1, 4))
     q, k, v = (chain_reshape(slice_axis(qkv, 0, i, i + 1), (N, h, L, d)) for i in range(3))
@@ -514,7 +514,7 @@ def reference_attention(x, p, mask=None):
         logits = chain_reshape(logits, (N, h, L, L))
     out = matmul(softmax_lastaxis(logits), v)
     out = chain_reshape(chain_transpose(out, (0, 2, 1, 3)), (N, L, C))
-    return ops.linear(out, p.proj_w, p.proj_b)
+    return linear(out, p.proj_w, p.proj_b)
 
 
 def _output_and_grads(fn, leaves):
@@ -576,6 +576,24 @@ def test_attention_is_one_node(masked, position_bias):
     with Tape() as tape:
         ops.multi_head_attention(x, p, mask)
     assert [node.op for node in tape.nodes] == ["multi_head_attention"]
+
+
+@pytest.mark.parametrize("position_bias", [False, True], ids=["no_bias", "bias"])
+def test_attention_keeps_its_input_rows_and_probabilities(position_bias):
+    # q, k, v and the merged heads are rebuilt from the input rows in the backward
+    rng = np.random.default_rng(20)
+    p = ops.AttentionParams(rng, 8, 2, window=4, position_bias=position_bias)
+    x = Tensor(rng.uniform(-1, 1, (2 * 4, 16, 8)), requires_grad=True)
+    with Tape() as tape:
+        ops.multi_head_attention(x, p, loop_shift_mask(8, 8, 4, 2))
+    (node,) = tape.nodes
+    reached = closure_reach(node.backward)
+    assert not [obj for obj in reached if isinstance(obj, Tensor)]
+    # the parameters, and the position bias's constant one-hot lookup table
+    fixed = {id(t.data) for t in p.parameters()} | {id(p._pos_gather)}
+    kept = [a for a in held_arrays(reached) if id(a) not in fixed]
+    assert sorted(a.shape for a in kept) == [(8, 2, 16, 16), (8, 16, 8)]
+    assert any(a is x.data for a in kept)
 
 
 # pooling -----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dmsr import ops, swin
 from dmsr.swin import SwinBackbone, SwinLayer, zero_residual_branches
 from dmsr.tensor import Tensor, Tape
 
-from helpers import check_gradients, weighted_sum_loss
+from helpers import check_gradients, closure_reach, held_arrays, mlp_chain, weighted_sum_loss
 
 
 def make_backbone(seed=0, in_ch=8, dim=8, window=4, heads=1, blocks=4, layers=2):
@@ -189,3 +189,80 @@ def test_forward_in_threads_at_two_sizes_matches_the_sequential_run():
     assert not any(t.is_alive() for t in threads)
     assert got == [[want[i % 2]] * 3 for i in range(4)]
     assert tape.nodes == []
+
+
+# the MLP node ------------------------------------------------------------------
+
+
+def _live_mlp(rng, dim, hidden):
+    mlp = swin.Mlp(rng, dim, hidden)
+    for t in mlp.parameters():
+        t.data[...] = rng.uniform(-1, 1, t.shape)
+    return mlp
+
+
+def _output_and_grads(fn, leaves):
+    """(node ops, output, each leaf's gradient) of one recorded sweep."""
+    with Tape() as tape:
+        out = fn()
+    ops_recorded = [node.op for node in tape.nodes]
+    with tape:
+        loss = weighted_sum_loss(out)
+    grads = tape.backward(loss)
+    return ops_recorded, out.data, [grads[t] for t in leaves]
+
+
+@pytest.mark.parametrize("frozen,chain_nodes", [((), 5), (("x",), 5),
+                                                 (("x", "fc1_w", "fc1_b"), 2)],
+                         ids=["all", "input_constant", "fc1_frozen"])
+def test_mlp_is_one_node_byte_equal_to_the_chain(frozen, chain_nodes):
+    # a 4-D (B, H, W, C) input, as a swin layer hands it over: every bias and
+    # weight gradient sums over three leading axes
+    rng = np.random.default_rng(30)
+    mlp = _live_mlp(rng, 4, 8)
+    x = Tensor(rng.uniform(-2, 2, (2, 3, 5, 4)), requires_grad=True)
+    named = {"x": x, "fc1_w": mlp.fc1_w, "fc1_b": mlp.fc1_b, "fc2_w": mlp.fc2_w,
+             "fc2_b": mlp.fc2_b}
+    for name in frozen:
+        named[name].requires_grad = False
+    leaves = [t for t in named.values() if t.requires_grad]
+    node_ops, got, got_grads = _output_and_grads(lambda: mlp.forward(x), leaves)
+    chain_ops, want, want_grads = _output_and_grads(lambda: mlp_chain(mlp, x), leaves)
+    assert node_ops == ["mlp"] and len(chain_ops) == chain_nodes
+    assert got.tobytes() == want.tobytes()
+    for leaf, g, w in zip(leaves, got_grads, want_grads):
+        assert g.tobytes() == w.tobytes(), leaf.shape
+        assert g.strides == w.strides, leaf.shape
+
+
+def test_mlp_node_gradients():
+    rng = np.random.default_rng(31)
+    mlp = _live_mlp(rng, 4, 6)
+    x = Tensor(rng.uniform(-2, 2, (2, 2, 3, 4)), requires_grad=True)
+    with Tape() as tape:
+        mlp.forward(x)
+    assert [node.op for node in tape.nodes] == ["mlp"]
+    check_gradients(lambda: weighted_sum_loss(mlp.forward(x)), [x] + mlp.parameters(),
+                    n_coords=6)
+
+
+def test_mlp_node_keeps_its_input_rows_pre_activation_and_phi():
+    # a * Phi, which the chain's second matmul kept, is rebuilt from two of them
+    rng = np.random.default_rng(32)
+    mlp = _live_mlp(rng, 16, 32)
+    x = Tensor(rng.uniform(-1, 1, (1, 8, 8, 16)), requires_grad=True)
+    with Tape() as tape:
+        mlp.forward(x)
+    (node,) = tape.nodes
+    reached = closure_reach(node.backward)
+    assert not [obj for obj in reached if isinstance(obj, Tensor)]
+    params = {id(p.data) for p in mlp.parameters()}
+    kept = [a for a in held_arrays(reached) if id(a) not in params]
+    assert sorted(a.shape for a in kept) == [(1, 8, 8, 16), (1, 8, 8, 32), (1, 8, 8, 32)]
+    assert any(a is x.data for a in kept)
+
+
+def test_mlp_rejects_a_wrong_channel_count():
+    mlp = swin.Mlp(np.random.default_rng(33), 4, 8)
+    with pytest.raises(ops.ShapeError):
+        mlp.forward(Tensor(np.ones((1, 2, 2, 5))))
