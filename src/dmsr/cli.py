@@ -6,7 +6,6 @@ or usage error, 3 data error, 4 numeric divergence.
 """
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -158,6 +157,7 @@ def cmd_train(args):
         "data.n_eval": len(split.eval),
     }
     if args.data:
+        import hashlib      # here: at the top it would load OpenSSL into every dmsr process
         with open(args.data, "rb") as f:
             base_meta["data.manifest_sha256"] = hashlib.sha256(f.read()).hexdigest()
 

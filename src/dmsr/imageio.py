@@ -3,7 +3,7 @@
 PGM P5 with maxval 65535 (16-bit big-endian) carries depth, PPM P6 carries
 8-bit RGB guidance, PFM (little-endian float32) carries SR output. Loaders
 report malformed headers, unsupported magics and truncated payloads as
-distinct errors carrying the byte offset of the problem.
+distinct errors that name the file and carry the byte offset of the problem.
 """
 
 import os
@@ -13,10 +13,13 @@ import numpy as np
 
 
 class ImageFormatError(ValueError):
-    """Base for file-format problems; `offset` is the failing byte position."""
+    """Base for file-format problems; `offset` is the failing byte position,
+    `path` the file, which the message starts with when given."""
 
-    def __init__(self, message, offset=None):
-        super().__init__(message if offset is None else f"{message} (byte {offset})")
+    def __init__(self, message, offset=None, path=None):
+        if offset is not None:
+            message = f"{message} (byte {offset})"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.offset = offset
 
 
@@ -29,9 +32,9 @@ class MalformedHeaderError(ImageFormatError):
 
 
 class TruncatedPayloadError(ImageFormatError):
-    def __init__(self, expected, actual, offset):
+    def __init__(self, expected, actual, offset, path=None):
         super().__init__(f"payload truncated: expected {expected} bytes, "
-                         f"got {actual}", offset)
+                         f"got {actual}", offset, path)
         self.expected = expected
         self.actual = actual
 
@@ -54,10 +57,12 @@ def atomic_write(path, chunks):
 
 
 class _HeaderScanner:
-    """Whitespace/comment-aware token reader that tracks byte offsets."""
+    """Whitespace/comment-aware token reader that tracks byte offsets; its
+    errors name the file `path`."""
 
-    def __init__(self, blob):
+    def __init__(self, blob, path):
         self.blob = blob
+        self.path = path
         self.pos = 0
         self.token_start = 0
 
@@ -77,14 +82,14 @@ class _HeaderScanner:
         while self.pos < n and not b[self.pos:self.pos + 1].isspace():
             self.pos += 1
         if self.token_start == self.pos:
-            raise MalformedHeaderError("unexpected end of header", self.token_start)
+            raise MalformedHeaderError("unexpected end of header", self.token_start, self.path)
         return b[self.token_start:self.pos]
 
     def int_token(self, what):
         """The next token as a positive decimal integer."""
         tok = self.token()
         if not tok.isdigit() or int(tok) < 1:
-            raise MalformedHeaderError(f"bad {what} {tok!r}", self.token_start)
+            raise MalformedHeaderError(f"bad {what} {tok!r}", self.token_start, self.path)
         return int(tok)
 
 
@@ -96,11 +101,11 @@ def _read_image(path, magic):
             blob = f.read()
     except OSError as e:
         raise ImageFormatError(f"cannot read image {path}: {e.strerror}")
-    scan = _HeaderScanner(blob)
+    scan = _HeaderScanner(blob, path)
     got = scan.token()
     if got != magic:
         raise UnsupportedMagicError(f"expected magic {magic.decode()}, "
-                                    f"got {got!r}", 0)
+                                    f"got {got!r}", 0, path)
     return blob, scan, scan.int_token("width"), scan.int_token("height")
 
 
@@ -109,15 +114,15 @@ def _read_netpbm(path, magic, maxval_required):
     maxval = scan.int_token("maxval")
     if maxval != maxval_required:
         raise MalformedHeaderError(f"maxval {maxval}, expected {maxval_required}",
-                                   scan.pos)
+                                   scan.pos, path)
     scan.pos += 1  # single whitespace after maxval per the format
     return blob, scan.pos, w, h
 
 
-def _payload(blob, offset, expected):
+def _payload(blob, offset, expected, path):
     actual = len(blob) - offset
     if actual < expected:
-        raise TruncatedPayloadError(expected, actual, offset)
+        raise TruncatedPayloadError(expected, actual, offset, path)
     return blob[offset:offset + expected]
 
 
@@ -138,7 +143,7 @@ def save_pgm16(path, depth):
 def load_pgm16(path):
     """Load 16-bit P5 as (1, H, W) floats in [0,1]."""
     blob, off, w, h = _read_netpbm(path, b"P5", 65535)
-    raw = _payload(blob, off, w * h * 2)
+    raw = _payload(blob, off, w * h * 2, path)
     img = np.frombuffer(raw, dtype=">u2").reshape(h, w).astype(np.float64)
     return (img / 65535.0)[None]
 
@@ -155,7 +160,7 @@ def save_ppm(path, rgb):
 def load_ppm(path):
     """Load 8-bit P6 as (3, H, W) floats in [0,1]."""
     blob, off, w, h = _read_netpbm(path, b"P6", 255)
-    raw = _payload(blob, off, w * h * 3)
+    raw = _payload(blob, off, w * h * 3, path)
     img = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).astype(np.float64)
     return img.transpose(2, 0, 1) / 255.0
 
@@ -177,11 +182,11 @@ def load_pfm(path):
     try:
         scale = float(tok)
     except ValueError:
-        raise MalformedHeaderError(f"bad scale {tok!r}", scan.token_start)
+        raise MalformedHeaderError(f"bad scale {tok!r}", scan.token_start, path)
     if scale == 0:
-        raise MalformedHeaderError("zero scale", scan.token_start)
+        raise MalformedHeaderError("zero scale", scan.token_start, path)
     scan.pos += 1
-    raw = _payload(blob, scan.pos, w * h * 4)
+    raw = _payload(blob, scan.pos, w * h * 4, path)
     dtype = "<f4" if scale < 0 else ">f4"
     img = np.frombuffer(raw, dtype=dtype).reshape(h, w)[::-1].astype(np.float64)
     if abs(scale) != 1.0:

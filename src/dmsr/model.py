@@ -1,11 +1,13 @@
 """Joint-filter head and the full two-path super-resolution model.
 
 Backbone features from the guidance and target branches become per-pixel
-kernel fields: k*k normalized weights plus 2*k*k sampling offsets. The SR
-depth map is the offset-displaced weighted average of the bicubic-upsampled
-target.
+kernel fields: k*k normalized weights plus 2*k*k sampling offsets, each the
+product of a guidance and a target factor in the heads' sub-pixel layout.
+The SR depth map is the offset-displaced weighted average of the
+bicubic-upsampled target.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -13,9 +15,9 @@ import numpy as np
 from . import naf as naf_mod
 from . import swin as swin_mod
 from .data import bicubic_resize
-from .ops import (Module, param_conv, zeros_param, conv2d, joint_filter, pixel_shuffle,
-                  pixel_unshuffle)
-from .tensor import Tensor, ShapeError, add, mul, sigmoid, tmean, sub
+from .ops import (Module, param_conv, zeros_param, conv2d, joint_filter, pixel_unshuffle,
+                  tap_mean, tap_offsets, tap_weight)
+from .tensor import Tensor, ShapeError, sigmoid
 
 BACKBONES = ("swin", "naf")
 DEFAULT_BLOCKS = {"swin": 4, "naf": 6}
@@ -93,11 +95,35 @@ class ModelConfig:
 
 @dataclass
 class KernelField:
-    """Per-pixel filter: weights (B, k*k, H, W) summing to one over taps,
-    offsets (B, 2*k*k, H, W) as (dy, dx) pixel displacements per tap."""
+    """The per-pixel filter as the heads predict it, in the sub-pixel layout
+    of factor r: the sigmoid weight factors w_guide and w_target
+    (B, k*k*r*r, H/r, W/r) and the raw offset factors o_guide and o_target
+    (B, 2*k*k*r*r, H/r, W/r). The joint filter forms each tap's weight and
+    displacement from them; `weights` (B, k*k, H, W), summing to one over
+    the taps, and `offsets` (B, 2*k*k, H, W), (dy, dx) pixel displacements
+    per tap, build the whole full-resolution field the same way."""
 
-    weights: Tensor
-    offsets: Tensor
+    w_guide: Tensor
+    w_target: Tensor
+    o_guide: Tensor
+    o_target: Tensor
+    r: int
+
+    def _k(self):
+        return math.isqrt(self.w_guide.shape[1] // (self.r * self.r))
+
+    @property
+    def weights(self):
+        k, wg, wt = self._k(), self.w_guide.data, self.w_target.data
+        mean = tap_mean(wg, wt, k)
+        return Tensor(np.concatenate([tap_weight(wg, wt, mean, t, k, self.r)
+                                      for t in range(k * k)], axis=1))
+
+    @property
+    def offsets(self):
+        og, ot = self.o_guide.data, self.o_target.data
+        return Tensor(np.concatenate([tap_offsets(og, ot, t, self.r)
+                                      for t in range(self._k() ** 2)], axis=1))
 
 
 class HeadConvs(Module):
@@ -133,45 +159,47 @@ class HeadConvs(Module):
         return w, o
 
 
-def combine_weights(w_guide, w_target, k, r=4):
-    """Sigmoid both raw tensors, multiply, stitch to full resolution, then
-    subtract the per-pixel tap mean and add 1/k^2 so taps sum to one.
+def _check_factors(name, a, b, channels):
+    if a.shape[1] != channels or b.shape != a.shape:
+        raise ShapeError(f"{name}: expected {channels} channels, got {a.shape} and {b.shape}")
 
-    Inputs are (B, k*k*r*r, h, w) with tap-major channel layout; output is
-    (B, k*k, h*r, w*r) and satisfies the sum-to-one normalization exactly.
-    """
-    kk = k * k
-    if w_guide.shape[1] != kk * r * r or w_target.shape != w_guide.shape:
-        raise ShapeError(f"combine_weights: expected {kk * r * r} channels, "
-                         f"got {w_guide.shape} and {w_target.shape}")
-    p = pixel_shuffle(mul(sigmoid(w_guide), sigmoid(w_target)), r)
-    p = sub(p, tmean(p, axis=1, keepdims=True))
-    return add(p, 1.0 / kk)
+
+def combine_weights(w_guide, w_target, k, r=4):
+    """The weight factors: both raw (B, k*k*r*r, h, w) tensors, tap-major,
+    through a sigmoid. The joint filter multiplies them tap by tap and
+    subtracts the tap mean and adds 1/k^2, so the taps sum to one exactly."""
+    _check_factors("combine_weights", w_guide, w_target, k * k * r * r)
+    return sigmoid(w_guide), sigmoid(w_target)
 
 
 def combine_offsets(o_guide, o_target, k, r=4):
-    """Element-wise product of the raw offset tensors, stitched to full
-    resolution; no sigmoid and no normalization."""
-    B, C, h, w = o_guide.shape
-    if C != 2 * k * k * r * r or o_target.shape != o_guide.shape:
-        raise ShapeError(f"combine_offsets: expected {2 * k * k * r * r} channels, "
-                         f"got {o_guide.shape} and {o_target.shape}")
-    return pixel_shuffle(mul(o_guide, o_target), r)
+    """The offset factors: the raw (B, 2*k*k*r*r, h, w) tensors as they are,
+    their channels checked. The joint filter multiplies them tap by tap; no
+    sigmoid and no normalization."""
+    _check_factors("combine_offsets", o_guide, o_target, 2 * k * k * r * r)
+    return o_guide, o_target
 
 
 def apply_joint_filter(target_up, kernel_field, k):
     """Weighted average of the target over a k x k neighborhood whose taps are
     displaced by the learned offsets and fetched with border-clamped bilinear
-    sampling: one ops.joint_filter node. Differentiable end to end."""
-    return joint_filter(target_up, kernel_field.weights, kernel_field.offsets, k)
+    sampling: one ops.joint_filter node over the field's factors.
+    Differentiable end to end."""
+    f = kernel_field
+    return joint_filter(target_up, f.w_guide, f.w_target, f.o_guide, f.o_target, k, f.r)
 
 
 def identity_field(B, H, W, k):
-    """Delta kernel: weight one on the center tap, zero offsets. Applying it
-    reproduces the upsampled target exactly."""
-    w = np.zeros((B, k * k, H, W))
-    w[:, (k * k) // 2] = 1.0
-    return KernelField(Tensor(w), Tensor(np.zeros((B, 2 * k * k, H, W))))
+    """Delta kernel in factor form at r = 1: a one-hot weight factor times
+    ones, whose normalised taps are exactly one on the center and zero
+    elsewhere, and a zero offset factor times ones. Applying it reproduces
+    the upsampled target exactly."""
+    kk = k * k
+    w = np.zeros((B, kk, H, W))
+    w[:, kk // 2] = 1.0
+    return KernelField(Tensor(w), Tensor(np.ones((B, kk, H, W))),
+                       Tensor(np.zeros((B, 2 * kk, H, W))), Tensor(np.ones((B, 2 * kk, H, W))),
+                       1)
 
 
 def make_backbone(rng, cfg, in_ch):
@@ -218,7 +246,7 @@ class DmsrModel(Module):
         return apply_joint_filter(target_up, field, self.cfg.k)
 
     def kernel_field(self, guidance, target_up):
-        """Run both branches and recombine their raw tensors."""
+        """Run both branches; their heads' raw tensors become the field's factors."""
         cfg = self.cfg
         r = cfg.resample_factor
         g_sub = pixel_unshuffle(guidance, r)
@@ -227,8 +255,8 @@ class DmsrModel(Module):
         f_target = self.target_backbone.forward(t_sub)
         w_g, o_g = self.guide_head.forward(f_guide)
         w_t, o_t = self.target_head.forward(f_target)
-        return KernelField(combine_weights(w_g, w_t, cfg.k, r),
-                           combine_offsets(o_g, o_t, cfg.k, r))
+        return KernelField(*combine_weights(w_g, w_t, cfg.k, r),
+                           *combine_offsets(o_g, o_t, cfg.k, r), r)
 
 
 def upsample_lr(depth_lr, scale):

@@ -120,9 +120,13 @@ def conv2d_grads(g, x, w, p, x_grad, w_grad):
         dcols = np.matmul(w.reshape(O, -1).T, g2)
         gx = _input_grad(np.moveaxis(dcols.reshape(B, -1, len(taps), Ho, Wo), 2, 0),
                          taps, x.shape, p)
+        del dcols                       # freed before im2col is rebuilt
     if w_grad:
         # rebuilt, not kept from the forward: taps times the input's size
-        gw = np.matmul(g2, _im2col(x, w.shape, p).swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
+        gw = np.matmul(g2, _im2col(x, w.shape, p).swapaxes(1, 2))
+        for b in range(1, B):           # the batch summed in order, in place
+            gw[0] += gw[b]
+        gw = gw[0].reshape(w.shape)
     return gx, gw
 
 
@@ -536,77 +540,202 @@ def bilinear_sample(x, coords):
     return record("bilinear_sample", (x, coords), out, backward)
 
 
-def joint_filter(x, weights, offsets, k):
-    """The kernel-field filter: out = sum over taps t of weights[:, t] times x
-    (B, C, H, W) bilinearly sampled, border-clamped, at each pixel's tap
-    position: the pixel, plus tap t's (dy, dx) in the k x k window (row-major,
-    centred), plus its learned displacement offsets[:, 2t:2t + 2].
+# ---------------------------------------------------------------------------
+# the kernel field, tap by tap from the heads' sub-pixel factors
+#
+# The heads predict the field in pixel_shuffle's sub-pixel layout: channel
+# block t (r*r channels) of a (B, n*r*r, h, w) factor is full-resolution
+# channel t. tap_mean, tap_weight and tap_offsets form one tap's
+# full-resolution planes from the factors; joint_filter and
+# model.KernelField share them.
 
-    weights is (B, k*k, H, W), offsets (B, 2*k*k, H, W). One tape node,
-    recorded as "bilinear_sample". The taps are sampled and added one at a
-    time, in order, so no array spans all k*k taps but the per-tap arrays the
-    backward reads: the samples (for the weight gradient), their slopes along
-    y and x and the clamp masks (for the offset gradient).
-    """
-    x, weights, offsets = ensure_tensor(x), ensure_tensor(weights), ensure_tensor(offsets)
-    B, C, H, W = x.shape
+
+def _blocks(full, r):
+    """The (..., r, r, h, w) view of a full-resolution (..., h*r, w*r) array,
+    in the sub-pixel order of pixel_shuffle's input."""
+    *lead, H, W = full.shape
+    n = len(lead)
+    return full.reshape(*lead, H // r, r, W // r, r).transpose(
+        *range(n), n + 1, n + 3, n, n + 2)
+
+
+def _full_resolution(sub, r):
+    """pixel_shuffle of the (..., r*r, h, w) sub-pixel array `sub` as an array:
+    (..., h*r, w*r)."""
+    *lead, _, h, w = sub.shape
+    out = np.empty((*lead, h * r, w * r))
+    _blocks(out, r)[...] = sub.reshape(*lead, r, r, h, w)
+    return out
+
+
+def tap_mean(wg, wt, k):
+    """The mean over the k*k taps of the weight factors' product wg * wt,
+    (B, r*r, h, w): the products summed in tap order, then divided by k*k,
+    as numpy's mean over the taps of the full-resolution product."""
     kk = k * k
-    if weights.shape != (B, kk, H, W):
-        raise ShapeError(f"joint_filter: weights {weights.shape} vs "
-                         f"expected {(B, kk, H, W)}")
-    if offsets.shape != (B, 2 * kk, H, W):
-        raise ShapeError(f"joint_filter: offsets {offsets.shape} vs "
-                         f"expected {(B, 2 * kk, H, W)}")
-    x_grad, w_grad, o_grad = x.requires_grad, weights.requires_grad, offsets.requires_grad
-    wd, od = weights.data, offsets.data
+    n = wg.shape[1] // kk
+    total = wg[:, :n] * wt[:, :n]
+    for t in range(1, kk):
+        total += wg[:, t * n:(t + 1) * n] * wt[:, t * n:(t + 1) * n]
+    total /= kk
+    return total
+
+
+def tap_weight(wg, wt, mean, t, k, r):
+    """Tap t's (B, 1, H, W) weight, (wg * wt - mean) + 1/k^2 on its sub-pixel
+    channels: over the taps the weights sum to one at every pixel."""
+    n = r * r
+    p = wg[:, t * n:(t + 1) * n] * wt[:, t * n:(t + 1) * n]
+    p -= mean
+    p += 1.0 / (k * k)
+    return _full_resolution(p[:, None], r)
+
+
+def tap_offsets(og, ot, t, r):
+    """Tap t's (B, 2, H, W) (dy, dx) displacement: og * ot on its sub-pixel
+    channels."""
+    B, _, h, w = og.shape
+    n = r * r
+    c = slice(2 * t * n, (2 * t + 2) * n)
+    return _full_resolution((og[:, c] * ot[:, c]).reshape(B, 2, n, h, w), r)
+
+
+def _factor_grad(planes, other, r, consume):
+    """The gradient of one factor of a product, in the factors' sub-pixel
+    layout, from the product's full-resolution gradient `planes`, one
+    (B, H, W) plane per channel: each plane times the other factor's
+    channels. With `consume`, each plane leaves the list once read."""
+    B, C, h, w = other.shape
+    n = len(planes)
+    out = np.empty((B, n, r, r, h, w))
+    other = other.reshape(out.shape)
+    for c in range(n):
+        np.multiply(_blocks(planes[c], r), other[:, c], out=out[:, c])
+        if consume:
+            planes[c] = None
+    return out.reshape(B, C, h, w)
+
+
+def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
+    """The kernel-field filter: out = sum over taps t of tap t's weight times
+    x (B, C, H, W) bilinearly sampled, border-clamped, at each pixel's tap
+    position: the pixel, plus tap t's (dy, dx) in the k x k window
+    (row-major, centred), plus its learned displacement.
+
+    The field comes as the heads' factors in the sub-pixel layout: the
+    sigmoid weight factors w_guide and w_target (B, k*k*r*r, H/r, W/r) and
+    the raw offset factors o_guide and o_target (B, 2*k*k*r*r, H/r, W/r).
+    Tap t's weight (tap_weight) and displacement (tap_offsets) are formed at
+    full resolution for that tap only, so no full-resolution field exists.
+
+    One tape node, recorded as "bilinear_sample". It keeps the factors and
+    the tap mean that its gradients read and, per tap, each as its own
+    array, the samples (for the weight gradients), their slopes along y and
+    x and the clamp masks (for the offset gradients). Its backward frees
+    each tap's arrays as it reaches the tap, then builds the offset factors'
+    gradients and the weight factors', dropping each factor once its last
+    reader is done. It runs once; a second call raises RuntimeError.
+    """
+    inputs = tuple(map(ensure_tensor, (x, w_guide, w_target, o_guide, o_target)))
+    x, wg, wt, og, ot = inputs
+    B, C, H, W = x.shape
+    kk, n, h, w = k * k, r * r, H // r, W // r
+    if H % r or W % r or wg.shape != (B, kk * n, h, w) or wt.shape != wg.shape:
+        raise ShapeError(f"joint_filter: weight factors {wg.shape} and {wt.shape} vs "
+                         f"expected {(B, kk * n, h, w)}")
+    if og.shape != (B, 2 * kk * n, h, w) or ot.shape != og.shape:
+        raise ShapeError(f"joint_filter: offset factors {og.shape} and {ot.shape} vs "
+                         f"expected {(B, 2 * kk * n, h, w)}")
+    x_grad, wg_grad, wt_grad, og_grad, ot_grad = (t.requires_grad for t in inputs)
+    w_grad, o_grad = wg_grad or wt_grad, og_grad or ot_grad
+    xd, wgd, wtd, ogd, otd = (t.data for t in inputs)
+    mean = tap_mean(wgd, wtd, k)
     rows, cols = np.arange(H)[:, None] - k // 2, np.arange(W) - k // 2
 
-    def tap_coords(t):
+    def weight(t):
+        return tap_weight(wgd, wtd, mean, t, k, r)
+
+    def coords(t):
         """Tap t's raw (B, H, W) sampling coordinates (y, x)."""
         dy, dx = divmod(t, k)
-        return od[:, 2 * t] + (rows + dy), od[:, 2 * t + 1] + (cols + dx)
+        off = tap_offsets(ogd, otd, t, r)
+        return off[:, 0] + (rows + dy), off[:, 1] + (cols + dx)
 
-    samples = np.empty((kk, B, C, H, W)) if w_grad else None
-    dty = dtx = ymask = xmask = None
-    if o_grad:
-        dty, dtx = np.empty((2, kk, B, C, H, W))
-        ymask, xmask = np.empty((2, kk, B, H, W), dtype=bool)
+    samples = [] if w_grad else None
+    slopes = [] if o_grad else None         # per tap (dty, dtx, ymask, xmask)
     out = None
     for t in range(kk):
-        cy_raw, cx_raw = tap_coords(t)
-        s, sy, sx = _bilinear(x.data, _corners(cy_raw, cx_raw, H, W), o_grad)
-        term = wd[:, t:t + 1] * s
+        cy_raw, cx_raw = coords(t)
+        s, sy, sx = _bilinear(xd, _corners(cy_raw, cx_raw, H, W), o_grad)
+        term = weight(t) * s
         if out is None:
             out = term
         else:
             out += term
         if w_grad:
-            samples[t] = s
+            samples.append(s)
         if o_grad:
-            dty[t], dtx[t] = sy, sx
-            ymask[t], xmask[t] = _in_range(cy_raw, cx_raw, H, W)
+            slopes.append((sy, sx, *_in_range(cy_raw, cx_raw, H, W)))
 
     # the backward keeps only what the gradients it computes read
-    if not x_grad:
-        od = None
-    if not (x_grad or o_grad):
-        wd = None
+    reweigh = x_grad or o_grad              # it forms each tap's weight again
+    if not (reweigh or wt_grad):
+        wgd = None
+    if not (reweigh or wg_grad):
+        wtd = None
+    if not reweigh:
+        mean = None
+    if not (x_grad or ot_grad):
+        ogd = None
+    if not (x_grad or og_grad):
+        otd = None
+    swept = False
 
     def backward(g):
+        nonlocal wgd, wtd, ogd, otd, mean, samples, slopes, swept
+        if swept:
+            raise RuntimeError("joint_filter: this node's backward already ran")
+        swept = True
         gx = np.zeros((B, C, H, W)) if x_grad else None
-        gw = np.empty((B, kk, H, W)) if w_grad else None
-        go = np.empty((B, 2 * kk, H, W)) if o_grad else None
+        gw, go = [], []         # per tap the gradient of its weight, of its dy and dx
         for t in range(kk):
             if w_grad:
-                gw[:, t] = (g * samples[t]).sum(axis=1)
-            if not (x_grad or o_grad):
+                s, samples[t] = samples[t], None
+                gw.append((g * s).sum(axis=1))
+                del s
+            if not reweigh:
                 continue
-            gs = g * wd[:, t:t + 1]                  # the gradient of tap t's samples
+            gs = g * weight(t)                  # the gradient of tap t's samples
             if o_grad:
-                go[:, 2 * t] = (gs * dty[t]).sum(axis=1) * ymask[t]
-                go[:, 2 * t + 1] = (gs * dtx[t]).sum(axis=1) * xmask[t]
+                (sy, sx, ymask, xmask), slopes[t] = slopes[t], None
+                go.append((gs * sy).sum(axis=1) * ymask)
+                go.append((gs * sx).sum(axis=1) * xmask)
+                del sy, sx, ymask, xmask
             if x_grad:
-                _scatter_corners(gx, gs, _corners(*tap_coords(t), H, W))
-        return gx, gw, go
+                _scatter_corners(gx, gs, _corners(*coords(t), H, W))
+        mean = samples = slopes = gs = None
+        gog = got = gwg = gwt = None
+        if og_grad:
+            gog = _factor_grad(go, otd, r, consume=not ot_grad)
+        otd = None
+        if ot_grad:
+            got = _factor_grad(go, ogd, r, consume=True)
+        ogd = None
+        if w_grad:
+            # the tap mean's gradient: the taps' sum in tap order, over k*k
+            total = gw[0].copy()
+            for p in gw[1:]:
+                total += p
+            total /= kk
+            for p in gw:
+                p -= total
+            del p, total
+        if wg_grad:
+            gwg = _factor_grad(gw, wtd, r, consume=not wt_grad)
+        wtd = None
+        if wt_grad:
+            gwt = _factor_grad(gw, wgd, r, consume=True)
+        wgd = None
+        return gx, gwg, gwt, gog, got
 
-    return record("bilinear_sample", (x, weights, offsets), out, backward)
+    return record("bilinear_sample", inputs, out, backward)

@@ -205,17 +205,6 @@ def sub(a, b):
                              None if sb is None else unbroadcast(-g, sb)))
 
 
-def mul(a, b):
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    sa, sb = _grad_shape(a), _grad_shape(b)
-    # each gradient reads the other operand
-    bd = None if sa is None else b.data
-    ad = None if sb is None else a.data
-    return record("mul", (a, b), _binary_data(a, b, np.multiply),
-                  lambda g: (None if sa is None else unbroadcast(g * bd, sa),
-                             None if sb is None else unbroadcast(g * ad, sb)))
-
-
 def sigmoid(a):
     a = ensure_tensor(a)
     # stable in both tails

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 
-from dmsr.ops import conv2d, depthwise_conv2d, layer_norm
+from dmsr.ops import (_bilinear, _corners, _in_range, _scatter_corners, conv2d,
+                      depthwise_conv2d, layer_norm, pixel_shuffle)
 from dmsr.tensor import (ShapeError, Tape, Tensor, add, ensure_tensor, gelu_cdf, gelu_slope,
-                         matmul, mul, record, tmean, transpose)
+                         matmul, record, sub, tmean, transpose, unbroadcast)
 
 
 def numeric_grad(fn, tensor, idx, eps=1e-4):
@@ -43,6 +44,25 @@ def check_gradients(build, leaves, rel_tol=1e-4, n_coords=6, seed=0):
             worst = max(worst, err)
     assert worst < rel_tol, f"gradient mismatch: rel err {worst:.3e} >= {rel_tol}"
     return worst
+
+
+def mul(a, b):
+    """a * b, numpy-broadcast, as one "mul" node: the product dmsr.tensor
+    recorded until the joint filter took the kernel field's factors, kept
+    for the tests' losses and reference chains."""
+    a, b = ensure_tensor(a), ensure_tensor(b)
+    try:
+        out = np.multiply(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"shapes {a.shape} and {b.shape} are not broadcastable")
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
+    # each gradient reads the other operand
+    bd = None if sa is None else b.data
+    ad = None if sb is None else a.data
+    return record("mul", (a, b), out,
+                  lambda g: (None if sa is None else unbroadcast(g * bd, sa),
+                             None if sb is None else unbroadcast(g * ad, sb)))
 
 
 def tsum(a):
@@ -239,3 +259,78 @@ def linear(x, weight, bias=None):
 def mlp_chain(mlp, x):
     """dmsr.swin.Mlp.forward as the 5-node chain it recorded."""
     return linear(gelu(linear(x, mlp.fc1_w, mlp.fc1_b)), mlp.fc2_w, mlp.fc2_b)
+
+
+# The kernel field's tail before the joint filter took the heads' factors:
+# the weight factors' product stitched to full resolution and normalised over
+# the taps (4 nodes), the offset factors' product stitched (2 nodes), and the
+# filter over that full-resolution field: the reference for the factor-form
+# ops.joint_filter.
+
+
+def reference_field(w_guide, w_target, o_guide, o_target, k, r):
+    """The full-resolution (weights, offsets) of the factors, as 6 nodes."""
+    p = pixel_shuffle(mul(w_guide, w_target), r)
+    p = sub(p, tmean(p, axis=1, keepdims=True))
+    return add(p, 1.0 / (k * k)), pixel_shuffle(mul(o_guide, o_target), r)
+
+
+def reference_joint_filter(x, weights, offsets, k):
+    """ops.joint_filter over a full-resolution field, weights (B, k*k, H, W)
+    and offsets (B, 2*k*k, H, W), as one "bilinear_sample" node."""
+    x, weights, offsets = ensure_tensor(x), ensure_tensor(weights), ensure_tensor(offsets)
+    B, C, H, W = x.shape
+    kk = k * k
+    x_grad, w_grad, o_grad = x.requires_grad, weights.requires_grad, offsets.requires_grad
+    wd, od = weights.data, offsets.data
+    rows, cols = np.arange(H)[:, None] - k // 2, np.arange(W) - k // 2
+
+    def tap_coords(t):
+        """Tap t's raw (B, H, W) sampling coordinates (y, x)."""
+        dy, dx = divmod(t, k)
+        return od[:, 2 * t] + (rows + dy), od[:, 2 * t + 1] + (cols + dx)
+
+    samples = np.empty((kk, B, C, H, W)) if w_grad else None
+    dty = dtx = ymask = xmask = None
+    if o_grad:
+        dty, dtx = np.empty((2, kk, B, C, H, W))
+        ymask, xmask = np.empty((2, kk, B, H, W), dtype=bool)
+    out = None
+    for t in range(kk):
+        cy_raw, cx_raw = tap_coords(t)
+        s, sy, sx = _bilinear(x.data, _corners(cy_raw, cx_raw, H, W), o_grad)
+        term = wd[:, t:t + 1] * s
+        if out is None:
+            out = term
+        else:
+            out += term
+        if w_grad:
+            samples[t] = s
+        if o_grad:
+            dty[t], dtx[t] = sy, sx
+            ymask[t], xmask[t] = _in_range(cy_raw, cx_raw, H, W)
+
+    # the backward keeps only what the gradients it computes read
+    if not x_grad:
+        od = None
+    if not (x_grad or o_grad):
+        wd = None
+
+    def backward(g):
+        gx = np.zeros((B, C, H, W)) if x_grad else None
+        gw = np.empty((B, kk, H, W)) if w_grad else None
+        go = np.empty((B, 2 * kk, H, W)) if o_grad else None
+        for t in range(kk):
+            if w_grad:
+                gw[:, t] = (g * samples[t]).sum(axis=1)
+            if not (x_grad or o_grad):
+                continue
+            gs = g * wd[:, t:t + 1]                  # the gradient of tap t's samples
+            if o_grad:
+                go[:, 2 * t] = (gs * dty[t]).sum(axis=1) * ymask[t]
+                go[:, 2 * t + 1] = (gs * dtx[t]).sum(axis=1) * xmask[t]
+            if x_grad:
+                _scatter_corners(gx, gs, _corners(*tap_coords(t), H, W))
+        return gx, gw, go
+
+    return record("bilinear_sample", (x, weights, offsets), out, backward)

@@ -17,14 +17,14 @@ from dmsr import tensor as T
 from dmsr.data import (DatasetSplit, bicubic_resize, synth_split)
 from dmsr.imageio import load_pfm, load_pgm16, save_pfm, save_pgm16
 from dmsr.model import (DmsrModel, KernelField, ModelConfig, apply_joint_filter,
-                        combine_weights, identity_field)
+                        combine_offsets, combine_weights, identity_field)
 from dmsr.ops import (AttentionParams, bilinear_sample, conv2d, layer_norm,
                       multi_head_attention, pixel_shuffle, pixel_unshuffle,
                       window_merge, window_partition)
 from dmsr.tensor import Tensor
 from dmsr.train import Adam, evaluate, psnr, train_epochs
 
-from helpers import check_gradients, gelu, naf_block_chain, weighted_sum_loss
+from helpers import check_gradients, gelu, mul, naf_block_chain, weighted_sum_loss
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,
             k=3, scale=4)
@@ -54,7 +54,7 @@ def test_criterion_1_gradient_suite():
 
     x = Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
     y = Tensor(rng.uniform(0.5, 2.0, (4,)), requires_grad=True)
-    for fn in (T.add, T.sub, T.mul):
+    for fn in (T.add, T.sub, mul):
         check_gradients(lambda: weighted_sum_loss(fn(x, y)), [x, y], n_coords=4)
     for fn in (T.sigmoid, T.absolute, gelu):
         check_gradients(lambda: weighted_sum_loss(fn(x)), [x], n_coords=4)
@@ -103,19 +103,21 @@ def test_criterion_1_gradient_suite():
     check_gradients(lambda: weighted_sum_loss(nb.forward(xn)),
                     [xn] + nb.parameters(), n_coords=2)
 
-    wg = Tensor(rng.uniform(-2, 2, (1, 9 * 16, 2, 2)), requires_grad=True)
-    wt = Tensor(rng.uniform(-2, 2, (1, 9 * 16, 2, 2)), requires_grad=True)
-    check_gradients(lambda: weighted_sum_loss(combine_weights(wg, wt, 3)),
-                    [wg, wt], n_coords=5)
-
-    tu = Tensor(rng.random((1, 1, 5, 5)), requires_grad=True)
-    wf = Tensor(rng.uniform(0, 1, (1, 9, 5, 5)), requires_grad=True)
-    mag = rng.uniform(0.2, 0.45, (1, 18, 5, 5))
-    of = Tensor(mag * np.where(rng.random((1, 18, 5, 5)) < 0.5, -1, 1),
+    # the factor-form joint filter at r = 2: the raw weight tensors through
+    # combine_weights' sigmoids, each tap's weight normalised over the taps,
+    # each displacement a product of offset factors (0.16 to 0.45 pixels,
+    # clear of the bilinear kernel's kinks)
+    wg = Tensor(rng.uniform(-2, 2, (1, 9 * 4, 3, 3)), requires_grad=True)
+    wt = Tensor(rng.uniform(-2, 2, (1, 9 * 4, 3, 3)), requires_grad=True)
+    tu = Tensor(rng.random((1, 1, 6, 6)), requires_grad=True)
+    mag = rng.uniform(0.2, 0.45, (1, 18 * 4, 3, 3))
+    og = Tensor(mag * np.where(rng.random((1, 18 * 4, 3, 3)) < 0.5, -1, 1),
                 requires_grad=True)
+    ot = Tensor(rng.uniform(0.8, 1.0, (1, 18 * 4, 3, 3)), requires_grad=True)
     check_gradients(
-        lambda: weighted_sum_loss(apply_joint_filter(tu, KernelField(wf, of), 3)),
-        [tu, wf, of], rel_tol=1e-3, n_coords=5)
+        lambda: weighted_sum_loss(apply_joint_filter(
+            tu, KernelField(*combine_weights(wg, wt, 3, 2), og, ot, 2), 3)),
+        [tu, wg, wt, og, ot], rel_tol=1e-3, n_coords=5)
 
     # full pipeline at 16x16, tiny config, both backbones
     for backbone in ("swin", "naf"):
@@ -145,7 +147,9 @@ def test_criterion_2_weight_normalization():
         h, w = rng.integers(1, 5), rng.integers(1, 5)
         wg = Tensor(rng.uniform(-4, 4, (1, 9 * 16, h, w)))
         wt = Tensor(rng.uniform(-4, 4, (1, 9 * 16, h, w)))
-        sums = combine_weights(wg, wt, 3).data.sum(axis=1)
+        zero = Tensor(np.zeros((1, 18 * 16, h, w)))
+        field = KernelField(*combine_weights(wg, wt, 3), *combine_offsets(zero, zero, 3), 4)
+        sums = field.weights.data.sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-6
 
 

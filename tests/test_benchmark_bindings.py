@@ -55,6 +55,10 @@ def test_tracer_binds_attention_and_restores_every_original(monkeypatch):
     assert {"ops.multi_head_attention", "ops.bwd.multi_head_attention"} <= names
     # the MLP node records through tensor.record, which the tracer wraps
     assert "tensor.bwd.mlp" in names
+    # the kernel field's stages: combine_weights and combine_offsets (the
+    # sigmoids), apply_joint_filter, and the filter node's backward, which
+    # records through ops.record
+    assert {"model.combine", "model.joint_filter", "ops.bwd.bilinear_sample"} <= names
 
 
 def test_tracer_binds_the_naf_block_and_restores_every_original(monkeypatch):
@@ -63,3 +67,4 @@ def test_tracer_binds_the_naf_block_and_restores_every_original(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     names = _traced_step(ModelConfig(backbone="naf", embed_dim=8, num_blocks=1, k=3, scale=4))
     assert {"naf.block", "tensor.bwd.naf_block", "ops.conv2d"} <= names
+    assert {"model.combine", "model.joint_filter", "ops.bwd.bilinear_sample"} <= names

@@ -466,6 +466,14 @@ def _eval_manifest_repeating_an_id(tmp_path, trained):
     return ["eval", trained, str(manifest)]
 
 
+def _eval_manifest_naming_the_guidance_as_depth(tmp_path, trained):
+    assert main(["synth", "1", "--height", "32", "--width", "32",
+                 "--out", str(tmp_path / "data")]) == 0
+    manifest = tmp_path / "data" / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("_depth.pgm", "_rgb.ppm"))
+    return ["eval", trained, str(manifest)]
+
+
 def _eval_manifest_naming_a_directory(tmp_path, trained):
     (tmp_path / "m.txt").write_text("p0 . .\n")    # paths relative to tmp_path
     return ["eval", trained, str(tmp_path / "m.txt")]
@@ -573,6 +581,10 @@ BAD_INPUTS = [
      None, 3, "error: data:", "checkpoint"),
     ("depth-negative-width", _infer_with_depth_header(b"P5 -4 4 65535\n"), None, 3,
      "error: data:", "bad width b'-4' (byte 3)"),
+    ("depth-bad-width-names-the-file", _infer_with_depth_header(b"P5 -4 4 65535\n"), None,
+     3, "error: data:", "d.pgm: bad width b'-4' (byte 3)"),
+    ("manifest-depth-is-a-ppm", _eval_manifest_naming_the_guidance_as_depth, None, 3,
+     "error: data:", "scene000_rgb.ppm: expected magic P5, got b'P6' (byte 0)"),
     ("guidance-is-directory",
      lambda tmp_path, trained: ["infer", trained, str(tmp_path), str(tmp_path),
                                 "--out", str(tmp_path / "sr.pfm")],

@@ -9,16 +9,35 @@ import pytest
 from dmsr.model import (DmsrModel, KernelField, ModelConfig, apply_joint_filter,
                         combine_offsets, combine_weights, identity_field,
                         upsample_lr)
-from dmsr.ops import bilinear_sample, pixel_shuffle
-from dmsr.tensor import GradHandle, Tape, Tensor, ShapeError, add, mul, rearrange
+from dmsr.ops import bilinear_sample, joint_filter, pixel_shuffle
+from dmsr.tensor import GradHandle, Tape, Tensor, ShapeError, add, rearrange
 from dmsr.data import DatasetSplit, ScenePair
 from dmsr.train import Adam, l1_loss, train_epochs
 
-from helpers import (check_gradients, closure_reach, held_arrays, reference_backward,
-                     slice_axis, weighted_sum_loss)
+from helpers import (check_gradients, closure_reach, held_arrays, mul, reference_backward,
+                     reference_field, reference_joint_filter, slice_axis, weighted_sum_loss)
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,
             k=3, scale=4)
+
+
+def _weight_field(wg, wt, k=3, r=4):
+    """The field of raw weight tensors wg and wt, with zero offsets."""
+    z = Tensor(np.zeros((wg.shape[0], 2 * wg.shape[1], *wg.shape[2:])))
+    return KernelField(*combine_weights(wg, wt, k, r), *combine_offsets(z, z, k, r), r)
+
+
+def _offset_field(og, ot, k=3, r=4):
+    """The field of raw offset tensors og and ot, with zero raw weights."""
+    z = Tensor(np.zeros((og.shape[0], og.shape[1] // 2, *og.shape[2:])))
+    return KernelField(*combine_weights(z, z, k, r), *combine_offsets(og, ot, k, r), r)
+
+
+def full_field(weights, offsets):
+    """A field at r = 1 whose full-resolution weights (taps summing to one)
+    and offsets are the given arrays: each a factor times ones."""
+    return KernelField(Tensor(weights), Tensor(np.ones(weights.shape)),
+                       Tensor(offsets), Tensor(np.ones(offsets.shape)), 1)
 
 
 def test_combine_weights_sums_to_one():
@@ -26,22 +45,19 @@ def test_combine_weights_sums_to_one():
     for _ in range(20):
         wg = Tensor(rng.uniform(-3, 3, (1, 9 * 16, 4, 4)))
         wt = Tensor(rng.uniform(-3, 3, (1, 9 * 16, 4, 4)))
-        w = combine_weights(wg, wt, 3)
-        sums = w.data.sum(axis=1)
+        sums = _weight_field(wg, wt).weights.data.sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-6
 
 
 def test_combine_weights_zero_inputs_give_uniform_kernel():
     z = Tensor(np.zeros((1, 9 * 16, 2, 2)))
-    w = combine_weights(z, z, 3)
-    np.testing.assert_allclose(w.data, 1.0 / 9.0, atol=1e-12)
+    np.testing.assert_allclose(_weight_field(z, z).weights.data, 1.0 / 9.0, atol=1e-12)
 
 
 def test_combine_weights_output_is_4x_resolution():
     rng = np.random.default_rng(1)
     wg = Tensor(rng.random((2, 9 * 16, 3, 5)))
-    w = combine_weights(wg, wg, 3)
-    assert w.shape == (2, 9, 12, 20)
+    assert _weight_field(wg, wg).weights.shape == (2, 9, 12, 20)
 
 
 def test_combine_weights_channel_mismatch():
@@ -54,7 +70,7 @@ def test_combine_offsets_multiplicative_identity():
     rng = np.random.default_rng(2)
     ot = Tensor(rng.uniform(-2, 2, (1, 18 * 16, 3, 3)))
     ones = Tensor(np.ones((1, 18 * 16, 3, 3)))
-    got = combine_offsets(ones, ot, 3)
+    got = _offset_field(ones, ot).offsets
     want = pixel_shuffle(ot, 4)
     np.testing.assert_array_equal(got.data, want.data)
     assert got.shape == (1, 18, 12, 12)
@@ -64,7 +80,7 @@ def test_combine_offsets_zero_guide_collapses_to_grid():
     rng = np.random.default_rng(3)
     ot = Tensor(rng.uniform(-2, 2, (1, 18 * 16, 2, 2)))
     zero = Tensor(np.zeros((1, 18 * 16, 2, 2)))
-    np.testing.assert_allclose(combine_offsets(zero, ot, 3).data, 0.0)
+    np.testing.assert_allclose(_offset_field(zero, ot).offsets.data, 0.0)
 
 
 def naive_joint_filter(target, weights, k):
@@ -88,9 +104,8 @@ def naive_joint_filter(target, weights, k):
 def test_apply_joint_filter_uniform_on_constant():
     c = 0.37
     target = Tensor(np.full((1, 1, 6, 6), c))
-    w = Tensor(np.full((1, 9, 6, 6), 1.0 / 9.0))
-    o = Tensor(np.zeros((1, 18, 6, 6)))
-    out = apply_joint_filter(target, KernelField(w, o), 3)
+    field = full_field(np.full((1, 9, 6, 6), 1.0 / 9.0), np.zeros((1, 18, 6, 6)))
+    out = apply_joint_filter(target, field, 3)
     np.testing.assert_allclose(out.data, c, atol=1e-12)
 
 
@@ -101,13 +116,30 @@ def test_apply_joint_filter_delta_kernel_identity():
     assert np.abs(out.data - target.data).max() < 1e-6
 
 
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_identity_field_reproduces_the_target_exactly(k):
+    rng = np.random.default_rng(21)
+    target = Tensor(rng.random((2, 1, 9, 8)))
+    field = identity_field(2, 9, 8, k)
+    want = np.zeros((2, k * k, 9, 8))
+    want[:, k * k // 2] = 1.0
+    # factor form at r = 1: the one-hot weight factor times ones, whose
+    # normalised taps are exactly the one-hot again
+    assert field.r == 1 and field.w_guide.data.tobytes() == want.tobytes()
+    assert (field.w_target.data == 1).all() and (field.o_target.data == 1).all()
+    assert field.weights.data.tobytes() == want.tobytes()
+    assert not field.offsets.data.any()
+    out = apply_joint_filter(target, field, k)
+    assert out.data.tobytes() == target.data.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_apply_joint_filter_matches_naive_oracle(k):
     rng = np.random.default_rng(5)
     target = rng.random((1, 1, 6, 6))
     raw = rng.uniform(0, 1, (1, k * k, 6, 6))
     weights = raw - raw.mean(axis=1, keepdims=True) + 1.0 / (k * k)
-    field = KernelField(Tensor(weights), Tensor(np.zeros((1, 2 * k * k, 6, 6))))
+    field = full_field(weights, np.zeros((1, 2 * k * k, 6, 6)))
     got = apply_joint_filter(Tensor(target), field, k).data
     want = naive_joint_filter(target, weights, k)
     assert np.abs(got - want).max() < 1e-10
@@ -117,8 +149,7 @@ def test_apply_joint_filter_nonnegative_weights_stay_in_range():
     rng = np.random.default_rng(6)
     target = rng.random((1, 1, 8, 8))
     raw = rng.uniform(0.1, 1.0, (1, 9, 8, 8))
-    weights = raw / raw.sum(axis=1, keepdims=True)
-    field = KernelField(Tensor(weights), Tensor(np.zeros((1, 18, 8, 8))))
+    field = full_field(raw / raw.sum(axis=1, keepdims=True), np.zeros((1, 18, 8, 8)))
     out = apply_joint_filter(Tensor(target), field, 3).data
     assert out.min() >= target.min() - 1e-12
     assert out.max() <= target.max() + 1e-12
@@ -131,96 +162,143 @@ def test_apply_joint_filter_offsets_shift_sampling():
     w[:, 4] = 1.0
     o = np.zeros((1, 18, 4, 4))
     o[:, 9] = 1.0  # center tap dx
-    out = apply_joint_filter(Tensor(target), KernelField(Tensor(w), Tensor(o)), 3)
+    out = apply_joint_filter(Tensor(target), full_field(w, o), 3)
     np.testing.assert_allclose(out.data[0, 0, :, :-1], target[0, 0, :, 1:], atol=1e-12)
 
 
+def _factors(rng, B, k, r, h, w, grads=(True,) * 4):
+    """Random weight factors in (0, 1), as a sigmoid gives them, and offset
+    factors whose product reaches past the border, so some taps clamp."""
+    kk, n = k * k, r * r
+    return (Tensor(rng.uniform(0, 1, (B, kk * n, h, w)), requires_grad=grads[0]),
+            Tensor(rng.uniform(0, 1, (B, kk * n, h, w)), requires_grad=grads[1]),
+            Tensor(rng.uniform(-3, 3, (B, 2 * kk * n, h, w)), requires_grad=grads[2]),
+            Tensor(rng.uniform(-1.5, 1.5, (B, 2 * kk * n, h, w)), requires_grad=grads[3]))
+
+
 def per_tap_joint_filter(target, field, k):
-    """One bilinear_sample per tap, the terms added in tap order: the
-    reference apply_joint_filter must reproduce exactly."""
+    """The field at full resolution through the reference chain, then one
+    bilinear_sample per tap, the terms added in tap order: the reference
+    apply_joint_filter must reproduce exactly."""
+    weights, offsets = reference_field(field.w_guide, field.w_target, field.o_guide,
+                                       field.o_target, k, field.r)
     B, _, H, W = target.shape
     grid = np.stack(np.meshgrid(np.arange(H, dtype=np.float64),
                                 np.arange(W, dtype=np.float64), indexing="ij"), axis=-1)
     out = None
     for tap in range(k * k):
         dy, dx = tap // k - k // 2, tap % k - k // 2
-        offset = slice_axis(field.offsets, 1, 2 * tap, 2 * tap + 2)       # (B, 2, H, W)
+        offset = slice_axis(offsets, 1, 2 * tap, 2 * tap + 2)       # (B, 2, H, W)
         coords = add(rearrange(offset, offset.shape, (0, 2, 3, 1)),
                      Tensor(grid + np.array([dy, dx], dtype=np.float64)))
-        term = mul(slice_axis(field.weights, 1, tap, tap + 1), bilinear_sample(target, coords))
+        term = mul(slice_axis(weights, 1, tap, tap + 1), bilinear_sample(target, coords))
         out = term if out is None else add(out, term)
     return out
+
+
+def _filter_and_factor_grads(fn, target, factors, k, r):
+    with Tape() as tape:
+        out = fn(target, KernelField(*factors, r), k)
+        grads = tape.backward(weighted_sum_loss(out))
+    return [out.data] + [grads[f] for f in factors]
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_apply_joint_filter_matches_per_tap_loop_exactly(k):
     rng = np.random.default_rng(10)
-    target = Tensor(rng.random((2, 1, 6, 7)))          # constant, as in DmsrModel
-    w = Tensor(rng.uniform(0, 1, (2, k * k, 6, 7)), requires_grad=True)
-    o = Tensor(rng.uniform(-3, 3, (2, 2 * k * k, 6, 7)), requires_grad=True)  # some clamp
-    results = []
-    for fn in (apply_joint_filter, per_tap_joint_filter):
-        with Tape() as tape:
-            out = fn(target, KernelField(w, o), k)
-            grads = tape.backward(weighted_sum_loss(out))
-        results.append((out.data, grads[w], grads[o]))
-    for got, want in zip(*results):
-        np.testing.assert_array_equal(got, want)
+    target = Tensor(rng.random((2, 1, 6, 8)))          # constant, as in DmsrModel
+    factors = _factors(rng, 2, k, 2, 3, 4)
+    got, want = (_filter_and_factor_grads(fn, target, factors, k, 2)
+                 for fn in (apply_joint_filter, per_tap_joint_filter))
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_apply_joint_filter_matches_per_tap_loop_over_channels():
     # C > 1: each tap's weight and offset gradients sum over the channels
     rng = np.random.default_rng(11)
-    target = Tensor(rng.random((2, 3, 5, 6)))
-    w = Tensor(rng.uniform(0, 1, (2, 9, 5, 6)), requires_grad=True)
-    o = Tensor(rng.uniform(-3, 3, (2, 18, 5, 6)), requires_grad=True)
+    target = Tensor(rng.random((2, 3, 4, 6)))
+    factors = _factors(rng, 2, 3, 2, 2, 3)
+    got, want = (_filter_and_factor_grads(fn, target, factors, 3, 2)
+                 for fn in (apply_joint_filter, per_tap_joint_filter))
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("constant", [None, 0, 1, 2, 3, 4],
+                         ids=["all-live", "target", "w-guide", "w-target", "o-guide",
+                              "o-target"])
+def test_joint_filter_node_is_byte_equal_to_the_old_tail(k, constant):
+    # the old tail: the full-resolution field as 6 nodes, then the filter
+    # over it; the node forms each tap's planes from the factors instead
+    rng = np.random.default_rng(22)
+    live = [i != constant for i in range(5)]
+    target = Tensor(rng.random((2, 2, 6, 4)), requires_grad=live[0])
+    factors = _factors(rng, 2, k, 2, 3, 2, live[1:])
+    inputs = (target, *factors)
     results = []
-    for fn in (apply_joint_filter, per_tap_joint_filter):
+    for fn in (lambda: joint_filter(*inputs, k, 2),
+               lambda: reference_joint_filter(target, *reference_field(*factors, k, 2), k)):
         with Tape() as tape:
-            out = fn(target, KernelField(w, o), 3)
+            out = fn()
             grads = tape.backward(weighted_sum_loss(out))
-        results.append((out.data, grads[w], grads[o]))
-    for got, want in zip(*results):
-        np.testing.assert_array_equal(got, want)
+        results.append([out.data] + [grads.get(t) for t in inputs])
+    for i, (got, want) in enumerate(zip(*results)):
+        if i and not live[i - 1]:
+            assert got is None and want is None
+        else:
+            assert got.tobytes() == want.tobytes(), i
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_apply_joint_filter_gradients(k):
     rng = np.random.default_rng(7)
-    target = Tensor(rng.random((1, 1, 5, 5)), requires_grad=True)
-    w = Tensor(rng.uniform(0, 1, (1, k * k, 5, 5)), requires_grad=True)
-    # keep sampling positions clear of the bilinear kernel's integer kinks
-    mag = rng.uniform(0.2, 0.45, (1, 2 * k * k, 5, 5))
-    sign = np.where(rng.random((1, 2 * k * k, 5, 5)) < 0.5, -1.0, 1.0)
-    o = Tensor(mag * sign, requires_grad=True)
+    target = Tensor(rng.random((1, 1, 6, 6)), requires_grad=True)
+    wg, wt, _, _ = _factors(rng, 1, k, 2, 3, 3)
+    # keep sampling positions clear of the bilinear kernel's integer kinks:
+    # each displacement og * ot is 0.16 to 0.48 pixels, either way
+    shape = (1, 2 * k * k * 4, 3, 3)
+    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    og = Tensor(rng.uniform(0.2, 0.4, shape) * sign, requires_grad=True)
+    ot = Tensor(rng.uniform(0.8, 1.2, shape), requires_grad=True)
     check_gradients(
-        lambda: weighted_sum_loss(apply_joint_filter(target, KernelField(w, o), k)),
-        [target, w, o], rel_tol=1e-3, n_coords=6)
+        lambda: weighted_sum_loss(apply_joint_filter(target, KernelField(wg, wt, og, ot, 2), k)),
+        [target, wg, wt, og, ot], rel_tol=1e-3, n_coords=6)
 
 
 def test_apply_joint_filter_tape_does_not_grow_with_k():
     # all taps go through one joint_filter node, recorded as bilinear_sample
     rng = np.random.default_rng(9)
-    target = Tensor(rng.random((1, 1, 5, 5)))
+    target = Tensor(rng.random((1, 1, 6, 6)))
     for k in (1, 3, 5):
-        w = Tensor(rng.uniform(0, 1, (1, k * k, 5, 5)), requires_grad=True)
-        o = Tensor(rng.uniform(-1, 1, (1, 2 * k * k, 5, 5)), requires_grad=True)
         with Tape() as tape:
-            apply_joint_filter(target, KernelField(w, o), k)
+            apply_joint_filter(target, KernelField(*_factors(rng, 1, k, 2, 3, 3), 2), k)
         assert [node.op for node in tape.nodes] == ["bilinear_sample"], k
 
 
+def test_joint_filter_backward_runs_once():
+    rng = np.random.default_rng(23)
+    target = Tensor(rng.random((1, 1, 4, 4)), requires_grad=True)
+    with Tape() as tape:
+        out = apply_joint_filter(target, KernelField(*_factors(rng, 1, 3, 2, 2, 2), 2), 3)
+    (node,) = tape.nodes
+    node.backward(np.ones(out.shape))
+    with pytest.raises(RuntimeError):
+        node.backward(np.ones(out.shape))
+
+
 def _joint_filter_at_benchmark_size(weights_grad, offsets_grad):
-    """The fused joint-filter node at (1, 1, 128, 128), k=3, the target
+    """The joint-filter node at (1, 1, 128, 128), k=3, r=4, the target
     constant: (its node, the forward's tracemalloc peak in MB)."""
     rng = np.random.default_rng(16)
     target = Tensor(rng.random((1, 1, 128, 128)))
-    w = Tensor(rng.uniform(0, 1, (1, 9, 128, 128)), requires_grad=weights_grad)
-    o = Tensor(rng.uniform(-3, 3, (1, 18, 128, 128)), requires_grad=offsets_grad)
+    grads = (weights_grad,) * 2 + (offsets_grad,) * 2
+    factors = _factors(rng, 1, 3, 4, 32, 32, grads)
     tracemalloc.start()
     try:
         with Tape() as tape:
-            apply_joint_filter(target, KernelField(w, o), 3)
+            apply_joint_filter(target, KernelField(*factors, 4), 3)
         peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
@@ -228,18 +306,22 @@ def _joint_filter_at_benchmark_size(weights_grad, offsets_grad):
     return node, peak
 
 
-# per tap, (1, 1, 128, 128) float64 arrays and (1, 128, 128) bool masks
+# per tap, (1, 1, 128, 128) float64 arrays and (1, 128, 128) bool masks; a
+# weight factor is 9 of them, an offset factor 18 and the tap mean 1
 TAP_ARRAY, TAP_MASK = 128 * 128 * 8, 128 * 128
 
 
 @pytest.mark.parametrize("weights_grad,offsets_grad,floats,masks",
-                         [(True, True, 9 + 9 + 18, 18), (True, False, 9, 0),
-                          (False, True, 9 + 18, 18)],
+                         [(True, True, 9 + 9 + 18 + 18 + 1 + 9 + 18, 18),
+                          (True, False, 9 + 9 + 9, 0),
+                          (False, True, 9 + 9 + 18 + 18 + 1 + 18, 18)],
                          ids=["weights-and-offsets", "weights-only", "offsets-only"])
 def test_joint_filter_node_holds_only_what_its_backward_reads(weights_grad, offsets_grad,
                                                               floats, masks):
-    # weights: the samples of each tap; offsets: the weights, each tap's slopes
-    # along y and x and its two clamp masks; never the target or the offsets
+    # weights: both weight factors (each reads the other) and each tap's
+    # samples; offsets: the weight factors and the tap mean, which form each
+    # tap's weight again, both offset factors, each tap's slopes along y and
+    # x and its two clamp masks; never the target
     node, _ = _joint_filter_at_benchmark_size(weights_grad, offsets_grad)
     reached = closure_reach(node.backward)
     assert not [obj for obj in reached if isinstance(obj, Tensor)]
@@ -249,9 +331,23 @@ def test_joint_filter_node_holds_only_what_its_backward_reads(weights_grad, offs
     assert all(a.dtype in (np.float64, bool) for a in held)
 
 
+def test_joint_filter_node_keeps_no_full_resolution_field():
+    # each tap's samples, slopes and masks are arrays of their own, and one
+    # backward leaves none of them, nor any factor, behind
+    node, _ = _joint_filter_at_benchmark_size(True, True)
+    held = held_arrays(closure_reach(node.backward))
+    assert not [a for a in held if a.shape in ((1, 9, 128, 128), (1, 18, 128, 128))]
+    assert not [a for a in held if a.ndim and a.shape[0] == 9]          # stacked taps
+    per_tap = [a for a in held if a.size == 128 * 128]
+    assert len(per_tap) == 9 + 18 + 18 + 1             # samples, slopes, masks, the mean
+    node.backward(np.ones((1, 1, 128, 128)))
+    assert not [a for a in held_arrays(closure_reach(node.backward)) if a.size > 128]
+
+
 def test_joint_filter_forward_peak_is_bounded():
-    # 6.7 MB: the 5.0 MB the backward keeps, the output and one tap's
-    # temporaries. Sampling all taps in one batched call peaked at 26.0 MB.
+    # 6.3 MB: the 4.0 MB of per-tap arrays and tap mean the backward keeps,
+    # the output and one tap's temporaries. Sampling all taps in one batched
+    # call peaked at 26.0 MB.
     _, peak = _joint_filter_at_benchmark_size(True, True)
     assert peak <= 8, f"{peak:.1f} MB > 8 MB"
 
@@ -278,10 +374,12 @@ def _record_loss(model, guidance, depth_lr, depth_hr):
 # each of swin's 16 calls. combine_weights shuffles before it normalises, so
 # its two reshapes went. Each NAF block is one node: 20 became 1 in each of
 # naf's 12 blocks. Each swin MLP is one node: 5 became 1 in each of its 16.
+# The joint filter takes the heads' factors: the 8 nodes from the sigmoids to
+# the filter became 1.
 @pytest.mark.parametrize("backbone,size,position_bias,nodes",
-                         [("swin", 64, False, 187), ("swin", 64, True, 187),
-                          ("naf", 128, False, 35)],
-                         ids=["swin-64-187", "swin-64-position-bias-187", "naf-128-35"])
+                         [("swin", 64, False, 180), ("swin", 64, True, 180),
+                          ("naf", 128, False, 28)],
+                         ids=["swin-64", "swin-64-position-bias", "naf-128"])
 def test_training_step_tape_size_is_pinned(backbone, size, position_bias, nodes):
     tape, _ = _record_loss(*_training_step_inputs(backbone, size, position_bias))
     assert len(tape.nodes) == nodes
@@ -305,7 +403,7 @@ def test_training_step_saved_arrays_are_pinned(backbone, size, bound_mb):
     assert held <= bound_mb, f"{held:.1f} MB > {bound_mb} MB"
 
 
-@pytest.fixture(scope="module", params=[("swin", 64, 17), ("naf", 128, 35)],
+@pytest.fixture(scope="module", params=[("swin", 64, 15.5), ("naf", 128, 30)],
                 ids=["swin-64", "naf-128"])
 def training_step(request):
     """One step, forward and backward, under tracemalloc: (its inputs, leaf
@@ -333,7 +431,8 @@ def test_training_step_peak_memory_is_bounded(training_step):
     # the joint filter sampled tap by tap, 28.9 and 75.7; with each NAF block
     # one node, naf 39.9; with the sweep freeing each node as it runs it, the
     # step peaks in its forward, at 21.5 and 32.7; with attention rebuilding its
-    # projections and each swin MLP one node, swin 15.1
+    # projections and each swin MLP one node, swin 15.1; with the joint filter
+    # forming each tap's weight and offsets from the heads' factors, 14.2 and 28.5
     *_, forward_peak, sweep_peak, bound_mb = training_step
     peak = max(forward_peak, sweep_peak)
     assert peak <= bound_mb, f"{peak:.1f} MB > {bound_mb} MB"

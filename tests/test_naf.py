@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from dmsr.naf import NafBackbone, NafBlock, ScaParams
-from dmsr.tensor import Tensor, Tape, ShapeError, mul
+from dmsr.tensor import Tensor, Tape, ShapeError
 
-from helpers import (check_gradients, closure_reach, held_arrays, naf_block_chain, sca,
+from helpers import (check_gradients, closure_reach, held_arrays, mul, naf_block_chain, sca,
                      simple_gate, slice_axis, weighted_sum_loss)
 
 ACTIVATION_OPS = {"gelu", "sigmoid", "tanh", "softmax", "relu", "erf", "exp"}

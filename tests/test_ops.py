@@ -1,14 +1,16 @@
 """nn ops: conv, layer norm, windowing, attention, shuffling, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dmsr import ops
 from dmsr.naf import NafBlock
-from dmsr.tensor import Tensor, Tape, ShapeError, add, matmul, mul, record, sub
+from dmsr.tensor import Tensor, Tape, ShapeError, add, matmul, record, sub
 
 from helpers import (adaptive_avg_pool_global, check_gradients, closure_reach, held_arrays,
-                     linear, slice_axis, softmax_lastaxis, weighted_sum_loss)
+                     linear, mul, slice_axis, softmax_lastaxis, weighted_sum_loss)
 from test_swin import loop_shift_mask
 
 
@@ -232,6 +234,27 @@ def test_recorded_conv2d_does_not_keep_its_padded_input():
     assert held, "the closure walk found no arrays"
     assert all(a.shape != (1, 2, 7, 7) for a in held)
     assert all(a.base is None or a.base.shape != (1, 2, 7, 7) for a in held)
+
+
+def test_3x3_conv2d_backward_frees_the_column_gradient_before_rebuilding_im2col():
+    # the column gradient and the rebuilt im2col matrix are each the input's
+    # size times 9 taps (2.4 MB here); the backward holds one at a time, so
+    # it peaks at about one of them (3.0 MB), not both (5.4 MB)
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.uniform(-1, 1, (1, 32, 32, 32)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (32, 32, 3, 3)), requires_grad=True)
+    with Tape() as tape:
+        out = ops.conv2d(x, w, padding=1)
+    (node,) = tape.nodes
+    g = rng.uniform(-1, 1, out.shape)
+    tracemalloc.start()
+    try:
+        node.backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = 9 * x.data.nbytes
+    assert peak <= 1.5 * columns, f"{peak / 1e6:.2f} MB > {1.5 * columns / 1e6:.2f} MB"
 
 
 def test_depthwise_conv2d_matches_grouped_loops():
@@ -709,8 +732,8 @@ CONSTANT_INPUT_CASES = [
      [(2, 3, 5, 4), (3, 3, 3), (3,)]),
     ("layer_norm", ops.layer_norm, [(2, 3, 4), (4,), (4,)]),
     ("bilinear_sample", ops.bilinear_sample, [(1, 2, 5, 4), (1, 3, 3, 2)]),
-    ("joint_filter", lambda x, w, o: ops.joint_filter(x, w, o, 3),
-     [(2, 2, 5, 4), (2, 9, 5, 4), (2, 18, 5, 4)]),
+    ("joint_filter", lambda *inputs: ops.joint_filter(*inputs, 3, 2),
+     [(2, 2, 4, 6), (2, 36, 2, 3), (2, 36, 2, 3), (2, 72, 2, 3), (2, 72, 2, 3)]),
     ("multi_head_attention", _attention_of,
      [(8, 4, 4), (4, 12), (12,), (4, 4), (4,), (9, 2)]),
     ("naf_block", _naf_block_of,
