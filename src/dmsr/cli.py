@@ -133,6 +133,11 @@ def cmd_train(args):
     scale, noise, seed = model.cfg.scale, flat["data.noise_sigma"], flat["train.seed"]
     if args.synthetic:
         n_eval = max(1, round(args.synthetic * 449 / 1000))  # published split ratio
+        for key, n in (("data.n_train", args.synthetic), ("data.n_eval", n_eval)):
+            recorded = metadata_value(metadata, key, int, n) if args.resume else n
+            if recorded != n:
+                raise ConfigError(f"--synthetic {args.synthetic} gives {key} = {n}, "
+                                  f"the resumed checkpoint has {recorded}")
         split = synth_split(args.synthetic, n_eval, flat["data.synth_height"],
                             flat["data.synth_width"], scale, noise, seed)
     else:

@@ -53,14 +53,13 @@ def _channel_norm(x, gamma, beta):
     return _norm_out(xhat, gamma, beta), xhat, inv
 
 
-def _channel_norm_grads(g, xhat, inv, gamma, x_grad, gamma_grad, beta_grad):
-    gx, ggamma, gbeta = layer_norm_grads(g.transpose(0, 2, 3, 1), xhat, inv, gamma,
-                                         x_grad, gamma_grad, beta_grad)
+def _channel_norm_grads(g, xhat, inv, gamma, x_grad):
+    gx, ggamma, gbeta = layer_norm_grads(g.transpose(0, 2, 3, 1), xhat, inv, gamma, x_grad)
     return None if gx is None else gx.transpose(0, 3, 1, 2), ggamma, gbeta
 
 
-def _bias_grad(g, needed):
-    return g.sum(axis=(0, 2, 3)) if needed else None
+def _bias_grad(g):
+    return g.sum(axis=(0, 2, 3))
 
 
 class NafBlock(Module):
@@ -106,12 +105,12 @@ class NafBlock(Module):
                   self.norm2_g, self.norm2_b, self.pw3_w, self.pw3_b, self.pw4_w, self.pw4_b,
                   self.gamma)
         params = tuple(t.data for t in inputs[1:])
-        needs = tuple(t.requires_grad for t in inputs)
+        x_grad = x.requires_grad
         out, kept = _block_forward(x.data, params)
         # through the module attribute, so a wrapper installed on tensor.record (as
         # perfbench/tracing.py does) counts this node with the other tensor ops
         return tensor.record("naf_block", inputs, out,
-                             lambda g: _block_backward(g, params, kept, needs))
+                             lambda g: _block_backward(g, params, kept, x_grad))
 
 
 def _block_forward(x, params):
@@ -134,63 +133,53 @@ def _block_forward(x, params):
     return o4, (xhat1, inv1, d, pooled, scale, xhat2, inv2)
 
 
-def _block_backward(g, params, kept, needs):
+def _block_backward(g, params, kept, x_grad):
     """The gradient of each input of the block, indexed as the inputs of
-    NafBlock.forward's node, None for a constant. Each layer norm's output
-    and every conv output but the depthwise one are recomputed from the kept
-    arrays, the same bits as in the forward."""
+    NafBlock.forward's node, None for x when it is a constant. Each layer
+    norm's output and every conv output but the depthwise one are recomputed
+    from the kept arrays, the same bits as in the forward."""
     g1, b1, w1, c1, wd, cd, ws, cs, w2, c2, beta, g2, b2, w3, c3, w4, c4, gamma = params
     xhat1, inv1, d, pooled, scale, xhat2, inv2 = kept
-    grads = [None] * len(needs)
-    first = any(needs[:12])                  # x or a parameter up to beta
-    second = first or any(needs[12:18])
+    grads = [None] * 19
 
     n2 = _norm_out(xhat2, g2, b2)
     p3 = conv2d_forward(n2, w3, c3, 0)
     s2 = _gate(p3)
-    if needs[18]:
-        o4 = conv2d_forward(s2, w4, c4, 0)
-        o4 *= g
-        grads[18] = o4.sum(axis=(0, 1, 2, 3)).reshape(())
-    if not second:
-        return grads
+    o4 = conv2d_forward(s2, w4, c4, 0)
+    o4 *= g
+    grads[18] = o4.sum(axis=(0, 1, 2, 3)).reshape(())
     g4 = g * gamma
-    gs2, grads[16] = conv2d_grads(g4, s2, w4, 0, True, needs[16])
-    grads[17] = _bias_grad(g4, needs[17])
+    gs2, grads[16] = conv2d_grads(g4, s2, w4, 0, True)
+    grads[17] = _bias_grad(g4)
     gp3 = _gate_grad(gs2, p3)
-    gn2, grads[14] = conv2d_grads(gp3, n2, w3, 0, True, needs[14])
-    grads[15] = _bias_grad(gp3, needs[15])
-    gy, grads[12], grads[13] = _channel_norm_grads(gn2, xhat2, inv2, g2, first,
-                                                    needs[12], needs[13])
-    if not first:
-        return grads
+    gn2, grads[14] = conv2d_grads(gp3, n2, w3, 0, True)
+    grads[15] = _bias_grad(gp3)
+    gy, grads[12], grads[13] = _channel_norm_grads(gn2, xhat2, inv2, g2, True)
     gy = g + gy
 
     n1 = _norm_out(xhat1, g1, b1)
     p1 = conv2d_forward(n1, w1, c1, 0)
     s1 = _gate(d)
     a = s1 * scale
-    if needs[11]:
-        o2 = conv2d_forward(a, w2, c2, 0)
-        o2 *= gy
-        grads[11] = o2.sum(axis=(0, 1, 2, 3)).reshape(())
+    o2 = conv2d_forward(a, w2, c2, 0)
+    o2 *= gy
+    grads[11] = o2.sum(axis=(0, 1, 2, 3)).reshape(())
     g2o = gy * beta
-    ga, grads[9] = conv2d_grads(g2o, a, w2, 0, True, needs[9])
-    grads[10] = _bias_grad(g2o, needs[10])
+    ga, grads[9] = conv2d_grads(g2o, a, w2, 0, True)
+    grads[10] = _bias_grad(g2o)
     gscale = (ga * s1).sum(axis=(2, 3), keepdims=True)
-    gpooled, grads[7] = conv2d_grads(gscale, pooled, ws, 0, True, needs[7])
-    grads[8] = _bias_grad(gscale, needs[8])
+    gpooled, grads[7] = conv2d_grads(gscale, pooled, ws, 0, True)
+    grads[8] = _bias_grad(gscale)
     gs1 = ga                        # the gate output's gradient: through SCA's mul and pool
     gs1 *= scale
     gs1 += gpooled / (s1.size / pooled.size)
     gd = _gate_grad(gs1, d)
-    gp1, grads[5] = depthwise_grads(gd, p1, wd, 1, True, needs[5])
-    grads[6] = _bias_grad(gd, needs[6])
-    gn1, grads[3] = conv2d_grads(gp1, n1, w1, 0, True, needs[3])
-    grads[4] = _bias_grad(gp1, needs[4])
-    gx, grads[1], grads[2] = _channel_norm_grads(gn1, xhat1, inv1, g1, needs[0],
-                                                  needs[1], needs[2])
-    if needs[0]:
+    gp1, grads[5] = depthwise_grads(gd, p1, wd, 1, True)
+    grads[6] = _bias_grad(gd)
+    gn1, grads[3] = conv2d_grads(gp1, n1, w1, 0, True)
+    grads[4] = _bias_grad(gp1)
+    gx, grads[1], grads[2] = _channel_norm_grads(gn1, xhat1, inv1, g1, x_grad)
+    if x_grad:
         grads[0] = gy + gx
     return grads
 

@@ -61,8 +61,9 @@ def ones_param(shape):
 # block's one node: conv2d_forward and depthwise_forward take the input, the
 # weight, the bias (or None) and the padding and return the output;
 # conv2d_grads and depthwise_grads take the output gradient, the input, the
-# weight and the padding and return (input gradient, weight gradient), None
-# for each not asked for. The bias gradient is g.sum(axis=(0, 2, 3)).
+# weight, the padding and whether the input needs a gradient, and return
+# (input gradient or None, weight gradient). The bias gradient is
+# g.sum(axis=(0, 2, 3)).
 
 
 def _taps(x_shape, w_shape, p):
@@ -111,23 +112,21 @@ def conv2d_forward(x, w, b, p):
                      b)
 
 
-def conv2d_grads(g, x, w, p, x_grad, w_grad):
+def conv2d_grads(g, x, w, p, x_grad):
     B, O, Ho, Wo = g.shape
     g2 = g.reshape(B, O, Ho * Wo)
-    gx = gw = None
+    gx = None
     if x_grad:
         _, _, taps = _taps(x.shape, w.shape, p)
         dcols = np.matmul(w.reshape(O, -1).T, g2)
         gx = _input_grad(np.moveaxis(dcols.reshape(B, -1, len(taps), Ho, Wo), 2, 0),
                          taps, x.shape, p)
         del dcols                       # freed before im2col is rebuilt
-    if w_grad:
-        # rebuilt, not kept from the forward: taps times the input's size
-        gw = np.matmul(g2, _im2col(x, w.shape, p).swapaxes(1, 2))
-        for b in range(1, B):           # the batch summed in order, in place
-            gw[0] += gw[b]
-        gw = gw[0].reshape(w.shape)
-    return gx, gw
+    # rebuilt, not kept from the forward: taps times the input's size
+    gw = np.matmul(g2, _im2col(x, w.shape, p).swapaxes(1, 2))
+    for b in range(1, B):               # the batch summed in order, in place
+        gw[0] += gw[b]
+    return gx, gw[0].reshape(w.shape)
 
 
 def depthwise_forward(x, w, b, p):
@@ -141,19 +140,17 @@ def depthwise_forward(x, w, b, p):
     return _add_bias(out, b)
 
 
-def depthwise_grads(g, x, w, p, x_grad, w_grad):
+def depthwise_grads(g, x, w, p, x_grad):
     _, _, taps = _taps(x.shape, w.shape, p)
-    gx = gw = None
+    gx = None
     if x_grad:
         wt = w.reshape(len(w), -1, 1, 1)
         gt = np.empty(g.shape)           # one buffer for every tap's gradient
         gx = _input_grad((np.multiply(g, wt[:, n], out=gt) for n in range(len(taps))),
                          taps, x.shape, p)
-    if w_grad:
-        xp = _pad(x, p)                  # padded again, not kept from the forward
-        gw = np.stack([np.einsum("bchw,bchw->c", g, xp[t]) for t in taps], axis=1)
-        gw = gw.reshape(w.shape)
-    return gx, gw
+    xp = _pad(x, p)                      # padded again, not kept from the forward
+    gw = np.stack([np.einsum("bchw,bchw->c", g, xp[t]) for t in taps], axis=1)
+    return gx, gw.reshape(w.shape)
 
 
 def _conv(op, x, weight, bias, padding, forward, grads):
@@ -167,20 +164,13 @@ def _conv(op, x, weight, bias, padding, forward, grads):
     Ho, Wo, _ = _taps(x.shape, weight.shape, padding)
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"{op}: non-positive output extent ({Ho}x{Wo})")
-    xd, wd = x.data, weight.data
-    x_grad, w_grad, b_grad = x.requires_grad, weight.requires_grad, None  # None: no bias
-    inputs = (x, weight)
-    if bias is not None:
-        bias = ensure_tensor(bias)
-        inputs += (bias,)
-        b_grad = bias.requires_grad
-    out = forward(xd, wd, None if bias is None else bias.data, padding)
+    inputs = (x, weight) if bias is None else (x, weight, ensure_tensor(bias))
+    xd, wd, x_grad, n_in = x.data, weight.data, x.requires_grad, len(inputs)
+    out = forward(xd, wd, inputs[2].data if n_in == 3 else None, padding)
 
     def backward(g):
-        gx, gw = grads(g, xd, wd, padding, x_grad, w_grad)
-        if b_grad is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3)) if b_grad else None
+        gx, gw = grads(g, xd, wd, padding, x_grad)
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if n_in == 3 else (gx, gw)
 
     return record(op, inputs, out, backward)
 
@@ -215,14 +205,12 @@ def normalize(x):
     return xc, inv
 
 
-def layer_norm_grads(g, xhat, inv, gamma, x_grad, gamma_grad, beta_grad):
-    """(gx, ggamma, gbeta) of gamma * xhat + beta; None where not asked for."""
+def layer_norm_grads(g, xhat, inv, gamma, x_grad):
+    """(gx, ggamma, gbeta) of gamma * xhat + beta; gx is None unless x_grad."""
     n = xhat.shape[-1]
-    gx = ggamma = gbeta = None
-    if gamma_grad:
-        ggamma = (g * xhat).reshape(-1, n).sum(axis=0)
-    if beta_grad:
-        gbeta = g.reshape(-1, n).sum(axis=0)
+    gx = None
+    ggamma = (g * xhat).reshape(-1, n).sum(axis=0)
+    gbeta = g.reshape(-1, n).sum(axis=0)
     if x_grad:
         # inv * (gc - mean(gc) - xhat * mean(gc * xhat)) in two buffers, each
         # step in the memory order the expression would give it
@@ -241,16 +229,11 @@ def layer_norm(x, gamma, beta):
     x, gamma, beta = ensure_tensor(x), ensure_tensor(gamma), ensure_tensor(beta)
     xhat, inv = normalize(x.data)
     out = gamma.data * xhat + beta.data
-    x_grad = x.requires_grad
-    gamma_shape = gamma.shape if gamma.requires_grad else None
-    beta_shape = beta.shape if beta.requires_grad else None
-    gd = gamma.data if x_grad else None
+    x_grad, gd, gamma_shape, beta_shape = x.requires_grad, gamma.data, gamma.shape, beta.shape
 
     def backward(g):
-        gx, ggamma, gbeta = layer_norm_grads(g, xhat, inv, gd, x_grad,
-                                             gamma_shape is not None, beta_shape is not None)
-        return (gx, None if ggamma is None else ggamma.reshape(gamma_shape),
-                None if gbeta is None else gbeta.reshape(beta_shape))
+        gx, ggamma, gbeta = layer_norm_grads(g, xhat, inv, gd, x_grad)
+        return gx, ggamma.reshape(gamma_shape), gbeta.reshape(beta_shape)
 
     return record("layer_norm", (x, gamma, beta), out, backward)
 
@@ -328,10 +311,7 @@ def multi_head_attention(x, p, mask=None):
         if gather.shape[0] != L * L:
             raise ShapeError(f"position bias built for {len(gather)} token pairs, got {L * L}")
         inputs += (p.pos_bias,)
-    x_grad, qw_grad, qb_grad, pw_grad, pb_grad, *pos_grad = (t.requires_grad for t in inputs)
-    pos_grad = any(pos_grad)
-    deep = x_grad or qw_grad or qb_grad or pos_grad     # the gradient reaches the logits
-    n_in, scale = len(inputs), 1.0 / np.sqrt(d)
+    x_grad, n_in, scale = x.requires_grad, len(inputs), 1.0 / np.sqrt(d)
 
     xd, qw, qb = x.data, p.qkv_w.data, p.qkv_b.data
     q, kT, v = _split_heads(xd, qw, qb, h, d)
@@ -344,32 +324,26 @@ def multi_head_attention(x, p, mask=None):
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = np.matmul(_merge_heads(probs, v), p.proj_w.data) + p.proj_b.data
-    # the projections' inputs are kept only for a gradient that reads them
-    if not (deep or pw_grad):
-        xd = qw = qb = None
-    pw = p.proj_w.data if deep else None
+    pw = p.proj_w.data
+    out = np.matmul(_merge_heads(probs, v), pw) + p.proj_b.data
 
     def backward(g):
-        q, kT, v = _split_heads(xd, qw, qb, h, d) if deep or pw_grad else (None,) * 3
-        gpw = (np.matmul(np.swapaxes(_merge_heads(probs, v), -1, -2), g).sum(axis=0)
-               if pw_grad else None)
-        gpb = g.sum(axis=(0, 1)) if pb_grad else None
-        if not deep:
-            return (None, None, None, gpw, gpb, None)[:n_in]
+        q, kT, v = _split_heads(xd, qw, qb, h, d)
+        gpw = np.matmul(np.swapaxes(_merge_heads(probs, v), -1, -2), g).sum(axis=0)
+        gpb = g.sum(axis=(0, 1))
         go = np.matmul(g, pw.T).reshape(N, L, h, d).transpose(0, 2, 1, 3)
         gp = np.matmul(go, np.swapaxes(v, -1, -2))
         glogits = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
-        gpos = (np.matmul(gather.T, glogits.sum(axis=0).transpose(1, 2, 0).reshape(L * L, h))
-                if pos_grad else None)
+        gpos = (None if gather is None else
+                np.matmul(gather.T, glogits.sum(axis=0).transpose(1, 2, 0).reshape(L * L, h)))
         glogits *= scale
         gqkv = np.empty((N, 3 * h, L, d))
         gqkv[:, :h] = np.matmul(glogits, np.swapaxes(kT, -1, -2))
         gqkv[:, h:2 * h] = np.matmul(np.swapaxes(q, -1, -2), glogits).transpose(0, 1, 3, 2)
         gqkv[:, 2 * h:] = np.matmul(np.swapaxes(probs, -1, -2), go)
         gqkv = gqkv.transpose(0, 2, 1, 3).reshape(N, L, 3 * C)
-        gqb = gqkv.sum(axis=(0, 1)) if qb_grad else None
-        gqw = np.matmul(np.swapaxes(xd, -1, -2), gqkv).sum(axis=0) if qw_grad else None
+        gqb = gqkv.sum(axis=(0, 1))
+        gqw = np.matmul(np.swapaxes(xd, -1, -2), gqkv).sum(axis=0)
         gx = np.matmul(gqkv, qw.T) if x_grad else None
         return (gx, gqw, gqb, gpw, gpb, gpos)[:n_in]
 
@@ -628,13 +602,13 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     Tap t's weight (tap_weight) and displacement (tap_offsets) are formed at
     full resolution for that tap only, so no full-resolution field exists.
 
-    One tape node, recorded as "bilinear_sample". It keeps the factors and
-    the tap mean that its gradients read and, per tap, each as its own
-    array, the samples (for the weight gradients), their slopes along y and
-    x and the clamp masks (for the offset gradients). Its backward frees
-    each tap's arrays as it reaches the tap, then builds the offset factors'
-    gradients and the weight factors', dropping each factor once its last
-    reader is done. It runs once; a second call raises RuntimeError.
+    One tape node, recorded as "bilinear_sample". It keeps the factors, the
+    tap mean and, per tap, each as its own array, the samples (for the
+    weight gradients), their slopes along y and x and the clamp masks (for
+    the offset gradients). Its backward frees each tap's arrays as it
+    reaches the tap, then builds the offset factors' gradients and the
+    weight factors', dropping each factor once its last reader is done. It
+    runs once; a second call raises RuntimeError.
     """
     inputs = tuple(map(ensure_tensor, (x, w_guide, w_target, o_guide, o_target)))
     x, wg, wt, og, ot = inputs
@@ -646,8 +620,7 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     if og.shape != (B, 2 * kk * n, h, w) or ot.shape != og.shape:
         raise ShapeError(f"joint_filter: offset factors {og.shape} and {ot.shape} vs "
                          f"expected {(B, 2 * kk * n, h, w)}")
-    x_grad, wg_grad, wt_grad, og_grad, ot_grad = (t.requires_grad for t in inputs)
-    w_grad, o_grad = wg_grad or wt_grad, og_grad or ot_grad
+    x_grad = x.requires_grad
     xd, wgd, wtd, ogd, otd = (t.data for t in inputs)
     mean = tap_mean(wgd, wtd, k)
     rows, cols = np.arange(H)[:, None] - k // 2, np.arange(W) - k // 2
@@ -661,34 +634,18 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
         off = tap_offsets(ogd, otd, t, r)
         return off[:, 0] + (rows + dy), off[:, 1] + (cols + dx)
 
-    samples = [] if w_grad else None
-    slopes = [] if o_grad else None         # per tap (dty, dtx, ymask, xmask)
+    samples, slopes = [], []                # per tap s, and (dty, dtx, ymask, xmask)
     out = None
     for t in range(kk):
         cy_raw, cx_raw = coords(t)
-        s, sy, sx = _bilinear(xd, _corners(cy_raw, cx_raw, H, W), o_grad)
+        s, sy, sx = _bilinear(xd, _corners(cy_raw, cx_raw, H, W), True)
         term = weight(t) * s
         if out is None:
             out = term
         else:
             out += term
-        if w_grad:
-            samples.append(s)
-        if o_grad:
-            slopes.append((sy, sx, *_in_range(cy_raw, cx_raw, H, W)))
-
-    # the backward keeps only what the gradients it computes read
-    reweigh = x_grad or o_grad              # it forms each tap's weight again
-    if not (reweigh or wt_grad):
-        wgd = None
-    if not (reweigh or wg_grad):
-        wtd = None
-    if not reweigh:
-        mean = None
-    if not (x_grad or ot_grad):
-        ogd = None
-    if not (x_grad or og_grad):
-        otd = None
+        samples.append(s)
+        slopes.append((sy, sx, *_in_range(cy_raw, cx_raw, H, W)))
     swept = False
 
     def backward(g):
@@ -699,42 +656,32 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
         gx = np.zeros((B, C, H, W)) if x_grad else None
         gw, go = [], []         # per tap the gradient of its weight, of its dy and dx
         for t in range(kk):
-            if w_grad:
-                s, samples[t] = samples[t], None
-                gw.append((g * s).sum(axis=1))
-                del s
-            if not reweigh:
-                continue
+            s, samples[t] = samples[t], None
+            gw.append((g * s).sum(axis=1))
+            del s
             gs = g * weight(t)                  # the gradient of tap t's samples
-            if o_grad:
-                (sy, sx, ymask, xmask), slopes[t] = slopes[t], None
-                go.append((gs * sy).sum(axis=1) * ymask)
-                go.append((gs * sx).sum(axis=1) * xmask)
-                del sy, sx, ymask, xmask
+            (sy, sx, ymask, xmask), slopes[t] = slopes[t], None
+            go.append((gs * sy).sum(axis=1) * ymask)
+            go.append((gs * sx).sum(axis=1) * xmask)
+            del sy, sx, ymask, xmask
             if x_grad:
                 _scatter_corners(gx, gs, _corners(*coords(t), H, W))
         mean = samples = slopes = gs = None
-        gog = got = gwg = gwt = None
-        if og_grad:
-            gog = _factor_grad(go, otd, r, consume=not ot_grad)
+        gog = _factor_grad(go, otd, r, consume=False)
         otd = None
-        if ot_grad:
-            got = _factor_grad(go, ogd, r, consume=True)
+        got = _factor_grad(go, ogd, r, consume=True)
         ogd = None
-        if w_grad:
-            # the tap mean's gradient: the taps' sum in tap order, over k*k
-            total = gw[0].copy()
-            for p in gw[1:]:
-                total += p
-            total /= kk
-            for p in gw:
-                p -= total
-            del p, total
-        if wg_grad:
-            gwg = _factor_grad(gw, wtd, r, consume=not wt_grad)
+        # the tap mean's gradient: the taps' sum in tap order, over k*k
+        total = gw[0].copy()
+        for p in gw[1:]:
+            total += p
+        total /= kk
+        for p in gw:
+            p -= total
+        del p, total
+        gwg = _factor_grad(gw, wtd, r, consume=False)
         wtd = None
-        if wt_grad:
-            gwt = _factor_grad(gw, wgd, r, consume=True)
+        gwt = _factor_grad(gw, wgd, r, consume=True)
         wgd = None
         return gx, gwg, gwt, gog, got
 

@@ -35,30 +35,19 @@ class Mlp(Module):
         inputs = (x, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b)
         if x.shape[-1] != self.fc1_w.shape[0]:
             raise ShapeError(f"mlp: input {x.shape} vs {self.fc1_w.shape[0]} channels")
-        x_grad, w1_grad, b1_grad, w2_grad, b2_grad = (t.requires_grad for t in inputs)
-        deep = x_grad or w1_grad or b1_grad         # the gradient reaches the GELU
+        x_grad = x.requires_grad
         xd, w1, b1, w2, b2 = (t.data for t in inputs)
         a = np.matmul(xd, w1) + b1
         cdf = gelu_cdf(a)
         out = np.matmul(a * cdf, w2) + b2
-        # each array is kept only for a gradient that reads it
-        if not w1_grad:
-            xd = None
-        if not (deep or w2_grad):
-            a = cdf = None
 
         def backward(g):
-            gx = gw1 = gb1 = None
-            gw2 = (unbroadcast(np.matmul(np.swapaxes(a * cdf, -1, -2), g), w2.shape)
-                   if w2_grad else None)
-            gb2 = unbroadcast(g, b2.shape) if b2_grad else None
-            if deep:
-                ga = np.matmul(g, np.swapaxes(w2, -1, -2)) * gelu_slope(a, cdf)
-                gb1 = unbroadcast(ga, b1.shape) if b1_grad else None
-                if w1_grad:
-                    gw1 = unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), ga), w1.shape)
-                if x_grad:
-                    gx = np.matmul(ga, np.swapaxes(w1, -1, -2))
+            gw2 = unbroadcast(np.matmul(np.swapaxes(a * cdf, -1, -2), g), w2.shape)
+            gb2 = unbroadcast(g, b2.shape)
+            ga = np.matmul(g, np.swapaxes(w2, -1, -2)) * gelu_slope(a, cdf)
+            gb1 = unbroadcast(ga, b1.shape)
+            gw1 = unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), ga), w1.shape)
+            gx = np.matmul(ga, np.swapaxes(w1, -1, -2)) if x_grad else None
             return gx, gw1, gb1, gw2, gb2
 
         # through the module attribute, so a wrapper installed on tensor.record (as

@@ -64,8 +64,8 @@ class TapeNode:
 
     Each input is the GradHandle of a recorded op output, the Tensor itself
     for a leaf that needs a gradient, or None for a constant (requires_grad
-    False). backward(grad_out) returns one gradient array per input, None
-    for a constant.
+    False). backward(grad_out) returns one gradient per input; the sweep
+    drops a constant's, None or an array.
     """
 
     __slots__ = ("op", "inputs", "out", "backward")
@@ -124,7 +124,7 @@ class Tape:
             if gout is None:
                 continue
             for t, g in zip(node.inputs, node.backward(gout)):
-                if g is None:
+                if t is None:           # a constant's gradient, if computed, is dropped
                     continue
                 acc = local.get(t)
                 local[t] = g if acc is None else acc + g
@@ -146,10 +146,13 @@ def _grad_key(t):
 def record(op, inputs, out_data, backward):
     """Wrap a computed result and register it on the active tape.
 
-    `backward(grad_out)` returns one gradient per input, and None for each
-    input with requires_grad False. It must not reach a Tensor: it keeps the
-    shapes, flags and arrays it reads, nothing more. All fused ops in this
-    package are built on this hook.
+    `backward(grad_out)` returns one gradient per input, and Tape.backward
+    drops each constant's (requires_grad False). The generic ops in this
+    module return None for a constant; the fused ops built on this hook
+    (ops, naf, swin) return None only for a constant data input, their
+    first: parameters always train, so a parameter made constant gets its
+    gradient computed and dropped. It must not reach a Tensor: it keeps the
+    shapes, flags and arrays it reads, nothing more.
     """
     inputs = tuple(ensure_tensor(x) for x in inputs)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))

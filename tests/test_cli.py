@@ -106,7 +106,7 @@ def test_diverged_training_exits_4(tmp_path, trained):
     arrays[name] = np.full_like(arrays[name], np.finfo(np.float64).max)
     poisoned = str(tmp_path / "poisoned.dmsr")
     save_checkpoint(poisoned, arrays, meta)
-    code = main(["train", "--synthetic", "1", "--epochs", "2", *TINY_FLAGS,
+    code = main(["train", "--synthetic", "2", "--epochs", "2", *TINY_FLAGS,
                  "--resume", poisoned, "--out", str(tmp_path / "o")])
     assert code == 4
 
@@ -338,6 +338,8 @@ def test_argparse_unknown_command_exits_2():
 
 
 TINY_TRAIN = ["train", "--synthetic", "1", "--epochs", "1", *TINY_FLAGS]
+# a resume of `trained` that asks for the scene count it recorded
+TINY_RESUME = ["train", "--synthetic", "2", "--epochs", "1", *TINY_FLAGS, "--resume"]
 
 
 def _train_with_config(text):
@@ -392,7 +394,7 @@ def _resume_with_moment_of_shape(shape):
         arrays, meta = load_checkpoint(trained)
         arrays["optim.m.guide_backbone.conv_in_b"] = np.zeros(shape)
         save_checkpoint(str(tmp_path / "bad.dmsr"), arrays, meta)
-        return [*TINY_TRAIN, "--resume", str(tmp_path / "bad.dmsr"),
+        return [*TINY_RESUME, str(tmp_path / "bad.dmsr"),
                 "--out", str(tmp_path / "o")]
     return argv
 
@@ -424,7 +426,7 @@ def _eval_with_metadata(key, value):
 
 def _resume_with_metadata(key, value):
     return lambda tmp_path, trained: [
-        *TINY_TRAIN, "--resume", _with_metadata(tmp_path, trained, key, value),
+        *TINY_RESUME, _with_metadata(tmp_path, trained, key, value),
         "--out", str(tmp_path / "o")]
 
 
@@ -545,6 +547,11 @@ BAD_INPUTS = [
      "error: data:", "train.seed"),
     ("resume-seed-negative", _resume_with_metadata("train.seed", "-1"), None, 3,
      "error: data:", "train.seed must be >= 0"),
+    # `trained` recorded data.n_train = 2; TINY_TRAIN asks for 1 scene
+    ("resume-scene-count-disagrees",
+     lambda tmp_path, trained: [*TINY_TRAIN, "--resume", trained, "--out", str(tmp_path / "o")],
+     None, 2, "error: config:", "--synthetic 1 gives data.n_train = 1, the resumed checkpoint "
+     "has 2"),
     ("metadata-not-utf8",
      lambda tmp_path, trained: [
          "eval", _with_patched_bytes(tmp_path, trained, b"= swin", b"= \xffwin"),
@@ -572,7 +579,7 @@ BAD_INPUTS = [
      "error: data:", "entry target_head.w4 holds NaN or inf"),
     ("resume-optim-moment-nan",
      lambda tmp_path, trained: [
-         *TINY_TRAIN, "--resume",
+         *TINY_RESUME,
          _with_entry_value(tmp_path, trained, "optim.m.guide_backbone.conv_in_b", np.nan),
          "--out", str(tmp_path / "o")],
      None, 3, "error: data:", "entry optim.m.guide_backbone.conv_in_b holds NaN or inf"),

@@ -2,6 +2,7 @@
 joint filtering against a naive per-pixel oracle, end-to-end behavior."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -288,13 +289,12 @@ def test_joint_filter_backward_runs_once():
         node.backward(np.ones(out.shape))
 
 
-def _joint_filter_at_benchmark_size(weights_grad, offsets_grad):
+def _joint_filter_at_benchmark_size():
     """The joint-filter node at (1, 1, 128, 128), k=3, r=4, the target
     constant: (its node, the forward's tracemalloc peak in MB)."""
     rng = np.random.default_rng(16)
     target = Tensor(rng.random((1, 1, 128, 128)))
-    grads = (weights_grad,) * 2 + (offsets_grad,) * 2
-    factors = _factors(rng, 1, 3, 4, 32, 32, grads)
+    factors = _factors(rng, 1, 3, 4, 32, 32)
     tracemalloc.start()
     try:
         with Tape() as tape:
@@ -311,18 +311,13 @@ def _joint_filter_at_benchmark_size(weights_grad, offsets_grad):
 TAP_ARRAY, TAP_MASK = 128 * 128 * 8, 128 * 128
 
 
-@pytest.mark.parametrize("weights_grad,offsets_grad,floats,masks",
-                         [(True, True, 9 + 9 + 18 + 18 + 1 + 9 + 18, 18),
-                          (True, False, 9 + 9 + 9, 0),
-                          (False, True, 9 + 9 + 18 + 18 + 1 + 18, 18)],
-                         ids=["weights-and-offsets", "weights-only", "offsets-only"])
-def test_joint_filter_node_holds_only_what_its_backward_reads(weights_grad, offsets_grad,
-                                                              floats, masks):
-    # weights: both weight factors (each reads the other) and each tap's
-    # samples; offsets: the weight factors and the tap mean, which form each
-    # tap's weight again, both offset factors, each tap's slopes along y and
-    # x and its two clamp masks; never the target
-    node, _ = _joint_filter_at_benchmark_size(weights_grad, offsets_grad)
+@pytest.mark.parametrize("floats,masks", [(9 + 9 + 18 + 18 + 1 + 9 + 18, 18)],
+                         ids=["weights-and-offsets"])
+def test_joint_filter_node_holds_only_what_its_backward_reads(floats, masks):
+    # both weight factors (each reads the other), the tap mean, which forms
+    # each tap's weight again, both offset factors and, per tap, the samples,
+    # their slopes along y and x and the two clamp masks; never the target
+    node, _ = _joint_filter_at_benchmark_size()
     reached = closure_reach(node.backward)
     assert not [obj for obj in reached if isinstance(obj, Tensor)]
     held = [a for a in held_arrays(reached) if a.size > 128]    # not the tap grid
@@ -334,7 +329,7 @@ def test_joint_filter_node_holds_only_what_its_backward_reads(weights_grad, offs
 def test_joint_filter_node_keeps_no_full_resolution_field():
     # each tap's samples, slopes and masks are arrays of their own, and one
     # backward leaves none of them, nor any factor, behind
-    node, _ = _joint_filter_at_benchmark_size(True, True)
+    node, _ = _joint_filter_at_benchmark_size()
     held = held_arrays(closure_reach(node.backward))
     assert not [a for a in held if a.shape in ((1, 9, 128, 128), (1, 18, 128, 128))]
     assert not [a for a in held if a.ndim and a.shape[0] == 9]          # stacked taps
@@ -348,7 +343,7 @@ def test_joint_filter_forward_peak_is_bounded():
     # 6.3 MB: the 4.0 MB of per-tap arrays and tap mean the backward keeps,
     # the output and one tap's temporaries. Sampling all taps in one batched
     # call peaked at 26.0 MB.
-    _, peak = _joint_filter_at_benchmark_size(True, True)
+    _, peak = _joint_filter_at_benchmark_size()
     assert peak <= 8, f"{peak:.1f} MB > 8 MB"
 
 
@@ -450,17 +445,21 @@ def test_lean_sweep_matches_the_reference_sweep(training_step):
 
 
 def test_backwards_return_none_exactly_for_constants(training_step):
+    # a step's only constants are data inputs: the sub-images of the two input
+    # convs, the filter's upsampled target and the loss's ground truth. Every
+    # parameter is live, so no fused node computes a gradient the sweep drops.
     tape, _ = _record_loss(*training_step[0])
-    constants = 0
+    constants = Counter()
     for node in tape.nodes:
         got = node.backward(np.ones(node.out.shape))
         assert len(got) == len(node.inputs), node.op
-        for t, g in zip(node.inputs, got):
+        for i, (t, g) in enumerate(zip(node.inputs, got)):
             # a constant input is None; any other is an op output's handle or a leaf
             assert t is None or isinstance(t, GradHandle) or t.requires_grad, node.op
             assert (g is None) == (t is None), node.op
-            constants += t is None
-    assert constants > 0
+            if t is None:
+                constants[node.op, i] += 1
+    assert constants == {("conv2d", 0): 2, ("bilinear_sample", 0): 1, ("sub", 1): 1}
 
 
 def test_two_training_steps_peak_like_one():

@@ -701,8 +701,11 @@ def test_bilinear_constant_image_skips_its_gradient_only():
 
 
 # constant inputs ------------------------------------------------------------------
-# Every op with more than one input returns None for each input with
-# requires_grad False, and the same bytes as before for the other inputs.
+# A generic op returns None for each input with requires_grad False. A fused
+# op returns None only for its data input, the first: its parameters always
+# train, so it computes a constant parameter's gradient and the sweep drops
+# it. Either way the sweep's grads hold no entry for a constant, and every
+# other input gets the same bytes as when all inputs are live.
 
 def _attention_of(x, qkv_w, qkv_b, proj_w, proj_b, pos_bias):
     """Shifted-window attention with position bias over the given arrays."""
@@ -740,6 +743,8 @@ CONSTANT_INPUT_CASES = [
      [(2, 4, 5, 4), (4,), (4,), (8, 4, 1, 1), (8,), (8, 3, 3), (8,), (4, 4, 1, 1), (4,),
       (4, 4, 1, 1), (4,), (), (4,), (4,), (8, 4, 1, 1), (8,), (4, 4, 1, 1), (4,), ()]),
 ]
+FUSED_OPS = {"conv2d_1x1", "conv2d_3x3_pad1", "depthwise_pad1", "layer_norm", "joint_filter",
+             "multi_head_attention", "naf_block"}
 
 
 @pytest.mark.parametrize("name,op,shapes", CONSTANT_INPUT_CASES,
@@ -749,17 +754,27 @@ def test_constant_inputs_get_no_gradient(name, op, shapes):
     arrays = [rng.uniform(0.5, 3.0, s) for s in shapes]
 
     def backward(needs_grad):
+        """(the node's own gradients, the sweep's gradient of each live leaf)
+        of op over the arrays; the sweep's grads hold no other key."""
+        leaves = [Tensor(a, requires_grad=n) for a, n in zip(arrays, needs_grad)]
         with Tape() as tape:
-            out = op(*(Tensor(a, requires_grad=n) for a, n in zip(arrays, needs_grad)))
+            out = op(*leaves)
         (node,) = tape.nodes
-        return node.backward(np.random.default_rng(41).uniform(-1, 1, out.shape))
+        got = node.backward(np.random.default_rng(41).uniform(-1, 1, out.shape))
+        with Tape() as tape:
+            grads = tape.backward(weighted_sum_loss(op(*leaves)))
+        live = [t for t in leaves if t.requires_grad]
+        assert len(grads) == len(live) and all(t in grads for t in live), name
+        return got, [grads.get(t) for t in leaves]
 
-    want = backward([True] * len(arrays))
+    want, want_swept = backward([True] * len(arrays))
     for constant in range(len(arrays)):
         needs_grad = [i != constant for i in range(len(arrays))]
-        got = backward(needs_grad)
-        for i, (g, w) in enumerate(zip(got, want)):
+        got, swept = backward(needs_grad)
+        assert swept[constant] is None, (name, constant)
+        if constant == 0 or name not in FUSED_OPS:
+            assert got[constant] is None, (name, constant)
+        for i in range(len(arrays)):
             if needs_grad[i]:
-                assert g.tobytes() == w.tobytes(), (name, constant, i)
-            else:
-                assert g is None, (name, constant, i)
+                assert got[i].tobytes() == want[i].tobytes(), (name, constant, i)
+                assert swept[i].tobytes() == want_swept[i].tobytes(), (name, constant, i)

@@ -82,6 +82,23 @@ def test_grads_hold_leaf_gradients_only():
     np.testing.assert_array_equal(tape.grads[x], [6.0, 16.0])
 
 
+def test_sweep_drops_a_gradient_computed_for_a_constant():
+    # a fused node may return an array for a constant input, as it does for a
+    # parameter made constant; the sweep keeps no entry for it, and the live
+    # leaf gets the bytes it gets from a backward that returns None
+    rng = np.random.default_rng(0)
+    xd, cd = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 3))
+    swept = []
+    for constant_grad in (lambda g: None, lambda g: g * xd):
+        x, c = Tensor(xd, requires_grad=True), Tensor(cd)
+        with Tape() as tape:
+            out = T.record("mul", (x, c), xd * cd, lambda g: (g * cd, constant_grad(g)))
+            grads = tape.backward(weighted_sum_loss(out))
+        assert None not in grads and set(grads) == {x}
+        swept.append(grads[x].tobytes())
+    assert swept[0] == swept[1]
+
+
 def test_backward_peak_does_not_grow_with_chain_length():
     # each swept node's output gradient is freed, so a chain of n elementwise
     # ops on a 1 MB array holds a few gradients at a time, not n
