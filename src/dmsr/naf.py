@@ -53,9 +53,9 @@ def _channel_norm(x, gamma, beta):
     return _norm_out(xhat, gamma, beta), xhat, inv
 
 
-def _channel_norm_grads(g, xhat, inv, gamma, x_grad):
-    gx, ggamma, gbeta = layer_norm_grads(g.transpose(0, 2, 3, 1), xhat, inv, gamma, x_grad)
-    return None if gx is None else gx.transpose(0, 3, 1, 2), ggamma, gbeta
+def _channel_norm_grads(g, xhat, inv, gamma):
+    gx, ggamma, gbeta = layer_norm_grads(g.transpose(0, 2, 3, 1), xhat, inv, gamma)
+    return gx.transpose(0, 3, 1, 2), ggamma, gbeta
 
 
 def _bias_grad(g):
@@ -105,12 +105,11 @@ class NafBlock(Module):
                   self.norm2_g, self.norm2_b, self.pw3_w, self.pw3_b, self.pw4_w, self.pw4_b,
                   self.gamma)
         params = tuple(t.data for t in inputs[1:])
-        x_grad = x.requires_grad
         out, kept = _block_forward(x.data, params)
         # through the module attribute, so a wrapper installed on tensor.record (as
         # perfbench/tracing.py does) counts this node with the other tensor ops
         return tensor.record("naf_block", inputs, out,
-                             lambda g: _block_backward(g, params, kept, x_grad))
+                             lambda g: _block_backward(g, params, kept))
 
 
 def _block_forward(x, params):
@@ -133,11 +132,11 @@ def _block_forward(x, params):
     return o4, (xhat1, inv1, d, pooled, scale, xhat2, inv2)
 
 
-def _block_backward(g, params, kept, x_grad):
+def _block_backward(g, params, kept):
     """The gradient of each input of the block, indexed as the inputs of
-    NafBlock.forward's node, None for x when it is a constant. Each layer
-    norm's output and every conv output but the depthwise one are recomputed
-    from the kept arrays, the same bits as in the forward."""
+    NafBlock.forward's node. Each layer norm's output and every conv output
+    but the depthwise one are recomputed from the kept arrays, the same bits
+    as in the forward."""
     g1, b1, w1, c1, wd, cd, ws, cs, w2, c2, beta, g2, b2, w3, c3, w4, c4, gamma = params
     xhat1, inv1, d, pooled, scale, xhat2, inv2 = kept
     grads = [None] * 19
@@ -154,7 +153,7 @@ def _block_backward(g, params, kept, x_grad):
     gp3 = _gate_grad(gs2, p3)
     gn2, grads[14] = conv2d_grads(gp3, n2, w3, 0, True)
     grads[15] = _bias_grad(gp3)
-    gy, grads[12], grads[13] = _channel_norm_grads(gn2, xhat2, inv2, g2, True)
+    gy, grads[12], grads[13] = _channel_norm_grads(gn2, xhat2, inv2, g2)
     gy = g + gy
 
     n1 = _norm_out(xhat1, g1, b1)
@@ -178,9 +177,8 @@ def _block_backward(g, params, kept, x_grad):
     grads[6] = _bias_grad(gd)
     gn1, grads[3] = conv2d_grads(gp1, n1, w1, 0, True)
     grads[4] = _bias_grad(gp1)
-    gx, grads[1], grads[2] = _channel_norm_grads(gn1, xhat1, inv1, g1, x_grad)
-    if x_grad:
-        grads[0] = gy + gx
+    gx, grads[1], grads[2] = _channel_norm_grads(gn1, xhat1, inv1, g1)
+    grads[0] = gy + gx
     return grads
 
 

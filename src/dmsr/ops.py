@@ -205,22 +205,20 @@ def normalize(x):
     return xc, inv
 
 
-def layer_norm_grads(g, xhat, inv, gamma, x_grad):
-    """(gx, ggamma, gbeta) of gamma * xhat + beta; gx is None unless x_grad."""
+def layer_norm_grads(g, xhat, inv, gamma):
+    """(gx, ggamma, gbeta) of gamma * xhat + beta."""
     n = xhat.shape[-1]
-    gx = None
     ggamma = (g * xhat).reshape(-1, n).sum(axis=0)
     gbeta = g.reshape(-1, n).sum(axis=0)
-    if x_grad:
-        # inv * (gc - mean(gc) - xhat * mean(gc * xhat)) in two buffers, each
-        # step in the memory order the expression would give it
-        gc = g * gamma
-        gx = gc * xhat
-        m1, m2 = gc.mean(axis=-1, keepdims=True), gx.mean(axis=-1, keepdims=True)
-        gc -= m1
-        np.multiply(xhat, m2, out=gx)
-        np.subtract(gc, gx, out=gx)
-        gx *= inv
+    # inv * (gc - mean(gc) - xhat * mean(gc * xhat)) in two buffers, each
+    # step in the memory order the expression would give it
+    gc = g * gamma
+    gx = gc * xhat
+    m1, m2 = gc.mean(axis=-1, keepdims=True), gx.mean(axis=-1, keepdims=True)
+    gc -= m1
+    np.multiply(xhat, m2, out=gx)
+    np.subtract(gc, gx, out=gx)
+    gx *= inv
     return gx, ggamma, gbeta
 
 
@@ -229,10 +227,10 @@ def layer_norm(x, gamma, beta):
     x, gamma, beta = ensure_tensor(x), ensure_tensor(gamma), ensure_tensor(beta)
     xhat, inv = normalize(x.data)
     out = gamma.data * xhat + beta.data
-    x_grad, gd, gamma_shape, beta_shape = x.requires_grad, gamma.data, gamma.shape, beta.shape
+    gd, gamma_shape, beta_shape = gamma.data, gamma.shape, beta.shape
 
     def backward(g):
-        gx, ggamma, gbeta = layer_norm_grads(g, xhat, inv, gd, x_grad)
+        gx, ggamma, gbeta = layer_norm_grads(g, xhat, inv, gd)
         return gx, ggamma.reshape(gamma_shape), gbeta.reshape(beta_shape)
 
     return record("layer_norm", (x, gamma, beta), out, backward)
@@ -311,7 +309,7 @@ def multi_head_attention(x, p, mask=None):
         if gather.shape[0] != L * L:
             raise ShapeError(f"position bias built for {len(gather)} token pairs, got {L * L}")
         inputs += (p.pos_bias,)
-    x_grad, n_in, scale = x.requires_grad, len(inputs), 1.0 / np.sqrt(d)
+    n_in, scale = len(inputs), 1.0 / np.sqrt(d)
 
     xd, qw, qb = x.data, p.qkv_w.data, p.qkv_b.data
     q, kT, v = _split_heads(xd, qw, qb, h, d)
@@ -344,8 +342,7 @@ def multi_head_attention(x, p, mask=None):
         gqkv = gqkv.transpose(0, 2, 1, 3).reshape(N, L, 3 * C)
         gqb = gqkv.sum(axis=(0, 1))
         gqw = np.matmul(np.swapaxes(xd, -1, -2), gqkv).sum(axis=0)
-        gx = np.matmul(gqkv, qw.T) if x_grad else None
-        return (gx, gqw, gqb, gpw, gpb, gpos)[:n_in]
+        return (np.matmul(gqkv, qw.T), gqw, gqb, gpw, gpb, gpos)[:n_in]
 
     return record("multi_head_attention", inputs, out, backward)
 
@@ -429,8 +426,8 @@ def pixel_shuffle(x, r):
 
 
 # ---------------------------------------------------------------------------
-# sampling: bilinear_sample and joint_filter share _corners, _bilinear,
-# _in_range and _scatter_corners
+# sampling: bilinear_sample and joint_filter share _corners, _bilinear and
+# _in_range
 
 
 def _corners(cy_raw, cx_raw, H, W):
@@ -446,9 +443,9 @@ def _corners(cy_raw, cx_raw, H, W):
     return y0, x0, y1, x1, (cy - y0)[:, None], (cx - x0)[:, None]
 
 
-def _bilinear(x, corners, slopes):
-    """The (B, C, Hs, Ws) samples of x (B, C, H, W) at `corners`, and, when
-    `slopes` is set, their derivatives along ty and tx (else None, None)."""
+def _bilinear(x, corners):
+    """The (B, C, Hs, Ws) samples of x (B, C, H, W) at `corners` and their
+    derivatives along ty and tx."""
     y0, x0, y1, x1, ty, tx = corners
     bidx = np.arange(x.shape[0])[:, None, None]
     v00 = x[bidx, :, y0, x0].transpose(0, 3, 1, 2)         # (B, C, Hs, Ws)
@@ -457,8 +454,6 @@ def _bilinear(x, corners, slopes):
     v11 = x[bidx, :, y1, x1].transpose(0, 3, 1, 2)
     uy, ux = 1 - ty, 1 - tx
     out = uy * ux * v00 + uy * tx * v01 + ty * ux * v10 + ty * tx * v11
-    if not slopes:
-        return out, None, None
     dty = -ux * v00 - tx * v01 + ux * v10 + tx * v11
     dtx = -uy * v00 + uy * v01 - ty * v10 + ty * v11
     return out, dty, dtx
@@ -493,22 +488,15 @@ def bilinear_sample(x, coords):
     if coords.shape[0] != B or coords.shape[-1] != 2:
         raise ShapeError(f"bilinear_sample: bad coords shape {coords.shape}")
     cy_raw, cx_raw = coords.data[..., 0], coords.data[..., 1]
-    x_grad, c_grad = x.requires_grad, coords.requires_grad
     corners = _corners(cy_raw, cx_raw, H, W)
-    out, dty, dtx = _bilinear(x.data, corners, c_grad)
-    # the backward keeps only what the gradients it computes read
-    if not x_grad:
-        corners = None
-    ymask, xmask = _in_range(cy_raw, cx_raw, H, W) if c_grad else (None, None)
+    out, dty, dtx = _bilinear(x.data, corners)
+    ymask, xmask = _in_range(cy_raw, cx_raw, H, W)
 
     def backward(g):
-        gx = gc = None
-        if x_grad:
-            gx = np.zeros((B, C, H, W))
-            _scatter_corners(gx, g, corners)
-        if c_grad:
-            gc = np.stack([(g * dty).sum(axis=1) * ymask,
-                           (g * dtx).sum(axis=1) * xmask], axis=-1)
+        gx = np.zeros((B, C, H, W))
+        _scatter_corners(gx, g, corners)
+        gc = np.stack([(g * dty).sum(axis=1) * ymask,
+                       (g * dtx).sum(axis=1) * xmask], axis=-1)
         return gx, gc
 
     return record("bilinear_sample", (x, coords), out, backward)
@@ -602,17 +590,22 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     Tap t's weight (tap_weight) and displacement (tap_offsets) are formed at
     full resolution for that tap only, so no full-resolution field exists.
 
-    One tape node, recorded as "bilinear_sample". It keeps the factors, the
-    tap mean and, per tap, each as its own array, the samples (for the
-    weight gradients), their slopes along y and x and the clamp masks (for
-    the offset gradients). Its backward frees each tap's arrays as it
+    x is data, the bicubic-upsampled depth, and takes no gradient: an x
+    that requires one raises ValueError. One tape node over the four
+    factors, recorded as "bilinear_sample". It keeps the factors, the tap
+    mean and, per tap, each as its own array, the samples (for the weight
+    gradients), their slopes along y and x and the clamp masks (for the
+    offset gradients). Its backward frees each tap's arrays as it
     reaches the tap, then builds the offset factors' gradients and the
     weight factors', dropping each factor once its last reader is done. It
     runs once; a second call raises RuntimeError.
     """
-    inputs = tuple(map(ensure_tensor, (x, w_guide, w_target, o_guide, o_target)))
-    x, wg, wt, og, ot = inputs
-    B, C, H, W = x.shape
+    x = ensure_tensor(x)
+    if x.requires_grad:
+        raise ValueError("joint_filter: the filtered image is data and takes no gradient")
+    inputs = tuple(map(ensure_tensor, (w_guide, w_target, o_guide, o_target)))
+    wg, wt, og, ot = inputs
+    B, _, H, W = x.shape
     kk, n, h, w = k * k, r * r, H // r, W // r
     if H % r or W % r or wg.shape != (B, kk * n, h, w) or wt.shape != wg.shape:
         raise ShapeError(f"joint_filter: weight factors {wg.shape} and {wt.shape} vs "
@@ -620,8 +613,7 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     if og.shape != (B, 2 * kk * n, h, w) or ot.shape != og.shape:
         raise ShapeError(f"joint_filter: offset factors {og.shape} and {ot.shape} vs "
                          f"expected {(B, 2 * kk * n, h, w)}")
-    x_grad = x.requires_grad
-    xd, wgd, wtd, ogd, otd = (t.data for t in inputs)
+    xd, (wgd, wtd, ogd, otd) = x.data, (t.data for t in inputs)
     mean = tap_mean(wgd, wtd, k)
     rows, cols = np.arange(H)[:, None] - k // 2, np.arange(W) - k // 2
 
@@ -638,7 +630,7 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     out = None
     for t in range(kk):
         cy_raw, cx_raw = coords(t)
-        s, sy, sx = _bilinear(xd, _corners(cy_raw, cx_raw, H, W), True)
+        s, sy, sx = _bilinear(xd, _corners(cy_raw, cx_raw, H, W))
         term = weight(t) * s
         if out is None:
             out = term
@@ -653,7 +645,6 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
         if swept:
             raise RuntimeError("joint_filter: this node's backward already ran")
         swept = True
-        gx = np.zeros((B, C, H, W)) if x_grad else None
         gw, go = [], []         # per tap the gradient of its weight, of its dy and dx
         for t in range(kk):
             s, samples[t] = samples[t], None
@@ -664,8 +655,6 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
             go.append((gs * sy).sum(axis=1) * ymask)
             go.append((gs * sx).sum(axis=1) * xmask)
             del sy, sx, ymask, xmask
-            if x_grad:
-                _scatter_corners(gx, gs, _corners(*coords(t), H, W))
         mean = samples = slopes = gs = None
         gog = _factor_grad(go, otd, r, consume=False)
         otd = None
@@ -683,6 +672,6 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
         wtd = None
         gwt = _factor_grad(gw, wgd, r, consume=True)
         wgd = None
-        return gx, gwg, gwt, gog, got
+        return gwg, gwt, gog, got
 
     return record("bilinear_sample", inputs, out, backward)

@@ -35,7 +35,6 @@ class Mlp(Module):
         inputs = (x, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b)
         if x.shape[-1] != self.fc1_w.shape[0]:
             raise ShapeError(f"mlp: input {x.shape} vs {self.fc1_w.shape[0]} channels")
-        x_grad = x.requires_grad
         xd, w1, b1, w2, b2 = (t.data for t in inputs)
         a = np.matmul(xd, w1) + b1
         cdf = gelu_cdf(a)
@@ -47,8 +46,7 @@ class Mlp(Module):
             ga = np.matmul(g, np.swapaxes(w2, -1, -2)) * gelu_slope(a, cdf)
             gb1 = unbroadcast(ga, b1.shape)
             gw1 = unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), ga), w1.shape)
-            gx = np.matmul(ga, np.swapaxes(w1, -1, -2)) if x_grad else None
-            return gx, gw1, gb1, gw2, gb2
+            return np.matmul(ga, np.swapaxes(w1, -1, -2)), gw1, gb1, gw2, gb2
 
         # through the module attribute, so a wrapper installed on tensor.record (as
         # perfbench/tracing.py does) counts this node with the other tensor ops

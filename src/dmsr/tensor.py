@@ -64,8 +64,8 @@ class TapeNode:
 
     Each input is the GradHandle of a recorded op output, the Tensor itself
     for a leaf that needs a gradient, or None for a constant (requires_grad
-    False). backward(grad_out) returns one gradient per input; the sweep
-    drops a constant's, None or an array.
+    False). backward(grad_out) returns an array for every input, and the
+    sweep drops a constant's.
     """
 
     __slots__ = ("op", "inputs", "out", "backward")
@@ -124,7 +124,7 @@ class Tape:
             if gout is None:
                 continue
             for t, g in zip(node.inputs, node.backward(gout)):
-                if t is None:           # a constant's gradient, if computed, is dropped
+                if t is None:           # a constant's gradient is dropped
                     continue
                 acc = local.get(t)
                 local[t] = g if acc is None else acc + g
@@ -146,13 +146,12 @@ def _grad_key(t):
 def record(op, inputs, out_data, backward):
     """Wrap a computed result and register it on the active tape.
 
-    `backward(grad_out)` returns one gradient per input, and Tape.backward
-    drops each constant's (requires_grad False). The generic ops in this
-    module return None for a constant; the fused ops built on this hook
-    (ops, naf, swin) return None only for a constant data input, their
-    first: parameters always train, so a parameter made constant gets its
-    gradient computed and dropped. It must not reach a Tensor: it keeps the
-    shapes, flags and arrays it reads, nothing more.
+    `backward(grad_out)` returns an array for every input, and Tape.backward
+    drops each constant's (requires_grad False). The one exception is
+    ops._conv, whose backward returns None for a constant data input: the
+    model's input convs read constant sub-images, and their input gradient
+    would cost more than the rest of the node. It must not reach a Tensor:
+    it keeps the shapes and arrays it reads, nothing more.
     """
     inputs = tuple(ensure_tensor(x) for x in inputs)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
@@ -187,25 +186,18 @@ def _binary_data(a, b, op):
 # elementwise
 
 
-def _grad_shape(t):
-    """The shape a backward reduces t's gradient to; None for a constant."""
-    return t.shape if t.requires_grad else None
-
-
 def add(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
-    sa, sb = _grad_shape(a), _grad_shape(b)
+    sa, sb = a.shape, b.shape
     return record("add", (a, b), _binary_data(a, b, np.add),
-                  lambda g: (None if sa is None else unbroadcast(g, sa),
-                             None if sb is None else unbroadcast(g, sb)))
+                  lambda g: (unbroadcast(g, sa), unbroadcast(g, sb)))
 
 
 def sub(a, b):
     a, b = ensure_tensor(a), ensure_tensor(b)
-    sa, sb = _grad_shape(a), _grad_shape(b)
+    sa, sb = a.shape, b.shape
     return record("sub", (a, b), _binary_data(a, b, np.subtract),
-                  lambda g: (None if sa is None else unbroadcast(g, sa),
-                             None if sb is None else unbroadcast(-g, sb)))
+                  lambda g: (unbroadcast(g, sa), unbroadcast(-g, sb)))
 
 
 def sigmoid(a):
@@ -338,19 +330,14 @@ def matmul(a, b):
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeError(f"matmul: batch extents {a.shape[:-2]} vs {b.shape[:-2]}")
-    out = np.matmul(a.data, b.data)
-    sa, sb = _grad_shape(a), _grad_shape(b)
-    # each gradient reads the other operand
-    bd = None if sa is None else b.data
-    ad = None if sb is None else a.data
+    ad, bd = a.data, b.data
+    out = np.matmul(ad, bd)
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        ga = gb = None
-        if sa is not None:
-            ga = unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
-        if sb is not None:
-            gb = unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
-        return ga, gb
+        # each gradient reads the other operand
+        return (unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa),
+                unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb))
 
     return record("matmul", (a, b), out, backward)
 

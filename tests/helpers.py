@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from dmsr.ops import (_bilinear, _corners, _in_range, _scatter_corners, conv2d,
-                      depthwise_conv2d, layer_norm, pixel_shuffle)
+from dmsr.ops import (_bilinear, _corners, _in_range, conv2d, depthwise_conv2d, layer_norm,
+                      pixel_shuffle)
 from dmsr.tensor import (ShapeError, Tape, Tensor, add, ensure_tensor, gelu_cdf, gelu_slope,
                          matmul, record, sub, tmean, transpose, unbroadcast)
 
@@ -55,14 +55,10 @@ def mul(a, b):
         out = np.multiply(a.data, b.data)
     except ValueError:
         raise ShapeError(f"shapes {a.shape} and {b.shape} are not broadcastable")
-    sa = a.shape if a.requires_grad else None
-    sb = b.shape if b.requires_grad else None
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
     # each gradient reads the other operand
-    bd = None if sa is None else b.data
-    ad = None if sb is None else a.data
     return record("mul", (a, b), out,
-                  lambda g: (None if sa is None else unbroadcast(g * bd, sa),
-                             None if sb is None else unbroadcast(g * ad, sb)))
+                  lambda g: (unbroadcast(g * bd, sa), unbroadcast(g * ad, sb)))
 
 
 def tsum(a):
@@ -277,11 +273,11 @@ def reference_field(w_guide, w_target, o_guide, o_target, k, r):
 
 def reference_joint_filter(x, weights, offsets, k):
     """ops.joint_filter over a full-resolution field, weights (B, k*k, H, W)
-    and offsets (B, 2*k*k, H, W), as one "bilinear_sample" node."""
+    and offsets (B, 2*k*k, H, W), as one "bilinear_sample" node; x is data."""
     x, weights, offsets = ensure_tensor(x), ensure_tensor(weights), ensure_tensor(offsets)
     B, C, H, W = x.shape
     kk = k * k
-    x_grad, w_grad, o_grad = x.requires_grad, weights.requires_grad, offsets.requires_grad
+    w_grad, o_grad = weights.requires_grad, offsets.requires_grad
     wd, od = weights.data, offsets.data
     rows, cols = np.arange(H)[:, None] - k // 2, np.arange(W) - k // 2
 
@@ -298,7 +294,7 @@ def reference_joint_filter(x, weights, offsets, k):
     out = None
     for t in range(kk):
         cy_raw, cx_raw = tap_coords(t)
-        s, sy, sx = _bilinear(x.data, _corners(cy_raw, cx_raw, H, W), o_grad)
+        s, sy, sx = _bilinear(x.data, _corners(cy_raw, cx_raw, H, W))
         term = wd[:, t:t + 1] * s
         if out is None:
             out = term
@@ -311,26 +307,19 @@ def reference_joint_filter(x, weights, offsets, k):
             ymask[t], xmask[t] = _in_range(cy_raw, cx_raw, H, W)
 
     # the backward keeps only what the gradients it computes read
-    if not x_grad:
-        od = None
-    if not (x_grad or o_grad):
+    if not o_grad:
         wd = None
 
     def backward(g):
-        gx = np.zeros((B, C, H, W)) if x_grad else None
         gw = np.empty((B, kk, H, W)) if w_grad else None
         go = np.empty((B, 2 * kk, H, W)) if o_grad else None
         for t in range(kk):
             if w_grad:
                 gw[:, t] = (g * samples[t]).sum(axis=1)
-            if not (x_grad or o_grad):
-                continue
-            gs = g * wd[:, t:t + 1]                  # the gradient of tap t's samples
             if o_grad:
+                gs = g * wd[:, t:t + 1]              # the gradient of tap t's samples
                 go[:, 2 * t] = (gs * dty[t]).sum(axis=1) * ymask[t]
                 go[:, 2 * t + 1] = (gs * dtx[t]).sum(axis=1) * xmask[t]
-            if x_grad:
-                _scatter_corners(gx, gs, _corners(*tap_coords(t), H, W))
-        return gx, gw, go
+        return None, gw, go
 
     return record("bilinear_sample", (x, weights, offsets), out, backward)

@@ -686,26 +686,12 @@ def test_bilinear_gradients_wrt_image_and_coords():
         [x, coords], rel_tol=1e-3, n_coords=8)
 
 
-def test_bilinear_constant_image_skips_its_gradient_only():
-    rng = np.random.default_rng(20)
-    data = rng.uniform(-1, 1, (1, 2, 6, 6))
-    coords = Tensor(rng.uniform(-1, 6, (1, 3, 3, 2)), requires_grad=True)
-    coord_grads = []
-    for image_needs_grad in (False, True):
-        with Tape() as tape:
-            out = ops.bilinear_sample(Tensor(data, requires_grad=image_needs_grad), coords)
-        g_image, g_coords = tape.nodes[0].backward(np.ones(out.shape))
-        assert (g_image is None) == (not image_needs_grad)
-        coord_grads.append(g_coords)
-    np.testing.assert_array_equal(*coord_grads)
-
-
 # constant inputs ------------------------------------------------------------------
-# A generic op returns None for each input with requires_grad False. A fused
-# op returns None only for its data input, the first: its parameters always
-# train, so it computes a constant parameter's gradient and the sweep drops
-# it. Either way the sweep's grads hold no entry for a constant, and every
-# other input gets the same bytes as when all inputs are live.
+# Every backward returns an array for every input, constant or not, and the
+# sweep drops a constant's. The one exception is a conv, whose backward
+# returns None for a constant data input, its first. Either way the sweep's
+# grads hold no entry for a constant, and every array has the same bytes as
+# when all inputs are live.
 
 def _attention_of(x, qkv_w, qkv_b, proj_w, proj_b, pos_bias):
     """Shifted-window attention with position bias over the given arrays."""
@@ -723,6 +709,9 @@ def _naf_block_of(x, *params):
     return block.forward(x)
 
 
+# the joint filter's image is data, never a node input
+FILTERED = np.random.default_rng(42).uniform(0.5, 3.0, (2, 2, 4, 6))
+
 CONSTANT_INPUT_CASES = [
     ("add", add, [(2, 3, 4), (3, 1)]),
     ("sub", sub, [(2, 3, 4), (3, 1)]),
@@ -735,16 +724,15 @@ CONSTANT_INPUT_CASES = [
      [(2, 3, 5, 4), (3, 3, 3), (3,)]),
     ("layer_norm", ops.layer_norm, [(2, 3, 4), (4,), (4,)]),
     ("bilinear_sample", ops.bilinear_sample, [(1, 2, 5, 4), (1, 3, 3, 2)]),
-    ("joint_filter", lambda *inputs: ops.joint_filter(*inputs, 3, 2),
-     [(2, 2, 4, 6), (2, 36, 2, 3), (2, 36, 2, 3), (2, 72, 2, 3), (2, 72, 2, 3)]),
+    ("joint_filter", lambda *factors: ops.joint_filter(Tensor(FILTERED), *factors, 3, 2),
+     [(2, 36, 2, 3), (2, 36, 2, 3), (2, 72, 2, 3), (2, 72, 2, 3)]),
     ("multi_head_attention", _attention_of,
      [(8, 4, 4), (4, 12), (12,), (4, 4), (4,), (9, 2)]),
     ("naf_block", _naf_block_of,
      [(2, 4, 5, 4), (4,), (4,), (8, 4, 1, 1), (8,), (8, 3, 3), (8,), (4, 4, 1, 1), (4,),
       (4, 4, 1, 1), (4,), (), (4,), (4,), (8, 4, 1, 1), (8,), (4, 4, 1, 1), (4,), ()]),
 ]
-FUSED_OPS = {"conv2d_1x1", "conv2d_3x3_pad1", "depthwise_pad1", "layer_norm", "joint_filter",
-             "multi_head_attention", "naf_block"}
+CONV_OPS = {"conv2d_1x1", "conv2d_3x3_pad1", "depthwise_pad1"}
 
 
 @pytest.mark.parametrize("name,op,shapes", CONSTANT_INPUT_CASES,
@@ -772,9 +760,10 @@ def test_constant_inputs_get_no_gradient(name, op, shapes):
         needs_grad = [i != constant for i in range(len(arrays))]
         got, swept = backward(needs_grad)
         assert swept[constant] is None, (name, constant)
-        if constant == 0 or name not in FUSED_OPS:
-            assert got[constant] is None, (name, constant)
         for i in range(len(arrays)):
-            if needs_grad[i]:
+            if i == constant == 0 and name in CONV_OPS:
+                assert got[i] is None, name
+            else:
                 assert got[i].tobytes() == want[i].tobytes(), (name, constant, i)
+            if needs_grad[i]:
                 assert swept[i].tobytes() == want_swept[i].tobytes(), (name, constant, i)

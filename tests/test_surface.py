@@ -62,3 +62,38 @@ def test_public_functions_have_a_caller_outside_the_tests(module):
     assert public
     unused = public - _referenced(module) - _traced(module)
     assert not unused, f"dmsr.{module} functions only the tests call: {sorted(unused)}"
+
+
+
+def _requires_grad_readers():
+    """The functions of the package that read `.requires_grad`, each named
+    module.function or module.Class.method; a read in a nested function
+    counts for the top-level function or method around it."""
+    readers = set()
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        scopes = []
+        for node in _tree(os.path.join(SRC, fname)).body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{getattr(item, 'name', '<body>')}", item)
+                           for item in node.body]
+            else:
+                scopes.append((getattr(node, "name", "<module>"), node))
+        readers.update(f"{fname[:-3]}.{name}" for name, scope in scopes
+                       if any(isinstance(n, ast.Attribute) and n.attr == "requires_grad"
+                              and isinstance(n.ctx, ast.Load) for n in ast.walk(scope)))
+    return readers
+
+
+def test_only_the_tape_and_the_data_inputs_read_requires_grad():
+    # every backward returns an array for every input and the sweep drops a
+    # constant's, so no op reads the flag but the two that take data: _conv
+    # skips a constant input's gradient (the input convs' sub-images), and
+    # joint_filter refuses an image that requires one (the filtered depth)
+    readers = _requires_grad_readers()
+    tensor_methods = {r for r in readers if r.startswith("tensor.Tensor.")}
+    assert tensor_methods
+    assert readers - tensor_methods == {"tensor._grad_key", "tensor.record",
+                                        "ops.Module.named_parameters", "ops._conv",
+                                        "ops.joint_filter"}
