@@ -115,8 +115,9 @@ def cmd_train(args):
         model, arrays, metadata = restore_model(args.resume)
         optimizer = restore_optimizer(model, arrays, metadata)
         start_epoch = metadata_value(metadata, "train.epoch", int, -1) + 1
-        # the run goes on with the scenes and order it began with
-        for key in ("train.seed", "data.noise_sigma"):
+        # the run goes on with the scenes and order it began with; a checkpoint
+        # without the synthetic extents keeps the flags'
+        for key in ("train.seed", "data.noise_sigma", "data.synth_height", "data.synth_width"):
             flat[key] = metadata_value(metadata, key, type(DEFAULTS[key]), flat[key],
                                        SETTINGS[key][1:])
     else:
@@ -161,6 +162,8 @@ def cmd_train(args):
         "data.n_train": len(split.train),
         "data.n_eval": len(split.eval),
     }
+    if args.synthetic:
+        base_meta.update((key, flat[key]) for key in ("data.synth_height", "data.synth_width"))
     if args.data:
         import hashlib      # here: at the top it would load OpenSSL into every dmsr process
         with open(args.data, "rb") as f:

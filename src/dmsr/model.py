@@ -71,11 +71,24 @@ class ModelConfig:
             _require(value >= 1, f"model.{name} must be >= 1, got {value}")
         _require(self.embed_dim % self.heads == 0,
                  f"model.embed_dim {self.embed_dim} not divisible by {self.heads} heads")
+        _require(math.isfinite(self.mlp_ratio),
+                 f"model.mlp_ratio must be finite, got {self.mlp_ratio}")
         _require(self.embed_dim * self.mlp_ratio >= 1, f"model.mlp_ratio {self.mlp_ratio} "
                  f"leaves no MLP channel at embed_dim {self.embed_dim}")
         _require(self.k >= 1 and self.k % 2 == 1,
                  f"model.k must be odd and positive, got {self.k}")
         _require(self.scale in (4, 8, 16), f"model.scale must be 4, 8 or 16, got {self.scale}")
+        # the widest parameter dimensions; a checkpoint stores each as a u32
+        r = self.resample_factor
+        for name, dim in (("3 * model.embed_dim", 3 * self.embed_dim),
+                          ("model.embed_dim * model.mlp_ratio",
+                           int(self.embed_dim * self.mlp_ratio)),
+                          ("2 * model.k^2 * model.resample_factor^2", 2 * self.k ** 2 * r * r),
+                          ("3 * model.resample_factor^2", 3 * r * r),
+                          ("(2 * model.window - 1)^2", (2 * self.window - 1) ** 2
+                           if self.position_bias else 1)):
+            _require(dim < 2 ** 32, f"{name} is {dim:.4g}: a checkpoint holds no "
+                     f"parameter dimension of 2^32 or more")
 
     @classmethod
     def from_flat(cls, flat, convert=lambda kind, value: value):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dmsr.cli import main
+from dmsr.cli import DEFAULTS, main
 from dmsr.data import bicubic_resize, degrade
 from dmsr.imageio import load_pfm, load_pgm16, save_pgm16, save_ppm
 from dmsr.model import DmsrModel, identity_field
@@ -431,6 +431,12 @@ def _resume_with_metadata(key, value):
 
 
 
+def _bench_with_metadata(key, value):
+    return lambda tmp_path, trained: [
+        "bench", "--checkpoint", _with_metadata(tmp_path, trained, key, value),
+        "--width", "32", "--height", "32", "--repeats", "3"]
+
+
 def _infer_with_depth_header(header):
     """infer on a valid 32x32 guidance and a depth file holding `header`."""
     def argv(tmp_path, trained):
@@ -512,6 +518,24 @@ BAD_INPUTS = [
      "model.mlp_ratio"),
     ("blocks-negative", _train_with_flags("--blocks", "-2"), None, 2, "error: config:",
      "model.num_blocks"),
+    # a model whose parameters the checkpoint format cannot hold is refused by
+    # ModelConfig, before any parameter is allocated
+    ("mlp-ratio-inf", _train_with_config("model.mlp_ratio = inf"), None, 2,
+     "error: config:", "model.mlp_ratio must be finite"),
+    ("mlp-ratio-1e300", _train_with_config("model.mlp_ratio = 1e300"), None, 2,
+     "error: config:", "model.embed_dim * model.mlp_ratio is 8e+300"),
+    ("mlp-ratio-1e18", _train_with_config("model.mlp_ratio = 1e18"), None, 2,
+     "error: config:", "model.embed_dim * model.mlp_ratio is 8e+18"),
+    ("metadata-mlp-ratio-inf", _bench_with_metadata("model.mlp_ratio", "inf"), None, 3,
+     "error: data:", "model.mlp_ratio must be finite"),
+    ("metadata-mlp-ratio-1e300", _bench_with_metadata("model.mlp_ratio", "1e300"), None, 3,
+     "error: data:", "model.embed_dim * model.mlp_ratio is 8e+300"),
+    ("metadata-mlp-ratio-1e18", _bench_with_metadata("model.mlp_ratio", "1e18"), None, 3,
+     "error: data:", "model.embed_dim * model.mlp_ratio is 8e+18"),
+    ("bench-k-99999",
+     lambda tmp_path, trained: ["bench", "--k", "99999", "--width", "32", "--height", "32",
+                                "--repeats", "3"],
+     None, 2, "error: config:", "2 * model.k^2 * model.resample_factor^2 is 3.2e+11"),
     ("lr-negative", _train_with_flags("--lr", "-1"), None, 2, "error: config:", "train.lr"),
     ("lr-inf", _train_with_flags("--lr", "inf"), None, 2, "error: config:", "train.lr"),
     ("noise-sigma-negative", _train_with_flags("--noise-sigma", "-1"), None, 2,
@@ -547,6 +571,8 @@ BAD_INPUTS = [
      "error: data:", "train.seed"),
     ("resume-seed-negative", _resume_with_metadata("train.seed", "-1"), None, 3,
      "error: data:", "train.seed must be >= 0"),
+    ("resume-synth-height-0", _resume_with_metadata("data.synth_height", "0"), None, 3,
+     "error: data:", "data.synth_height must be >= 1"),
     # `trained` recorded data.n_train = 2; TINY_TRAIN asks for 1 scene
     ("resume-scene-count-disagrees",
      lambda tmp_path, trained: [*TINY_TRAIN, "--resume", trained, "--out", str(tmp_path / "o")],
@@ -757,6 +783,30 @@ def test_mutated_images_and_manifests_exit_0_or_3_with_at_most_one_line(tmp_path
     assert 0 < codes.count(3) < len(files)
 
 
+def test_mutated_config_files_exit_0_2_or_3_with_at_most_one_line(tmp_path, capsys):
+    # a seeded sweep over a config file that lists every key at 32x32
+    # synthetic extents: single bytes flipped or set, and truncations. synth
+    # runs every ModelConfig check but builds no network, so no mutant
+    # allocates a model. A mutated value may be another valid config (exit 0);
+    # anything else must be rejected with one error line (exit 2, or 3 for
+    # scenes the data cannot make), never a traceback or a numpy warning
+    flat = dict(DEFAULTS, **{"data.synth_height": 32, "data.synth_width": 32})
+    blob = "".join(f"{key} = {value}\n" for key, value in flat.items()).encode()
+    cases = _mutations(np.random.default_rng(9), blob, len(blob), 100, 20)
+    path, out = tmp_path / "mutated.cfg", str(tmp_path / "data")
+    capsys.readouterr()
+    codes = []
+    for i, case in enumerate(cases):
+        path.write_bytes(case)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codes.append(main(["synth", "1", "--config", str(path), "--out", out]))
+        err = capsys.readouterr().err.splitlines()
+        assert codes[-1] in (0, 2, 3) and len(err) <= 1 and not caught, (i, case, codes[-1],
+                                                                         err, caught)
+    assert 0 < codes.count(2) < len(cases)
+
+
 def test_eval_with_a_huge_parameter_prints_no_numpy_warning(tmp_path, trained):
     # the layer norm's variance overflows to inf and its output stays finite;
     # numpy's overflow RuntimeWarning would add two stderr lines to a clean exit
@@ -813,6 +863,21 @@ def test_resumed_run_writes_the_uninterrupted_runs_checkpoint(tmp_path):
     assert "# train.seed = 7" in header and "# data.noise_sigma = 0.02" in header
 
 
+def test_resume_trains_on_the_checkpoint_scene_extents(tmp_path):
+    # the resume names no --height and no --width: the checkpoint's 32x32
+    # scenes win over the flags' default 64x64, and the CSVs say so
+    first, out = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["train", "--synthetic", "2", "--seed", "7", *TINY_FLAGS, "--epochs", "1",
+                 "--out", first]) == 0
+    assert main(["train", "--synthetic", "2", "--epochs", "2",
+                 "--resume", os.path.join(first, "checkpoint.dmsr"), "--out", out]) == 0
+    from dmsr.checkpoint import load_checkpoint
+    _, meta = load_checkpoint(os.path.join(out, "checkpoint.dmsr"))
+    assert meta["data.synth_height"] == meta["data.synth_width"] == "32"
+    header = open(os.path.join(out, "steps.csv")).read().splitlines()
+    assert "# data.synth_height = 32" in header and "# data.synth_width = 32" in header
+
+
 # What a default swin model trained with Adam writes: the checkpoint metadata
 # block and the config header of its CSVs. A schema edit that changes either
 # changes the on-disk format.
@@ -822,6 +887,8 @@ data.noise_sigma = 0.0
 data.source = synthetic
 data.n_train = 1
 data.n_eval = 1
+data.synth_height = 32
+data.synth_width = 32
 train.epoch = 0
 model.backbone = swin
 model.num_blocks = 4
