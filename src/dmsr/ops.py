@@ -156,7 +156,9 @@ def depthwise_grads(g, x, w, p, x_grad):
 def _conv(op, x, weight, bias, padding, forward, grads):
     """What conv2d and depthwise_conv2d share: the channel and output-extent
     checks, the optional per-channel bias and the tape node, whose backward
-    keeps the input and the weight."""
+    keeps the input and the weight. The one backward that skips a gradient:
+    a constant input gets None, since the model's input convs read constant
+    sub-images and their input gradient costs more than the weight's."""
     x, weight = ensure_tensor(x), ensure_tensor(weight)
     C, Cw = x.shape[1], weight.shape[-3]
     if C != Cw:
