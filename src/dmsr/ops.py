@@ -615,7 +615,8 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     if og.shape != (B, 2 * kk * n, h, w) or ot.shape != og.shape:
         raise ShapeError(f"joint_filter: offset factors {og.shape} and {ot.shape} vs "
                          f"expected {(B, 2 * kk * n, h, w)}")
-    xd, (wgd, wtd, ogd, otd) = x.data, (t.data for t in inputs)
+    xd = x.data
+    wgd, wtd, ogd, otd = (t.data for t in inputs)
     mean = tap_mean(wgd, wtd, k)
     rows, cols = np.arange(H)[:, None] - k // 2, np.arange(W) - k // 2
 
