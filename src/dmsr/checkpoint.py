@@ -87,7 +87,8 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Returns (arrays: {name: ndarray}, metadata: {str: str})."""
+    """Returns (arrays: {name: ndarray}, metadata: {str: str}). A repeated
+    entry name or metadata key raises CheckpointError."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -103,6 +104,8 @@ def load_checkpoint(path):
         for _ in range(count):
             (nlen,) = r.unpack("<H", "name length")
             name = r.text(nlen, "name")
+            if name in arrays:
+                raise CheckpointError(f"{path}: entry {name} repeats")
             code, ndim = r.unpack("<BB", "dtype/ndim")
             if code not in _DTYPES:
                 raise CheckpointError(f"{path}: unknown dtype code {code}")
@@ -125,6 +128,8 @@ def load_checkpoint(path):
         if " = " not in line:
             raise CheckpointError(f"{path}: bad metadata line {line!r}")
         k, v = line.split(" = ", 1)
+        if k in metadata:
+            raise CheckpointError(f"{path}: metadata key {k} repeats")
         metadata[k] = v
     return arrays, metadata
 
@@ -133,17 +138,16 @@ def load_checkpoint(path):
 # model-level helpers
 
 
-def pack_state(model, optimizer=None, metadata=None):
-    """Flatten model parameters (and optimizer moments) into the entry table."""
+def pack_state(model, optimizer, metadata):
+    """Flatten model parameters and optimizer moments into the entry table."""
     arrays = {name: p.data for name, p in model.named_parameters()}
-    meta = dict(metadata or {})
+    meta = dict(metadata)
     meta.update(model.cfg.to_flat_dict())
-    if optimizer is not None:
-        for name, _ in optimizer.named_params:
-            arrays[f"optim.m.{name}"] = optimizer.m[name]
-            arrays[f"optim.v.{name}"] = optimizer.v[name]
-        meta["optim.step"] = optimizer.step_count
-        meta.update({f"optim.{k}": getattr(optimizer, k) for k in ADAM_SETTINGS})
+    for name, _ in optimizer.named_params:
+        arrays[f"optim.m.{name}"] = optimizer.m[name]
+        arrays[f"optim.v.{name}"] = optimizer.v[name]
+    meta["optim.step"] = optimizer.step_count
+    meta.update({f"optim.{k}": getattr(optimizer, k) for k in ADAM_SETTINGS})
     return arrays, meta
 
 

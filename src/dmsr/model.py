@@ -177,7 +177,7 @@ def _check_factors(name, a, b, channels):
         raise ShapeError(f"{name}: expected {channels} channels, got {a.shape} and {b.shape}")
 
 
-def combine_weights(w_guide, w_target, k, r=4):
+def combine_weights(w_guide, w_target, k, r):
     """The weight factors: both raw (B, k*k*r*r, h, w) tensors, tap-major,
     through a sigmoid. The joint filter multiplies them tap by tap and
     subtracts the tap mean and adds 1/k^2, so the taps sum to one exactly."""
@@ -185,7 +185,7 @@ def combine_weights(w_guide, w_target, k, r=4):
     return sigmoid(w_guide), sigmoid(w_target)
 
 
-def combine_offsets(o_guide, o_target, k, r=4):
+def combine_offsets(o_guide, o_target, k, r):
     """The offset factors: the raw (B, 2*k*k*r*r, h, w) tensors as they are,
     their channels checked. The joint filter multiplies them tap by tap; no
     sigmoid and no normalization."""

@@ -11,7 +11,7 @@ from . import tensor
 from .ops import (Module, param, param_conv, zeros_param, ones_param, conv2d,
                   conv2d_forward, conv2d_grads, depthwise_forward, depthwise_grads,
                   normalize, layer_norm_grads)
-from .tensor import ShapeError, ensure_tensor
+from .tensor import ShapeError
 
 
 class ScaParams(Module):
@@ -58,10 +58,6 @@ def _channel_norm_grads(g, xhat, inv, gamma):
     return gx.transpose(0, 3, 1, 2), ggamma, gbeta
 
 
-def _bias_grad(g):
-    return g.sum(axis=(0, 2, 3))
-
-
 class NafBlock(Module):
     """Fig-style block: LN, 1x1 expand, 3x3 depthwise, SimpleGate, SCA, 1x1,
     residual; then LN, 1x1 expand, SimpleGate, 1x1, residual. Residual scale
@@ -97,7 +93,6 @@ class NafBlock(Module):
         backward keeps each layer norm's xhat and inv, the depthwise output
         and SCA's pooled vector and scale, and recomputes the rest from them.
         """
-        x = ensure_tensor(x)
         if x.ndim != 4 or x.shape[1] != self.norm1_g.shape[0]:
             raise ShapeError(f"naf_block: input {x.shape} vs {self.norm1_g.shape[0]} channels")
         inputs = (x, self.norm1_g, self.norm1_b, self.pw1_w, self.pw1_b, self.dw_w, self.dw_b,
@@ -148,11 +143,9 @@ def _block_backward(g, params, kept):
     o4 *= g
     grads[18] = o4.sum(axis=(0, 1, 2, 3)).reshape(())
     g4 = g * gamma
-    gs2, grads[16] = conv2d_grads(g4, s2, w4, 0, True)
-    grads[17] = _bias_grad(g4)
+    gs2, grads[16], grads[17] = conv2d_grads(g4, s2, w4, 0, True)
     gp3 = _gate_grad(gs2, p3)
-    gn2, grads[14] = conv2d_grads(gp3, n2, w3, 0, True)
-    grads[15] = _bias_grad(gp3)
+    gn2, grads[14], grads[15] = conv2d_grads(gp3, n2, w3, 0, True)
     gy, grads[12], grads[13] = _channel_norm_grads(gn2, xhat2, inv2, g2)
     gy = g + gy
 
@@ -164,19 +157,15 @@ def _block_backward(g, params, kept):
     o2 *= gy
     grads[11] = o2.sum(axis=(0, 1, 2, 3)).reshape(())
     g2o = gy * beta
-    ga, grads[9] = conv2d_grads(g2o, a, w2, 0, True)
-    grads[10] = _bias_grad(g2o)
+    ga, grads[9], grads[10] = conv2d_grads(g2o, a, w2, 0, True)
     gscale = (ga * s1).sum(axis=(2, 3), keepdims=True)
-    gpooled, grads[7] = conv2d_grads(gscale, pooled, ws, 0, True)
-    grads[8] = _bias_grad(gscale)
+    gpooled, grads[7], grads[8] = conv2d_grads(gscale, pooled, ws, 0, True)
     gs1 = ga                        # the gate output's gradient: through SCA's mul and pool
     gs1 *= scale
     gs1 += gpooled / (s1.size / pooled.size)
     gd = _gate_grad(gs1, d)
-    gp1, grads[5] = depthwise_grads(gd, p1, wd, 1, True)
-    grads[6] = _bias_grad(gd)
-    gn1, grads[3] = conv2d_grads(gp1, n1, w1, 0, True)
-    grads[4] = _bias_grad(gp1)
+    gp1, grads[5], grads[6] = depthwise_grads(gd, p1, wd, 1, True)
+    gn1, grads[3], grads[4] = conv2d_grads(gp1, n1, w1, 0, True)
     gx, grads[1], grads[2] = _channel_norm_grads(gn1, xhat1, inv1, g1)
     grads[0] = gy + gx
     return grads

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, record, ensure_tensor, rearrange
+from .tensor import Tensor, ShapeError, record, rearrange
 
 
 class Module:
@@ -59,11 +59,10 @@ def ones_param(shape):
 #
 # Array-level kernels, shared by the recorded ops below and by the NAF
 # block's one node: conv2d_forward and depthwise_forward take the input, the
-# weight, the bias (or None) and the padding and return the output;
-# conv2d_grads and depthwise_grads take the output gradient, the input, the
-# weight, the padding and whether the input needs a gradient, and return
-# (input gradient or None, weight gradient). The bias gradient is
-# g.sum(axis=(0, 2, 3)).
+# weight, the bias and the padding and return the output; conv2d_grads and
+# depthwise_grads take the output gradient, the input, the weight, the
+# padding and whether the input needs a gradient, and return (input gradient
+# or None, weight gradient, bias gradient).
 
 
 def _taps(x_shape, w_shape, p):
@@ -100,8 +99,7 @@ def _im2col(x, w_shape, p):
 
 
 def _add_bias(out, b):
-    if b is not None:
-        out += b.reshape(1, -1, 1, 1)
+    out += b.reshape(1, -1, 1, 1)
     return out
 
 
@@ -126,7 +124,7 @@ def conv2d_grads(g, x, w, p, x_grad):
     gw = np.matmul(g2, _im2col(x, w.shape, p).swapaxes(1, 2))
     for b in range(1, B):               # the batch summed in order, in place
         gw[0] += gw[b]
-    return gx, gw[0].reshape(w.shape)
+    return gx, gw[0].reshape(w.shape), g.sum(axis=(0, 2, 3))
 
 
 def depthwise_forward(x, w, b, p):
@@ -150,43 +148,37 @@ def depthwise_grads(g, x, w, p, x_grad):
                          taps, x.shape, p)
     xp = _pad(x, p)                      # padded again, not kept from the forward
     gw = np.stack([np.einsum("bchw,bchw->c", g, xp[t]) for t in taps], axis=1)
-    return gx, gw.reshape(w.shape)
+    return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 
 
 def _conv(op, x, weight, bias, padding, forward, grads):
     """What conv2d and depthwise_conv2d share: the channel and output-extent
-    checks, the optional per-channel bias and the tape node, whose backward
-    keeps the input and the weight. The one backward that skips a gradient:
-    a constant input gets None, since the model's input convs read constant
-    sub-images and their input gradient costs more than the weight's."""
-    x, weight = ensure_tensor(x), ensure_tensor(weight)
+    checks and the tape node, whose backward keeps the input and the weight.
+    The one backward that skips a gradient: a constant input gets None,
+    since the model's input convs read constant sub-images and their input
+    gradient costs more than the weight's."""
     C, Cw = x.shape[1], weight.shape[-3]
     if C != Cw:
         raise ShapeError(f"{op}: input has {C} channels, weight expects {Cw}")
     Ho, Wo, _ = _taps(x.shape, weight.shape, padding)
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"{op}: non-positive output extent ({Ho}x{Wo})")
-    inputs = (x, weight) if bias is None else (x, weight, ensure_tensor(bias))
-    xd, wd, x_grad, n_in = x.data, weight.data, x.requires_grad, len(inputs)
-    out = forward(xd, wd, inputs[2].data if n_in == 3 else None, padding)
-
-    def backward(g):
-        gx, gw = grads(g, xd, wd, padding, x_grad)
-        return (gx, gw, g.sum(axis=(0, 2, 3))) if n_in == 3 else (gx, gw)
-
-    return record(op, inputs, out, backward)
+    xd, wd, x_grad = x.data, weight.data, x.requires_grad
+    return record(op, (x, weight, bias), forward(xd, wd, bias.data, padding),
+                  lambda g: grads(g, xd, wd, padding, x_grad))
 
 
-def conv2d(x, weight, bias=None, padding=0):
+def conv2d(x, weight, bias, padding=0):
     """Stride-1 cross-correlation of NCHW input with (out_ch, in_ch, kh, kw)
-    weights, zero-padded by `padding` on each side: one matmul over im2col."""
+    weights plus a per-channel bias, zero-padded by `padding` on each side:
+    one matmul over im2col."""
     return _conv("conv2d", x, weight, bias, padding, conv2d_forward, conv2d_grads)
 
 
-def depthwise_conv2d(x, weight, bias=None, padding=0):
-    """Stride-1 per-channel convolution with (C, kh, kw) weights, zero-padded
-    by `padding` on each side: one multiply-add per tap, and the forward sums
-    the taps in row-major order."""
+def depthwise_conv2d(x, weight, bias, padding=0):
+    """Stride-1 per-channel convolution with (C, kh, kw) weights plus a
+    per-channel bias, zero-padded by `padding` on each side: one multiply-add
+    per tap, and the forward sums the taps in row-major order."""
     return _conv("depthwise_conv2d", x, weight, bias, padding, depthwise_forward,
                  depthwise_grads)
 
@@ -226,7 +218,6 @@ def layer_norm_grads(g, xhat, inv, gamma):
 
 def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gamma, beta = ensure_tensor(x), ensure_tensor(gamma), ensure_tensor(beta)
     xhat, inv = normalize(x.data)
     out = gamma.data * xhat + beta.data
     gd, gamma_shape, beta_shape = gamma.data, gamma.shape, beta.shape
@@ -239,11 +230,10 @@ def layer_norm(x, gamma, beta):
 
 
 class AttentionParams(Module):
-    """QKV/output projections; optional learned relative-position bias over a
-    square token window (off by default)."""
+    """QKV/output projections; with position_bias, a learned relative-position
+    bias over the square token window."""
 
-    def __init__(self, rng, embed_dim, num_heads, window=None,
-                 position_bias=False):
+    def __init__(self, rng, embed_dim, num_heads, window, position_bias):
         if embed_dim % num_heads != 0:
             raise ShapeError(f"embed dim {embed_dim} not divisible by {num_heads} heads")
         self.num_heads = num_heads
@@ -255,8 +245,6 @@ class AttentionParams(Module):
         self.pos_bias = None
         self._pos_gather = None
         if position_bias:
-            if window is None:
-                raise ValueError("position_bias needs the window size")
             table_size = (2 * window - 1) ** 2
             self.pos_bias = param(rng, (table_size, num_heads))
             idx = _relative_index(window).reshape(-1)
@@ -300,7 +288,6 @@ def multi_head_attention(x, p, mask=None):
     the input rows and the softmax probabilities, and rebuilds q, k, v and
     the merged heads from them with the forward's own helpers.
     """
-    x = ensure_tensor(x)
     N, L, C = x.shape
     h, d = p.num_heads, p.head_dim
     if C != h * d:
@@ -382,7 +369,6 @@ def shifted_windows(H, W, window, shift):
 def _take_tokens(x, order, inverse, tokens, shape):
     """One "transpose" node: the token axis of x as `tokens` (B, H*W, C) gathered
     by the permutation `order`, reshaped to `shape`; backward gathers by `inverse`."""
-    x = ensure_tensor(x)
     out = np.take(x.data.reshape(tokens), order, axis=1).reshape(shape)
     shape_in = x.shape
     return record("transpose", (x,), out,
@@ -466,42 +452,25 @@ def _in_range(cy_raw, cx_raw, H, W):
     return (cy_raw > 0) & (cy_raw < H - 1), (cx_raw > 0) & (cx_raw < W - 1)
 
 
-def _scatter_corners(gx, g, corners):
-    """Add the (B, C, Hs, Ws) sample gradient g into the image gradient gx
-    (B, C, H, W) at the four corners, each weighted like its value."""
-    y0, x0, y1, x1, ty, tx = corners
-    B, C = gx.shape[:2]
-    b4 = np.arange(B)[:, None, None, None]
-    c4 = np.arange(C)[None, :, None, None]
-    np.add.at(gx, (b4, c4, y0[:, None], x0[:, None]), g * (1 - ty) * (1 - tx))
-    np.add.at(gx, (b4, c4, y0[:, None], x1[:, None]), g * (1 - ty) * tx)
-    np.add.at(gx, (b4, c4, y1[:, None], x0[:, None]), g * ty * (1 - tx))
-    np.add.at(gx, (b4, c4, y1[:, None], x1[:, None]), g * ty * tx)
-
-
 def bilinear_sample(x, coords):
-    """Sample (B, C, H, W) at continuous (y, x) positions, border-clamped.
+    """Sample the image x (B, C, H, W) at continuous (y, x) positions,
+    border-clamped.
 
-    coords is (B, Hs, Ws, 2) in pixel units; differentiable w.r.t. both the
-    image and the coordinates (coordinate gradient is zero where clamped).
+    coords is (B, Hs, Ws, 2) in pixel units. x is data and takes no gradient,
+    as in joint_filter: an x that requires one raises ValueError. One node
+    over coords, whose gradient is zero where a coordinate is clamped.
     """
-    x, coords = ensure_tensor(x), ensure_tensor(coords)
+    if x.requires_grad:
+        raise ValueError("bilinear_sample: the sampled image is data and takes no gradient")
     B, C, H, W = x.shape
     if coords.shape[0] != B or coords.shape[-1] != 2:
         raise ShapeError(f"bilinear_sample: bad coords shape {coords.shape}")
     cy_raw, cx_raw = coords.data[..., 0], coords.data[..., 1]
-    corners = _corners(cy_raw, cx_raw, H, W)
-    out, dty, dtx = _bilinear(x.data, corners)
+    out, dty, dtx = _bilinear(x.data, _corners(cy_raw, cx_raw, H, W))
     ymask, xmask = _in_range(cy_raw, cx_raw, H, W)
-
-    def backward(g):
-        gx = np.zeros((B, C, H, W))
-        _scatter_corners(gx, g, corners)
-        gc = np.stack([(g * dty).sum(axis=1) * ymask,
-                       (g * dtx).sum(axis=1) * xmask], axis=-1)
-        return gx, gc
-
-    return record("bilinear_sample", (x, coords), out, backward)
+    return record("bilinear_sample", (coords,), out,
+                  lambda g: (np.stack([(g * dty).sum(axis=1) * ymask,
+                                       (g * dtx).sum(axis=1) * xmask], axis=-1),))
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +571,9 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     weight factors', dropping each factor once its last reader is done. It
     runs once; a second call raises RuntimeError.
     """
-    x = ensure_tensor(x)
     if x.requires_grad:
         raise ValueError("joint_filter: the filtered image is data and takes no gradient")
-    inputs = tuple(map(ensure_tensor, (w_guide, w_target, o_guide, o_target)))
-    wg, wt, og, ot = inputs
+    inputs = wg, wt, og, ot = w_guide, w_target, o_guide, o_target
     B, _, H, W = x.shape
     kk, n, h, w = k * k, r * r, H // r, W // r
     if H % r or W % r or wg.shape != (B, kk * n, h, w) or wt.shape != wg.shape:

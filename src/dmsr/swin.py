@@ -10,8 +10,7 @@ from . import tensor
 from .ops import (Module, AttentionParams, param, param_conv, zeros_param,
                   ones_param, conv2d, layer_norm, multi_head_attention,
                   shifted_windows, window_partition, window_merge)
-from .tensor import (ShapeError, add, ensure_tensor, gelu_cdf, gelu_slope, transpose,
-                     unbroadcast)
+from .tensor import ShapeError, add, gelu_cdf, gelu_slope, transpose, unbroadcast
 
 
 class Mlp(Module):
@@ -31,7 +30,6 @@ class Mlp(Module):
         rows, the pre-activation a and its Phi, and rebuilds a * Phi for
         fc2's weight gradient.
         """
-        x = ensure_tensor(x)
         inputs = (x, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b)
         if x.shape[-1] != self.fc1_w.shape[0]:
             raise ShapeError(f"mlp: input {x.shape} vs {self.fc1_w.shape[0]} channels")
@@ -56,14 +54,12 @@ class Mlp(Module):
 class SwinLayer(Module):
     """One transformer layer: x + MSA(LN(x)), then + MLP(LN(.))."""
 
-    def __init__(self, rng, dim, window, num_heads, shift, mlp_ratio=2.0,
-                 position_bias=False):
+    def __init__(self, rng, dim, window, num_heads, shift, mlp_ratio, position_bias):
         self.window = window
         self.shift = shift
         self.norm1_g = ones_param((dim,))
         self.norm1_b = zeros_param((dim,))
-        self.attn = AttentionParams(rng, dim, num_heads, window=window,
-                                    position_bias=position_bias)
+        self.attn = AttentionParams(rng, dim, num_heads, window, position_bias)
         self.norm2_g = ones_param((dim,))
         self.norm2_b = zeros_param((dim,))
         self.mlp = Mlp(rng, dim, int(dim * mlp_ratio))
@@ -84,8 +80,7 @@ class SwinLayer(Module):
 class Rstb(Module):
     """Residual block of several SwinLayers plus a trailing 3x3 convolution."""
 
-    def __init__(self, rng, dim, window, num_heads, n_layers, mlp_ratio=2.0,
-                 position_bias=False):
+    def __init__(self, rng, dim, window, num_heads, n_layers, mlp_ratio, position_bias):
         self.layers = [SwinLayer(rng, dim, window, num_heads,
                                  shift=0 if i % 2 == 0 else window // 2,
                                  mlp_ratio=mlp_ratio, position_bias=position_bias)
@@ -108,7 +103,7 @@ class SwinBackbone(Module):
     """Input embedding conv followed by cfg.B residual swin transformer blocks."""
 
     def __init__(self, rng, in_ch, embed_dim, window, num_heads, n_blocks,
-                 n_layers_per_block=2, mlp_ratio=2.0, position_bias=False):
+                 n_layers_per_block, mlp_ratio, position_bias):
         self.window = window
         self.conv_in_w = param_conv(rng, embed_dim, in_ch, 3, 3)
         self.conv_in_b = zeros_param((embed_dim,))

@@ -132,10 +132,6 @@ class Tape:
         return self.grads
 
 
-def ensure_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _grad_key(t):
     """A tensor as a node input: its handle, itself (a leaf), None (a constant)."""
     if t.handle is not None:
@@ -144,7 +140,8 @@ def _grad_key(t):
 
 
 def record(op, inputs, out_data, backward):
-    """Wrap a computed result and register it on the active tape.
+    """Wrap a computed result and register it on the active tape. `inputs`
+    are the Tensors the op read.
 
     `backward(grad_out)` returns an array for every input, and Tape.backward
     drops each constant's (requires_grad False). The one exception is
@@ -153,7 +150,6 @@ def record(op, inputs, out_data, backward):
     would cost more than the rest of the node. It must not reach a Tensor:
     it keeps the shapes and arrays it reads, nothing more.
     """
-    inputs = tuple(ensure_tensor(x) for x in inputs)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     tapes = getattr(_TAPE_STACK, "tapes", None)
     if tapes and out.requires_grad:
@@ -187,21 +183,18 @@ def _binary_data(a, b, op):
 
 
 def add(a, b):
-    a, b = ensure_tensor(a), ensure_tensor(b)
     sa, sb = a.shape, b.shape
     return record("add", (a, b), _binary_data(a, b, np.add),
                   lambda g: (unbroadcast(g, sa), unbroadcast(g, sb)))
 
 
 def sub(a, b):
-    a, b = ensure_tensor(a), ensure_tensor(b)
     sa, sb = a.shape, b.shape
     return record("sub", (a, b), _binary_data(a, b, np.subtract),
                   lambda g: (unbroadcast(g, sa), unbroadcast(-g, sb)))
 
 
 def sigmoid(a):
-    a = ensure_tensor(a)
     # stable in both tails
     e = np.exp(-np.abs(a.data))
     s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -210,7 +203,6 @@ def sigmoid(a):
 
 def absolute(a):
     """|x|; subgradient 0 at exact ties."""
-    a = ensure_tensor(a)
     x = a.data
     return record("abs", (a,), np.abs(x), lambda g: (g * np.sign(x),))
 
@@ -280,7 +272,6 @@ def gelu_slope(x, cdf):
 
 
 def tmean(a, axis=None, keepdims=False):
-    a = ensure_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     n = a.data.size / out.size
     shape = a.shape
@@ -293,27 +284,18 @@ def tmean(a, axis=None, keepdims=False):
     return record("mean", (a,), out, backward)
 
 
-def rearrange(a, split, axes=None, shape=None):
-    """Reshape `a` to `split`, permute the axes by `axes` (None: keep their
-    order) and reshape to `shape` (None: as permuted), as one tape node whose
-    backward runs the three steps in reverse. It records op "transpose" when
-    it permutes and "reshape" when it does not."""
-    a = ensure_tensor(a)
-    x = a.data.reshape(split)
-    if axes is not None:
-        x = np.ascontiguousarray(x.transpose(axes))
+def rearrange(a, split, axes, shape=None):
+    """Reshape `a` to `split`, permute the axes by `axes` and reshape to
+    `shape` (None: as permuted), as one "transpose" node whose backward runs
+    the three steps in reverse."""
+    x = np.ascontiguousarray(a.data.reshape(split).transpose(axes))
     shape_in, permuted = a.shape, x.shape
-
-    def backward(g):
-        g = g.reshape(permuted)
-        return ((g if axes is None else g.transpose(np.argsort(axes))).reshape(shape_in),)
-
-    return record("reshape" if axes is None else "transpose", (a,),
-                  x if shape is None else x.reshape(shape), backward)
+    return record("transpose", (a,), x if shape is None else x.reshape(shape),
+                  lambda g: (g.reshape(permuted).transpose(np.argsort(axes)).reshape(shape_in),))
 
 
 def transpose(a, axes):
-    return rearrange(a, ensure_tensor(a).shape, axes)
+    return rearrange(a, a.shape, axes)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +303,6 @@ def transpose(a, axes):
 
 
 def matmul(a, b):
-    a, b = ensure_tensor(a), ensure_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul expects at least 2-d operands")
     if a.shape[-1] != b.shape[-2]:

@@ -6,8 +6,8 @@ import numpy as np
 
 from dmsr.ops import (_bilinear, _corners, _in_range, conv2d, depthwise_conv2d, layer_norm,
                       pixel_shuffle)
-from dmsr.tensor import (ShapeError, Tape, Tensor, add, ensure_tensor, gelu_cdf, gelu_slope,
-                         matmul, record, sub, tmean, transpose, unbroadcast)
+from dmsr.tensor import (ShapeError, Tape, Tensor, add, gelu_cdf, gelu_slope, matmul, record,
+                         sub, tmean, transpose, unbroadcast)
 
 
 def numeric_grad(fn, tensor, idx, eps=1e-4):
@@ -50,7 +50,6 @@ def mul(a, b):
     """a * b, numpy-broadcast, as one "mul" node: the product dmsr.tensor
     recorded until the joint filter took the kernel field's factors, kept
     for the tests' losses and reference chains."""
-    a, b = ensure_tensor(a), ensure_tensor(b)
     try:
         out = np.multiply(a.data, b.data)
     except ValueError:
@@ -65,7 +64,6 @@ def tsum(a):
     """The sum of every element as one "sum" node: the full reduction that
     dmsr.tensor recorded before its only callers were tests, kept as the
     reference for the tests' scalar losses."""
-    a = ensure_tensor(a)
     shape = a.shape
     return record("sum", (a,), a.data.sum(), lambda g: (np.broadcast_to(g, shape).copy(),))
 
@@ -135,7 +133,6 @@ def held_arrays(objects):
 
 
 def slice_axis(a, axis, start, stop):
-    a = ensure_tensor(a)
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
@@ -150,7 +147,6 @@ def slice_axis(a, axis, start, stop):
 
 
 def softmax_lastaxis(a):
-    a = ensure_tensor(a)
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
@@ -166,7 +162,6 @@ def softmax_lastaxis(a):
 def simple_gate(x):
     """Split (B, C, H, W) into channel halves y, z and return y * z, as one
     "mul" node whose backward joins (g * z, g * y) along the channels."""
-    x = ensure_tensor(x)
     C = x.shape[1]
     if C % 2:
         raise ShapeError(f"simple_gate: odd channel count {C}")
@@ -221,7 +216,6 @@ _GELU_CUBIC = 0.044715
 def gelu(a, mode="exact"):
     """x * Phi(x) as one "gelu" node; `tanh_approx` uses the cubic tanh form,
     whose cubic coefficient multiplies x**3 (the standard form)."""
-    a = ensure_tensor(a)
     x = a.data
     if mode == "exact":
         phi = gelu_cdf(x)
@@ -268,13 +262,12 @@ def reference_field(w_guide, w_target, o_guide, o_target, k, r):
     """The full-resolution (weights, offsets) of the factors, as 6 nodes."""
     p = pixel_shuffle(mul(w_guide, w_target), r)
     p = sub(p, tmean(p, axis=1, keepdims=True))
-    return add(p, 1.0 / (k * k)), pixel_shuffle(mul(o_guide, o_target), r)
+    return add(p, Tensor(1.0 / (k * k))), pixel_shuffle(mul(o_guide, o_target), r)
 
 
 def reference_joint_filter(x, weights, offsets, k):
     """ops.joint_filter over a full-resolution field, weights (B, k*k, H, W)
     and offsets (B, 2*k*k, H, W), as one "bilinear_sample" node; x is data."""
-    x, weights, offsets = ensure_tensor(x), ensure_tensor(weights), ensure_tensor(offsets)
     B, C, H, W = x.shape
     kk = k * k
     w_grad, o_grad = weights.requires_grad, offsets.requires_grad

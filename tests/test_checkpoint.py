@@ -56,7 +56,7 @@ def test_position_bias_config_survives_round_trip(tmp_path):
     cfg = ModelConfig(backbone="swin", position_bias=True, **TINY)
     model = DmsrModel(cfg, seed=2)
     assert model.guide_backbone.blocks[0].layers[0].attn.pos_bias is not None
-    arrays, meta = pack_state(model, None, {})
+    arrays, meta = pack_state(model, Adam(model.named_parameters()), {})
     path = str(tmp_path / "pb.dmsr")
     save_checkpoint(path, arrays, meta)
     restored, _, r_meta = restore_model(path)
@@ -167,7 +167,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_checkpoint_rejected(tmp_path):
     cfg = ModelConfig(backbone="swin", **TINY)
     model = DmsrModel(cfg, seed=1)
-    arrays, meta = pack_state(model, None, {})
+    arrays, meta = pack_state(model, Adam(model.named_parameters()), {})
     p = str(tmp_path / "t.dmsr")
     save_checkpoint(p, arrays, meta)
     blob = open(p, "rb").read()

@@ -33,7 +33,8 @@ from dmsr.swin import SwinBackbone
 from dmsr.tensor import Tensor
 synth_scene(0, 32, 32)
 rng = np.random.default_rng(0)
-out = SwinBackbone(rng, 4, 8, 4, 1, 1).forward(Tensor(rng.normal(size=(1, 4, 8, 8))))
+backbone = SwinBackbone(rng, 4, 8, 4, 1, 1, 2, 2.0, False)
+out = backbone.forward(Tensor(rng.normal(size=(1, 4, 8, 8))))
 assert np.isfinite(out.data).all()
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -388,6 +389,44 @@ def _with_first_dimension_grown(tmp_path, trained):
     return str(path)
 
 
+def _entry_ends(blob):
+    """The offset just past each checkpoint entry, in file order."""
+    (count,) = struct.unpack_from("<I", blob, 6)
+    ends, at = [], 10
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", blob, at)
+        head = nlen + 4 + 4 * blob[at + nlen + 3] + 8
+        at += head + struct.unpack_from("<Q", blob, at + head - 8)[0]
+        ends.append(at)
+    return ends
+
+
+def _bench_with_first_entry_repeated(tmp_path, trained):
+    """bench on the trained checkpoint with a copy of its first entry appended
+    to the entry table and the entry count raised by one."""
+    blob = open(trained, "rb").read()
+    ends = _entry_ends(blob)
+    path = tmp_path / "bad.dmsr"
+    path.write_bytes(blob[:6] + struct.pack("<I", len(ends) + 1) + blob[10:ends[-1]]
+                     + blob[10:ends[0]] + blob[ends[-1]:])
+    return ["bench", "--checkpoint", str(path), "--width", "32", "--height", "32",
+            "--repeats", "3"]
+
+
+def _bench_with_metadata_line_repeated(tmp_path, trained):
+    """bench on the trained checkpoint with a second `model.k` line, of another
+    value, right after its first."""
+    blob = open(trained, "rb").read()
+    at = _entry_ends(blob)[-1]
+    meta = blob[at + 4:]
+    assert b"model.k = 3\n" in meta
+    meta = meta.replace(b"model.k = 3\n", b"model.k = 3\nmodel.k = 5\n")
+    path = tmp_path / "bad.dmsr"
+    path.write_bytes(blob[:at] + struct.pack("<I", len(meta)) + meta)
+    return ["bench", "--checkpoint", str(path), "--width", "32", "--height", "32",
+            "--repeats", "3"]
+
+
 def _resume_with_moment_of_shape(shape):
     def argv(tmp_path, trained):
         from dmsr.checkpoint import load_checkpoint, save_checkpoint
@@ -594,6 +633,10 @@ BAD_INPUTS = [
          "eval", _with_first_dimension_grown(tmp_path, trained),
          str(tmp_path / "manifest.txt")],
      None, 3, "error: data:", "entry guide_backbone.conv_in_w has 27648 payload bytes"),
+    ("entry-name-repeats", _bench_with_first_entry_repeated, None, 3, "error: data:",
+     "entry guide_backbone.conv_in_w repeats"),
+    ("metadata-key-repeats", _bench_with_metadata_line_repeated, None, 3, "error: data:",
+     "metadata key model.k repeats"),
     ("resume-optim-moment-wrong-shape", _resume_with_moment_of_shape((3,)), None, 3,
      "error: data:", "entry optim.m.guide_backbone.conv_in_b has shape (3,), expected (8,)"),
     ("eval-parameter-nan",

@@ -64,7 +64,7 @@ def test_combine_weights_output_is_4x_resolution():
 def test_combine_weights_channel_mismatch():
     with pytest.raises(ShapeError):
         combine_weights(Tensor(np.zeros((1, 10, 2, 2))),
-                        Tensor(np.zeros((1, 10, 2, 2))), 3)
+                        Tensor(np.zeros((1, 10, 2, 2))), 3, 4)
 
 
 def test_combine_offsets_multiplicative_identity():

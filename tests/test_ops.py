@@ -33,7 +33,7 @@ def conv2d_loops(x, w, b, pad):
                         for u in range(kh):
                             for v in range(kw):
                                 acc += w[o, c, u, v] * xp[bb, c, i + u, j + v]
-                    out[bb, o, i, j] = acc + (b[o] if b is not None else 0.0)
+                    out[bb, o, i, j] = acc + b[o]
     return out
 
 
@@ -101,7 +101,7 @@ def test_conv2d_identity_kernel():
     w = np.zeros((3, 3, 1, 1))
     for c in range(3):
         w[c, c, 0, 0] = 1.0
-    out = ops.conv2d(Tensor(x), Tensor(w))
+    out = ops.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, x)
 
 
@@ -109,7 +109,7 @@ def test_conv2d_box_sum_on_constant():
     c = 0.7
     x = np.full((1, 1, 6, 6), c)
     w = np.ones((1, 1, 3, 3))
-    out = ops.conv2d(Tensor(x), Tensor(w), padding=1).data
+    out = ops.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)), padding=1).data
     np.testing.assert_allclose(out[0, 0, 1:-1, 1:-1], 9 * c)
 
 
@@ -159,17 +159,20 @@ def test_depthwise_conv2d_matches_einsum_reference(B, pad):
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
-        ops.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+        ops.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))),
+                   Tensor(np.zeros(1)))
 
 
 def test_conv2d_non_positive_output():
     with pytest.raises(ShapeError):
-        ops.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))))
+        ops.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))),
+                   Tensor(np.zeros(1)))
 
 
 def test_depthwise_conv2d_non_positive_output():
     with pytest.raises(ShapeError, match="non-positive output extent"):
-        ops.depthwise_conv2d(Tensor(np.ones((1, 2, 2, 4))), Tensor(np.ones((2, 3, 3))))
+        ops.depthwise_conv2d(Tensor(np.ones((1, 2, 2, 4))), Tensor(np.ones((2, 3, 3))),
+                             Tensor(np.zeros(2)))
 
 
 def test_conv2d_gradients():
@@ -208,7 +211,7 @@ def test_recorded_3x3_conv2d_keeps_no_array_larger_than_its_input(padding):
     x = Tensor(rng.uniform(-1, 1, (2, 2, 8, 7)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
     with Tape() as tape:
-        out = ops.conv2d(x, w, padding=padding)
+        out = ops.conv2d(x, w, Tensor(np.zeros(3)), padding=padding)
     (node,) = tape.nodes
     reached = closure_reach(node.backward)
     assert not [o for o in reached if isinstance(o, Tensor)]
@@ -218,7 +221,7 @@ def test_recorded_3x3_conv2d_keeps_no_array_larger_than_its_input(padding):
     assert all(a.nbytes <= x.data.nbytes for a in held), [a.shape for a in held]
 
     g = rng.uniform(-1, 1, out.shape)
-    gx, gw = node.backward(g)
+    gx, gw, _ = node.backward(g)
     want_gx, want_gw = _stored_im2col_conv2d_grads(x.data, w.data, padding, g)
     assert gx.tobytes() == want_gx.tobytes()
     assert gw.tobytes() == want_gw.tobytes()
@@ -229,7 +232,7 @@ def test_recorded_conv2d_does_not_keep_its_padded_input():
     x = Tensor(rng.uniform(-1, 1, (1, 2, 5, 5)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)))
     with Tape() as tape:
-        ops.conv2d(x, w, padding=1)
+        ops.conv2d(x, w, Tensor(np.zeros(3)), padding=1)
     held = [a for a in closure_reach(tape.nodes[0].backward) if isinstance(a, np.ndarray)]
     assert held, "the closure walk found no arrays"
     assert all(a.shape != (1, 2, 7, 7) for a in held)
@@ -244,7 +247,7 @@ def test_3x3_conv2d_backward_frees_the_column_gradient_before_rebuilding_im2col(
     x = Tensor(rng.uniform(-1, 1, (1, 32, 32, 32)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (32, 32, 3, 3)), requires_grad=True)
     with Tape() as tape:
-        out = ops.conv2d(x, w, padding=1)
+        out = ops.conv2d(x, w, Tensor(np.zeros(32)), padding=1)
     (node,) = tape.nodes
     g = rng.uniform(-1, 1, out.shape)
     tracemalloc.start()
@@ -261,12 +264,12 @@ def test_depthwise_conv2d_matches_grouped_loops():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, (1, 4, 5, 5))
     w = rng.uniform(-1, 1, (4, 3, 3))
-    got = ops.depthwise_conv2d(Tensor(x), Tensor(w), padding=1).data
+    got = ops.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4)), padding=1).data
     # per-channel naive conv
     w4 = np.zeros((4, 4, 3, 3))
     for c in range(4):
         w4[c, c] = w[c]
-    want = conv2d_loops(x, w4, None, 1)
+    want = conv2d_loops(x, w4, np.zeros(4), 1)
     assert np.abs(got - want).max() < 1e-10
 
 
@@ -353,7 +356,7 @@ def test_cyclic_shift_round_trip():
 
 
 def _attn_params(rng, dim, heads):
-    return ops.AttentionParams(rng, dim, heads)
+    return ops.AttentionParams(rng, dim, heads, None, False)
 
 
 def test_attention_single_token_is_value_projection():
@@ -395,7 +398,7 @@ def test_attention_permutation_equivariance():
 def test_attention_head_divisibility():
     rng = np.random.default_rng(13)
     with pytest.raises(ShapeError):
-        ops.AttentionParams(rng, 10, 3)
+        ops.AttentionParams(rng, 10, 3, None, False)
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "shift_mask"])
@@ -525,7 +528,7 @@ def reference_attention(x, p, mask=None):
     qkv = chain_reshape(qkv, (N, L, 3, h, d))
     qkv = chain_transpose(qkv, (2, 0, 3, 1, 4))
     q, k, v = (chain_reshape(slice_axis(qkv, 0, i, i + 1), (N, h, L, d)) for i in range(3))
-    logits = mul(matmul(q, chain_transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
+    logits = mul(matmul(q, chain_transpose(k, (0, 1, 3, 2))), Tensor(1.0 / np.sqrt(d)))
     if p.pos_bias is not None:
         bias = matmul(Tensor(p._pos_gather), p.pos_bias)
         bias = chain_transpose(chain_reshape(bias, (L, L, h)), (2, 0, 1))
@@ -675,15 +678,34 @@ def test_bilinear_out_of_bounds_clamps():
 
 
 def test_bilinear_gradients_wrt_image_and_coords():
+    # the image is data: only the coordinates take a gradient
     rng = np.random.default_rng(19)
-    x = Tensor(rng.uniform(-1, 1, (1, 2, 6, 6)), requires_grad=True)
+    x = Tensor(rng.uniform(-1, 1, (1, 2, 6, 6)))
     # keep coords strictly interior and away from the integer lattice
     base = rng.uniform(0.6, 4.4, (1, 3, 3, 2))
     base += 0.17 - (base % 1.0) * 0.01
     coords = Tensor(base, requires_grad=True)
     check_gradients(
         lambda: weighted_sum_loss(ops.bilinear_sample(x, coords)),
-        [x, coords], rel_tol=1e-3, n_coords=8)
+        [coords], rel_tol=1e-3, n_coords=8)
+
+
+def test_bilinear_sample_refuses_an_image_that_requires_a_gradient():
+    x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+    with pytest.raises(ValueError, match="the sampled image is data"):
+        ops.bilinear_sample(x, Tensor(np.zeros((1, 1, 1, 2)), requires_grad=True))
+
+
+@pytest.mark.parametrize("op,w_shape", [(ops.conv2d, (2, 2, 3, 3)),
+                                        (ops.depthwise_conv2d, (2, 3, 3))],
+                         ids=["conv2d", "depthwise_conv2d"])
+def test_conv_refuses_an_array_for_a_parameter(op, w_shape):
+    # an ndarray where a Tensor belongs fails, and does not train as a constant
+    x = Tensor(np.ones((1, 2, 4, 4)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    w = Tensor(np.ones(w_shape), requires_grad=True)
+    with Tape(), pytest.raises(AttributeError):
+        op(x, w.data, b, padding=1)
 
 
 # constant inputs ------------------------------------------------------------------
@@ -723,7 +745,6 @@ CONSTANT_INPUT_CASES = [
     ("depthwise_pad1", lambda x, w, b: ops.depthwise_conv2d(x, w, b, padding=1),
      [(2, 3, 5, 4), (3, 3, 3), (3,)]),
     ("layer_norm", ops.layer_norm, [(2, 3, 4), (4,), (4,)]),
-    ("bilinear_sample", ops.bilinear_sample, [(1, 2, 5, 4), (1, 3, 3, 2)]),
     ("joint_filter", lambda *factors: ops.joint_filter(Tensor(FILTERED), *factors, 3, 2),
      [(2, 36, 2, 3), (2, 36, 2, 3), (2, 72, 2, 3), (2, 72, 2, 3)]),
     ("multi_head_attention", _attention_of,

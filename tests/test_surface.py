@@ -1,10 +1,13 @@
 """Library surface: every public function of dmsr.tensor and dmsr.ops has a
 caller in the package, or is bound by name by the benchmark's tracer
 (perfbench/tracing.py's FUNCTIONS). A function only the tests call fails here.
+Only the tape and the data inputs read `requires_grad`, and the package stays
+within its line bound.
 """
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -88,12 +91,28 @@ def _requires_grad_readers():
 
 def test_only_the_tape_and_the_data_inputs_read_requires_grad():
     # every backward returns an array for every input and the sweep drops a
-    # constant's, so no op reads the flag but the two that take data: _conv
+    # constant's, so no op reads the flag but the three that take data: _conv
     # skips a constant input's gradient (the input convs' sub-images), and
-    # joint_filter refuses an image that requires one (the filtered depth)
+    # joint_filter and bilinear_sample refuse an image that requires one
     readers = _requires_grad_readers()
     tensor_methods = {r for r in readers if r.startswith("tensor.Tensor.")}
     assert tensor_methods
     assert readers - tensor_methods == {"tensor._grad_key", "tensor.record",
                                         "ops.Module.named_parameters", "ops._conv",
-                                        "ops.joint_filter"}
+                                        "ops.joint_filter", "ops.bilinear_sample"}
+
+
+# The non-blank, non-comment lines of src/dmsr, as counted by
+#   grep -v '^\s*$' src/dmsr/*.py | grep -v ':\s*#' | wc -l
+# A change that raises the bound says why in CHANGES.md.
+SRC_LINE_BOUND = 2254
+
+
+def test_source_stays_within_its_line_bound():
+    count = 0
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as f:
+                count += sum(1 for line in f if line.strip()
+                             and not re.search(r":\s*#", f"src/dmsr/{fname}:{line}"))
+    assert count <= SRC_LINE_BOUND, f"src/dmsr has {count} lines, the bound is {SRC_LINE_BOUND}"

@@ -16,12 +16,12 @@ from helpers import check_gradients, closure_reach, held_arrays, mlp_chain, weig
 
 def make_backbone(seed=0, in_ch=8, dim=8, window=4, heads=1, blocks=4, layers=2):
     rng = np.random.default_rng(seed)
-    return SwinBackbone(rng, in_ch, dim, window, heads, blocks, layers)
+    return SwinBackbone(rng, in_ch, dim, window, heads, blocks, layers, 2.0, False)
 
 
 def test_stl_residual_identity_when_projections_zeroed():
     rng = np.random.default_rng(0)
-    layer = SwinLayer(rng, 8, 4, 2, shift=0)
+    layer = SwinLayer(rng, 8, 4, 2, 0, 2.0, False)
     layer.attn.proj_w.data[:] = 0.0
     layer.attn.proj_b.data[:] = 0.0
     layer.mlp.fc2_w.data[:] = 0.0
@@ -33,14 +33,14 @@ def test_stl_residual_identity_when_projections_zeroed():
 
 def test_stl_shape_preservation():
     rng = np.random.default_rng(1)
-    layer = SwinLayer(rng, 32, 4, 2, shift=2)
+    layer = SwinLayer(rng, 32, 4, 2, 2, 2.0, False)
     x = Tensor(rng.uniform(-1, 1, (1, 8, 8, 32)))
     assert layer.forward(x).shape == (1, 8, 8, 32)
 
 
 def test_stl_gradient_reaches_every_parameter():
     rng = np.random.default_rng(2)
-    layer = SwinLayer(rng, 8, 4, 1, shift=2)
+    layer = SwinLayer(rng, 8, 4, 1, 2, 2.0, False)
     x = Tensor(rng.uniform(-1, 1, (1, 8, 8, 8)))
     with Tape() as tape:
         loss = weighted_sum_loss(layer.forward(x))
@@ -110,7 +110,7 @@ def test_shifted_window_masking_blocks_wraparound(monkeypatch):
     # a shifted layer must not mix content across the cyclic seam: compare
     # against the same layer with its mask zeroed
     rng = np.random.default_rng(8)
-    layer = SwinLayer(rng, 8, 4, 1, shift=2)
+    layer = SwinLayer(rng, 8, 4, 1, 2, 2.0, False)
     x = rng.uniform(-1, 1, (1, 8, 8, 8))
     out_masked = layer.forward(Tensor(x)).data
     real = swin.shifted_windows
