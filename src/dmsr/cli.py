@@ -50,7 +50,7 @@ def parse_config_file(path):
             lines = f.read().splitlines()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    out = {}
+    out, first_line = {}, {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -60,6 +60,9 @@ def parse_config_file(path):
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             out[key] = parse(type(DEFAULTS[key]), value)
         except ValueError as e:

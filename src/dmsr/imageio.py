@@ -173,22 +173,3 @@ def save_pfm(path, img):
         x = x[0]
     header = f"Pf\n{x.shape[1]} {x.shape[0]}\n-1.0\n".encode()
     atomic_write(path, (header, np.ascontiguousarray(x[::-1])))
-
-
-def load_pfm(path):
-    """Load grayscale PFM as (1, H, W) float64 (payload stays bit-exact f32)."""
-    blob, scan, w, h = _read_image(path, b"Pf")
-    tok = scan.token()
-    try:
-        scale = float(tok)
-    except ValueError:
-        raise MalformedHeaderError(f"bad scale {tok!r}", scan.token_start, path)
-    if scale == 0:
-        raise MalformedHeaderError("zero scale", scan.token_start, path)
-    scan.pos += 1
-    raw = _payload(blob, scan.pos, w * h * 4, path)
-    dtype = "<f4" if scale < 0 else ">f4"
-    img = np.frombuffer(raw, dtype=dtype).reshape(h, w)[::-1].astype(np.float64)
-    if abs(scale) != 1.0:
-        img = img * abs(scale)
-    return img[None]

@@ -188,11 +188,3 @@ class NafBackbone(Module):
     def forward(self, x):
         """(B, in_ch, H, W) -> (B, width, H, W), spatial extents unchanged."""
         return self.forward_blocks(conv2d(x, self.conv_in_w, self.conv_in_b, padding=1))
-
-
-def zero_residual_branches(backbone):
-    """Residual scales are already the gate; zeroing them makes every block an
-    identity map (they start at zero, this restores that state)."""
-    for block in backbone.blocks:
-        block.beta.data[...] = 0.0
-        block.gamma.data[...] = 0.0

@@ -74,7 +74,12 @@ def _taps(x_shape, w_shape, p):
 
 
 def _pad(x, p):
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    if not p:
+        return x
+    B, C, H, W = x.shape
+    xp = np.zeros((B, C, H + 2 * p, W + 2 * p))
+    xp[..., p:p + H, p:p + W] = x
+    return xp
 
 
 def _input_grad(tap_grads, taps, x_shape, p):
@@ -94,7 +99,11 @@ def _im2col(x, w_shape, p):
     """(B, C * taps, Ho * Wo); the one window of a 1x1 kernel is xp itself."""
     Ho, Wo, taps = _taps(x.shape, w_shape, p)
     xp = _pad(x, p)
-    cols = xp[:, :, None] if len(taps) == 1 else np.stack([xp[t] for t in taps], axis=2)
+    if len(taps) == 1:
+        return xp.reshape(x.shape[0], -1, Ho * Wo)
+    cols = np.empty((*x.shape[:2], len(taps), Ho, Wo))
+    for n, t in enumerate(taps):
+        cols[:, :, n] = xp[t]
     return cols.reshape(x.shape[0], -1, Ho * Wo)
 
 
@@ -217,16 +226,12 @@ def layer_norm_grads(g, xhat, inv, gamma):
 
 
 def layer_norm(x, gamma, beta):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine by
+    the (C,) gamma and beta."""
     xhat, inv = normalize(x.data)
-    out = gamma.data * xhat + beta.data
-    gd, gamma_shape, beta_shape = gamma.data, gamma.shape, beta.shape
-
-    def backward(g):
-        gx, ggamma, gbeta = layer_norm_grads(g, xhat, inv, gd)
-        return gx, ggamma.reshape(gamma_shape), gbeta.reshape(beta_shape)
-
-    return record("layer_norm", (x, gamma, beta), out, backward)
+    gd = gamma.data
+    return record("layer_norm", (x, gamma, beta), gd * xhat + beta.data,
+                  lambda g: layer_norm_grads(g, xhat, inv, gd))
 
 
 class AttentionParams(Module):
@@ -278,62 +283,88 @@ def _merge_heads(probs, v):
     return np.ascontiguousarray(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(N, L, h * d)
 
 
-def multi_head_attention(x, p, mask=None):
-    """Softmax attention over tokens; x is (N, L, C), mask (nW, L, L) or None.
-
-    When a mask is given, N must be a multiple of nW and window i of every
-    batch entry receives mask[i] added to its logits. One tape node: its
-    backward repeats the arithmetic of the node chain this op once recorded,
-    bit for bit, and packs the q, k and v gradients into one buffer. It keeps
-    the input rows and the softmax probabilities, and rebuilds q, k, v and
-    the merged heads from them with the forward's own helpers.
-    """
-    N, L, C = x.shape
-    h, d = p.num_heads, p.head_dim
-    if C != h * d:
-        raise ShapeError(f"attention: channels {C} != heads*head_dim {h * d}")
-    inputs = (x, p.qkv_w, p.qkv_b, p.proj_w, p.proj_b)
-    gather = p._pos_gather
+def attention_forward(x, weights, h, gather, mask):
+    """(out, probs) of softmax attention over the (N, L, C) rows x: weights
+    are qkv_w, qkv_b, proj_w, proj_b and, with gather (the one-hot position
+    lookup), the bias table; a mask (nW, L, L), or None, adds mask[i] to the
+    logits of window i of every batch entry. probs is the (N, h, L, L) softmax."""
+    L, d = x.shape[1], x.shape[2] // h
+    qw, qb, pw, pb = weights[:4]
+    q, kT, v = _split_heads(x, qw, qb, h, d)
+    probs = np.matmul(q, kT) * (1.0 / np.sqrt(d))
     if gather is not None:
-        if gather.shape[0] != L * L:
-            raise ShapeError(f"position bias built for {len(gather)} token pairs, got {L * L}")
-        inputs += (p.pos_bias,)
-    n_in, scale = len(inputs), 1.0 / np.sqrt(d)
-
-    xd, qw, qb = x.data, p.qkv_w.data, p.qkv_b.data
-    q, kT, v = _split_heads(xd, qw, qb, h, d)
-    probs = np.matmul(q, kT) * scale
-    if gather is not None:
-        probs += np.matmul(gather, p.pos_bias.data).reshape(L, L, h).transpose(2, 0, 1)
-    if mask is not None:            # window i of every batch entry, the same for every head
+        probs += np.matmul(gather, weights[4]).reshape(L, L, h).transpose(2, 0, 1)
+    if mask is not None:
         windows = probs.reshape(-1, mask.shape[0], h, L, L)
         windows += mask[:, None]
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    pw = p.proj_w.data
-    out = np.matmul(_merge_heads(probs, v), pw) + p.proj_b.data
+    return np.matmul(_merge_heads(probs, v), pw) + pb, probs
+
+
+def attention_backward(g, x, probs, weights, h, gather):
+    """The gradients of the rows x and of each of attention_forward's
+    weights, in order, from the output gradient g. q, k, v and the merged
+    heads are rebuilt from x with the forward's own helpers, and the q, k
+    and v gradients packed into one buffer."""
+    N, L, C = x.shape
+    d, scale = C // h, 1.0 / np.sqrt(C // h)
+    qw, qb, pw = weights[:3]
+    q, kT, v = _split_heads(x, qw, qb, h, d)
+    gpw = np.matmul(np.swapaxes(_merge_heads(probs, v), -1, -2), g).sum(axis=0)
+    gpb = g.sum(axis=(0, 1))
+    go = np.matmul(g, pw.T).reshape(N, L, h, d).transpose(0, 2, 1, 3)
+    gp = np.matmul(go, np.swapaxes(v, -1, -2))
+    glogits = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+    gpos = () if gather is None else (
+        np.matmul(gather.T, glogits.sum(axis=0).transpose(1, 2, 0).reshape(L * L, h)),)
+    glogits *= scale
+    gqkv = np.empty((N, 3 * h, L, d))
+    gqkv[:, :h] = np.matmul(glogits, np.swapaxes(kT, -1, -2))
+    gqkv[:, h:2 * h] = np.matmul(np.swapaxes(q, -1, -2), glogits).transpose(0, 1, 3, 2)
+    gqkv[:, 2 * h:] = np.matmul(np.swapaxes(probs, -1, -2), go)
+    gqkv = gqkv.transpose(0, 2, 1, 3).reshape(N, L, 3 * C)
+    gqb = gqkv.sum(axis=(0, 1))
+    gqw = np.matmul(np.swapaxes(x, -1, -2), gqkv).sum(axis=0)
+    return (np.matmul(gqkv, qw.T), gqw, gqb, gpw, gpb) + gpos
+
+
+def multi_head_attention(x, norm_g, norm_b, p, window, shift):
+    """A swin layer's attention sublayer over x (B, H, W, C), before its
+    residual sum: layer norm, the windows of the grid shifted up and left by
+    `shift`, attention in each, and the merge back. One tape node, bit-equal
+    to the layer_norm, window_partition, attention, window_merge chain it
+    replaces. It keeps the norm's xhat and inv and the softmax probabilities;
+    its backward rebuilds the window rows from them."""
+    B, H, W, C = x.shape
+    h, L = p.num_heads, window * window
+    params = (p.qkv_w, p.qkv_b, p.proj_w, p.proj_b)
+    gather = p._pos_gather
+    if gather is not None:
+        if gather.shape[0] != L * L:
+            raise ShapeError(f"position bias built for {len(gather)} token pairs, got {L * L}")
+        params += (p.pos_bias,)
+    index, inverse, mask = shifted_windows(H, W, window, shift)
+    weights = tuple(t.data for t in params)
+    gd, bd = norm_g.data, norm_b.data
+    xhat, inv = normalize(x.data)
+    tokens = (B, H * W, C)
+
+    def windows():
+        """The window rows of the norm's output, (B * windows, L, C)."""
+        return np.take((gd * xhat + bd).reshape(tokens), index, axis=1).reshape(-1, L, C)
+
+    out, probs = attention_forward(windows(), weights, h, gather, mask)
 
     def backward(g):
-        q, kT, v = _split_heads(xd, qw, qb, h, d)
-        gpw = np.matmul(np.swapaxes(_merge_heads(probs, v), -1, -2), g).sum(axis=0)
-        gpb = g.sum(axis=(0, 1))
-        go = np.matmul(g, pw.T).reshape(N, L, h, d).transpose(0, 2, 1, 3)
-        gp = np.matmul(go, np.swapaxes(v, -1, -2))
-        glogits = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
-        gpos = (None if gather is None else
-                np.matmul(gather.T, glogits.sum(axis=0).transpose(1, 2, 0).reshape(L * L, h)))
-        glogits *= scale
-        gqkv = np.empty((N, 3 * h, L, d))
-        gqkv[:, :h] = np.matmul(glogits, np.swapaxes(kT, -1, -2))
-        gqkv[:, h:2 * h] = np.matmul(np.swapaxes(q, -1, -2), glogits).transpose(0, 1, 3, 2)
-        gqkv[:, 2 * h:] = np.matmul(np.swapaxes(probs, -1, -2), go)
-        gqkv = gqkv.transpose(0, 2, 1, 3).reshape(N, L, 3 * C)
-        gqb = gqkv.sum(axis=(0, 1))
-        gqw = np.matmul(np.swapaxes(xd, -1, -2), gqkv).sum(axis=0)
-        return (np.matmul(gqkv, qw.T), gqw, gqb, gpw, gpb, gpos)[:n_in]
+        g = np.take(g.reshape(tokens), index, axis=1).reshape(-1, L, C)
+        gx, *gw = attention_backward(g, windows(), probs, weights, h, gather)
+        gx = np.take(gx.reshape(tokens), inverse, axis=1).reshape(B, H, W, C)
+        return (*layer_norm_grads(gx, xhat, inv, gd), *gw)
 
-    return record("multi_head_attention", inputs, out, backward)
+    return record("multi_head_attention", (x, norm_g, norm_b) + params,
+                  np.take(out.reshape(tokens), inverse, axis=1).reshape(B, H, W, C), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ attention alternates between unshifted and half-window-shifted grids.
 import numpy as np
 
 from . import tensor
-from .ops import (Module, AttentionParams, param, param_conv, zeros_param,
-                  ones_param, conv2d, layer_norm, multi_head_attention,
-                  shifted_windows, window_partition, window_merge)
+from .ops import (Module, AttentionParams, param, param_conv, zeros_param, ones_param,
+                  conv2d, layer_norm_grads, multi_head_attention, normalize)
 from .tensor import ShapeError, add, gelu_cdf, gelu_slope, transpose, unbroadcast
 
 
@@ -20,31 +19,31 @@ class Mlp(Module):
         self.fc2_w = param(rng, (hidden, dim))
         self.fc2_b = zeros_param((dim,))
 
-    def forward(self, x):
-        """One "mlp" tape node over the last axis of x: fc1 and its bias,
-        exact GELU, fc2 and its bias.
-
-        Forward and backward do the arithmetic of the matmul, add, gelu,
-        matmul, add chain it replaces, op for op, so the output and every
-        gradient are bit-equal to that chain's. The backward keeps the input
-        rows, the pre-activation a and its Phi, and rebuilds a * Phi for
-        fc2's weight gradient.
-        """
-        inputs = (x, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b)
+    def forward(self, x, norm_g, norm_b):
+        """A swin layer's MLP sublayer over the last axis of x, before its
+        residual sum: layer norm, fc1 and its bias, exact GELU, fc2 and its
+        bias. One "mlp" tape node, bit-equal to the layer_norm, matmul, add,
+        gelu, matmul, add chain it replaces. It keeps the norm's xhat and inv
+        and the pre-activation a; its backward rebuilds Phi(a) and the norm's
+        output."""
+        inputs = (x, norm_g, norm_b, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b)
         if x.shape[-1] != self.fc1_w.shape[0]:
             raise ShapeError(f"mlp: input {x.shape} vs {self.fc1_w.shape[0]} channels")
-        xd, w1, b1, w2, b2 = (t.data for t in inputs)
-        a = np.matmul(xd, w1) + b1
-        cdf = gelu_cdf(a)
-        out = np.matmul(a * cdf, w2) + b2
+        gd, bd, w1, b1, w2, b2 = (t.data for t in inputs[1:])
+        xhat, inv = normalize(x.data)
+        a = np.matmul(gd * xhat + bd, w1) + b1
+        out = np.matmul(a * gelu_cdf(a), w2) + b2
 
         def backward(g):
+            cdf = gelu_cdf(a)
             gw2 = unbroadcast(np.matmul(np.swapaxes(a * cdf, -1, -2), g), w2.shape)
             gb2 = unbroadcast(g, b2.shape)
             ga = np.matmul(g, np.swapaxes(w2, -1, -2)) * gelu_slope(a, cdf)
+            del cdf
             gb1 = unbroadcast(ga, b1.shape)
-            gw1 = unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), ga), w1.shape)
-            return np.matmul(ga, np.swapaxes(w1, -1, -2)), gw1, gb1, gw2, gb2
+            gw1 = unbroadcast(np.matmul(np.swapaxes(gd * xhat + bd, -1, -2), ga), w1.shape)
+            gx = np.matmul(ga, np.swapaxes(w1, -1, -2))
+            return (*layer_norm_grads(gx, xhat, inv, gd), gw1, gb1, gw2, gb2)
 
         # through the module attribute, so a wrapper installed on tensor.record (as
         # perfbench/tracing.py does) counts this node with the other tensor ops
@@ -66,15 +65,9 @@ class SwinLayer(Module):
 
     def forward(self, x):
         """x is (B, H, W, C); window must divide H and W."""
-        _, H, W, _ = x.shape
-        shortcut = x
-        y = layer_norm(x, self.norm1_g, self.norm1_b)
-        wins = window_partition(y, self.window, self.shift)
-        mask = shifted_windows(H, W, self.window, self.shift)[2]
-        wins = multi_head_attention(wins, self.attn, mask=mask)
-        y = window_merge(wins, self.window, H, W, self.shift)
-        x = add(shortcut, y)
-        return add(x, self.mlp.forward(layer_norm(x, self.norm2_g, self.norm2_b)))
+        x = add(x, multi_head_attention(x, self.norm1_g, self.norm1_b, self.attn,
+                                        self.window, self.shift))
+        return add(x, self.mlp.forward(x, self.norm2_g, self.norm2_b))
 
 
 class Rstb(Module):
@@ -123,16 +116,3 @@ class SwinBackbone(Module):
     def forward(self, x):
         """(B, in_ch, H, W) -> (B, embed_dim, H, W), spatial extents unchanged."""
         return self.forward_blocks(conv2d(x, self.conv_in_w, self.conv_in_b, padding=1))
-
-
-def zero_residual_branches(backbone):
-    """Zero every projection feeding a residual sum, making the block stack an
-    identity map. Used by initialization-property tests."""
-    for block in backbone.blocks:
-        for layer in block.layers:
-            layer.attn.proj_w.data[:] = 0.0
-            layer.attn.proj_b.data[:] = 0.0
-            layer.mlp.fc2_w.data[:] = 0.0
-            layer.mlp.fc2_b.data[:] = 0.0
-        block.conv_w.data[:] = 0.0
-        block.conv_b.data[:] = 0.0

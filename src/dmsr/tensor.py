@@ -195,9 +195,15 @@ def sub(a, b):
 
 
 def sigmoid(a):
-    # stable in both tails
-    e = np.exp(-np.abs(a.data))
-    s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """1 / (1 + e) where x >= 0, else (NaN too) e / (1 + e), e = exp(-|x|):
+    stable in both tails, in two buffers, e and 1 + e divided in place."""
+    x = a.data
+    e = np.negative(np.abs(x))
+    np.exp(e, out=e)
+    s = 1.0 + e
+    pos = x >= 0
+    np.divide(1.0, s, out=s, where=pos)
+    np.divide(e, s, out=s, where=~pos)
     return record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
 
 

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 
-from dmsr.ops import (_bilinear, _corners, _in_range, conv2d, depthwise_conv2d, layer_norm,
-                      pixel_shuffle)
+from dmsr.imageio import MalformedHeaderError, _payload, _read_image
+from dmsr.ops import (_bilinear, _corners, _in_range, attention_backward, attention_forward,
+                      conv2d, depthwise_conv2d, layer_norm, pixel_shuffle, shifted_windows,
+                      window_merge, window_partition)
 from dmsr.tensor import (ShapeError, Tape, Tensor, add, gelu_cdf, gelu_slope, matmul, record,
                          sub, tmean, transpose, unbroadcast)
 
@@ -246,9 +248,39 @@ def linear(x, weight, bias=None):
     return out
 
 
-def mlp_chain(mlp, x):
-    """dmsr.swin.Mlp.forward as the 5-node chain it recorded."""
-    return linear(gelu(linear(x, mlp.fc1_w, mlp.fc1_b)), mlp.fc2_w, mlp.fc2_b)
+def mlp_chain(mlp, x, norm_g, norm_b):
+    """dmsr.swin.Mlp.forward as the 6-node chain it recorded: layer norm,
+    then fc1, GELU and fc2."""
+    y = layer_norm(x, norm_g, norm_b)
+    return linear(gelu(linear(y, mlp.fc1_w, mlp.fc1_b)), mlp.fc2_w, mlp.fc2_b)
+
+
+# Window attention as the node dmsr.ops recorded before each swin layer's
+# attention sublayer became one node with its layer norm and windowing, and
+# the sublayer as the 4-node chain it built: references for tests that
+# compare ops.multi_head_attention against that chain.
+
+
+def attention(x, p, mask):
+    """Softmax attention over the (N, L, C) rows x, mask (nW, L, L) or None,
+    as one "attention" node on ops.attention_forward and attention_backward."""
+    params = [p.qkv_w, p.qkv_b, p.proj_w, p.proj_b]
+    gather = p._pos_gather
+    if gather is not None:
+        params.append(p.pos_bias)
+    xd, weights = x.data, tuple(t.data for t in params)
+    out, probs = attention_forward(xd, weights, p.num_heads, gather, mask)
+    return record("attention", (x, *params), out,
+                  lambda g: attention_backward(g, xd, probs, weights, p.num_heads, gather))
+
+
+def attention_chain(x, norm_g, norm_b, p, window, shift):
+    """ops.multi_head_attention as the 4-node chain it recorded: layer norm,
+    window partition, attention, window merge."""
+    _, H, W, _ = x.shape
+    wins = window_partition(layer_norm(x, norm_g, norm_b), window, shift)
+    wins = attention(wins, p, shifted_windows(H, W, window, shift)[2])
+    return window_merge(wins, window, H, W, shift)
 
 
 # The kernel field's tail before the joint filter took the heads' factors:
@@ -316,3 +348,47 @@ def reference_joint_filter(x, weights, offsets, k):
         return None, gw, go
 
     return record("bilinear_sample", (x, weights, offsets), out, backward)
+
+
+# Functions only the tests call: reading back the PFM files that `infer --out`
+# writes, and zeroing a backbone's residual branches (criterion 3).
+
+
+def load_pfm(path):
+    """Load grayscale PFM as (1, H, W) float64 (payload stays bit-exact f32)."""
+    blob, scan, w, h = _read_image(path, b"Pf")
+    tok = scan.token()
+    try:
+        scale = float(tok)
+    except ValueError:
+        raise MalformedHeaderError(f"bad scale {tok!r}", scan.token_start, path)
+    if scale == 0:
+        raise MalformedHeaderError("zero scale", scan.token_start, path)
+    scan.pos += 1
+    raw = _payload(blob, scan.pos, w * h * 4, path)
+    dtype = "<f4" if scale < 0 else ">f4"
+    img = np.frombuffer(raw, dtype=dtype).reshape(h, w)[::-1].astype(np.float64)
+    if abs(scale) != 1.0:
+        img = img * abs(scale)
+    return img[None]
+
+
+def zero_swin_residual_branches(backbone):
+    """Zero every projection feeding a residual sum of a SwinBackbone, making
+    its block stack an identity map."""
+    for block in backbone.blocks:
+        for layer in block.layers:
+            layer.attn.proj_w.data[:] = 0.0
+            layer.attn.proj_b.data[:] = 0.0
+            layer.mlp.fc2_w.data[:] = 0.0
+            layer.mlp.fc2_b.data[:] = 0.0
+        block.conv_w.data[:] = 0.0
+        block.conv_b.data[:] = 0.0
+
+
+def zero_naf_residual_branches(backbone):
+    """Zero the residual scales of a NafBackbone, which gate every block: each
+    block becomes an identity map (they start at zero; this restores that)."""
+    for block in backbone.blocks:
+        block.beta.data[...] = 0.0
+        block.gamma.data[...] = 0.0

@@ -15,7 +15,7 @@ from dmsr import naf as naf_mod
 from dmsr import swin as swin_mod
 from dmsr import tensor as T
 from dmsr.data import (DatasetSplit, bicubic_resize, synth_split)
-from dmsr.imageio import load_pfm, load_pgm16, save_pfm, save_pgm16
+from dmsr.imageio import load_pgm16, save_pfm, save_pgm16
 from dmsr.model import (DmsrModel, KernelField, ModelConfig, apply_joint_filter,
                         combine_offsets, combine_weights, identity_field)
 from dmsr.ops import (AttentionParams, bilinear_sample, conv2d, layer_norm,
@@ -24,7 +24,8 @@ from dmsr.ops import (AttentionParams, bilinear_sample, conv2d, layer_norm,
 from dmsr.tensor import Tensor
 from dmsr.train import Adam, evaluate, psnr, train_epochs
 
-from helpers import check_gradients, gelu, mul, naf_block_chain, weighted_sum_loss
+from helpers import (check_gradients, gelu, load_pfm, mul, naf_block_chain, weighted_sum_loss,
+                     zero_naf_residual_branches, zero_swin_residual_branches)
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,
             k=3, scale=4)
@@ -75,19 +76,24 @@ def test_criterion_1_gradient_suite():
     check_gradients(lambda: weighted_sum_loss(layer_norm(xl, gl, bl)),
                     [xl, gl, bl], n_coords=6)
 
-    ap = AttentionParams(np.random.default_rng(101), 4, 2, None, False)
-    xa = Tensor(rng.uniform(-1, 1, (2, 6, 4)), requires_grad=True)
-    check_gradients(lambda: weighted_sum_loss(multi_head_attention(xa, ap)),
-                    [xa] + ap.parameters(), n_coords=3)
+    # the swin attention node: layer norm, 2x2 windows shifted by 1, attention
+    arng = np.random.default_rng(101)
+    ap = AttentionParams(arng, 4, 2, None, False)
+    ga, ba = (Tensor(arng.uniform(0.5, 1.5, (4,)), requires_grad=True) for _ in range(2))
+    xa = Tensor(rng.uniform(-1, 1, (1, 2, 6, 4)), requires_grad=True)
+    check_gradients(lambda: weighted_sum_loss(multi_head_attention(xa, ga, ba, ap, 2, 1)),
+                    [xa, ga, ba] + ap.parameters(), n_coords=3)
 
-    # the swin MLP node: fc1, exact GELU and fc2 over the last axis of a 4-D input
+    # the swin MLP node: layer norm, fc1, exact GELU and fc2 over the last
+    # axis of a 4-D input
     mrng = np.random.default_rng(104)
     mp = swin_mod.Mlp(mrng, 4, 8)
     for t in mp.parameters():
         t.data[...] = mrng.uniform(-1, 1, t.shape)
+    gm, bm = (Tensor(mrng.uniform(0.5, 1.5, (4,)), requires_grad=True) for _ in range(2))
     xm = Tensor(mrng.uniform(-1, 1, (2, 2, 3, 4)), requires_grad=True)
-    check_gradients(lambda: weighted_sum_loss(mp.forward(xm)),
-                    [xm] + mp.parameters(), n_coords=3)
+    check_gradients(lambda: weighted_sum_loss(mp.forward(xm, gm, bm)),
+                    [xm, gm, bm] + mp.parameters(), n_coords=3)
 
     xs = Tensor(rng.uniform(-1, 1, (1, 2, 6, 6)))             # data: the image takes no gradient
     coords = rng.uniform(0.8, 4.2, (1, 3, 3, 2))
@@ -161,12 +167,12 @@ def test_criterion_3_identity_chain():
     assert np.abs(out.data - target.data).max() < 1e-6
 
     swin_bb = swin_mod.SwinBackbone(np.random.default_rng(301), 8, 8, 4, 2, 4, 2, 2.0, False)
-    swin_mod.zero_residual_branches(swin_bb)
+    zero_swin_residual_branches(swin_bb)
     x = Tensor(rng.uniform(-1, 1, (1, 8, 8, 8)))
     np.testing.assert_allclose(swin_bb.forward_blocks(x).data, x.data, atol=1e-12)
 
     naf_bb = naf_mod.NafBackbone(np.random.default_rng(302), 8, 8, 6)
-    naf_mod.zero_residual_branches(naf_bb)
+    zero_naf_residual_branches(naf_bb)
     np.testing.assert_allclose(naf_bb.forward_blocks(x).data, x.data, atol=1e-12)
 
 

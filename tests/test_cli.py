@@ -11,8 +11,10 @@ import pytest
 
 from dmsr.cli import DEFAULTS, main
 from dmsr.data import bicubic_resize, degrade
-from dmsr.imageio import load_pfm, load_pgm16, save_pgm16, save_ppm
+from dmsr.imageio import load_pgm16, save_pgm16, save_ppm
 from dmsr.model import DmsrModel, identity_field
+
+from helpers import load_pfm
 
 TINY_FLAGS = ["--embed-dim", "8", "--window", "4", "--heads", "1",
               "--blocks", "1", "--height", "32", "--width", "32"]
@@ -553,6 +555,8 @@ BAD_INPUTS = [
      "error: config:", "model.resample_factor"),
     ("seed-negative", _train_with_flags("--seed", "-1"), None, 2, "error: config:",
      "train.seed"),
+    ("config-key-repeats", _train_with_config("model.k = 3\nmodel.k = 5"), None, 2,
+     "error: config:", "c.cfg:2: model.k repeats line 1"),
     ("mlp-ratio-0", _train_with_config("model.mlp_ratio = 0"), None, 2, "error: config:",
      "model.mlp_ratio"),
     ("blocks-negative", _train_with_flags("--blocks", "-2"), None, 2, "error: config:",

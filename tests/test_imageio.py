@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dmsr.imageio import (ImageFormatError, MalformedHeaderError, TruncatedPayloadError,
-                          UnsupportedMagicError, load_pfm, load_pgm16,
-                          load_ppm, save_pfm, save_pgm16, save_ppm)
+                          UnsupportedMagicError, load_pgm16, load_ppm, save_pfm,
+                          save_pgm16, save_ppm)
+
+from helpers import load_pfm
 
 
 def test_pgm16_round_trip_quantization_bound(tmp_path):

@@ -9,8 +9,9 @@ from dmsr import ops
 from dmsr.naf import NafBlock
 from dmsr.tensor import Tensor, Tape, ShapeError, add, matmul, record, sub
 
-from helpers import (adaptive_avg_pool_global, check_gradients, closure_reach, held_arrays,
-                     linear, mul, slice_axis, softmax_lastaxis, weighted_sum_loss)
+from helpers import (adaptive_avg_pool_global, attention, attention_chain, check_gradients,
+                     closure_reach, held_arrays, linear, mul, slice_axis, softmax_lastaxis,
+                     weighted_sum_loss)
 from test_swin import loop_shift_mask
 
 
@@ -353,17 +354,29 @@ def test_cyclic_shift_round_trip():
 
 
 # attention ---------------------------------------------------------------------
+# helpers.attention is the window attention of ops.attention_forward and
+# attention_backward as one node; ops.multi_head_attention is a swin layer's
+# whole attention sublayer, layer norm and windowing included.
 
 
-def _attn_params(rng, dim, heads):
-    return ops.AttentionParams(rng, dim, heads, None, False)
+def _attn_params(rng, dim, heads, window=None, position_bias=False):
+    return ops.AttentionParams(rng, dim, heads, window, position_bias)
+
+
+def _live_sublayer(rng, dim, heads, window, position_bias):
+    """(norm_g, norm_b, attention params), every value random."""
+    p = _attn_params(rng, dim, heads, window, position_bias)
+    norm = Tensor(np.ones(dim), requires_grad=True), Tensor(np.zeros(dim), requires_grad=True)
+    for t in norm + tuple(p.parameters()):
+        t.data[...] = rng.uniform(-1, 1, t.shape)
+    return (*norm, p)
 
 
 def test_attention_single_token_is_value_projection():
     rng = np.random.default_rng(10)
     p = _attn_params(rng, 8, 2)
     x = Tensor(rng.uniform(-1, 1, (3, 1, 8)))
-    out = ops.multi_head_attention(x, p)
+    out = attention(x, p, None)
     # with one token the softmax weight is exactly 1, so output is
     # proj(v(x)); recompute that directly
     qkv = x.data @ p.qkv_w.data + p.qkv_b.data
@@ -374,10 +387,10 @@ def test_attention_single_token_is_value_projection():
 
 def test_attention_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
-    p = _attn_params(rng, 8, 2)
-    x = Tensor(rng.uniform(-1, 1, (2, 16, 8)))
+    g, b, p = _live_sublayer(rng, 8, 2, 4, False)
+    x = Tensor(rng.uniform(-1, 1, (2, 4, 4, 8)))
     with Tape() as tape:
-        ops.multi_head_attention(x, p)
+        ops.multi_head_attention(x, g, b, p, 4, 0)
     (node,) = tape.nodes
     # the probabilities the backward keeps are its one (N, heads, L, L) array
     (probs,) = [a for a in closure_reach(node.backward)
@@ -390,8 +403,8 @@ def test_attention_permutation_equivariance():
     p = _attn_params(rng, 8, 2)
     x = rng.uniform(-1, 1, (1, 16, 8))
     perm = rng.permutation(16)
-    out = ops.multi_head_attention(Tensor(x), p).data
-    out_perm = ops.multi_head_attention(Tensor(x[:, perm]), p).data
+    out = attention(Tensor(x), p, None).data
+    out_perm = attention(Tensor(x[:, perm]), p, None).data
     np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-10)
 
 
@@ -403,12 +416,13 @@ def test_attention_head_divisibility():
 
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "shift_mask"])
 def test_attention_gradients(masked):
+    # 4 windows of 4 tokens per batch entry, shifted by 1 when masked
     rng = np.random.default_rng(14)
-    p = _attn_params(rng, 4, 2)
-    mask = loop_shift_mask(4, 4, 2, 1) if masked else None      # 4 windows of 4 tokens
-    x = Tensor(rng.uniform(-1, 1, (8, 4, 4) if masked else (2, 6, 4)), requires_grad=True)
-    leaves = [x] + p.parameters()
-    check_gradients(lambda: weighted_sum_loss(ops.multi_head_attention(x, p, mask)),
+    g, b, p = _live_sublayer(rng, 4, 2, 2, False)
+    x = Tensor(rng.uniform(-1, 1, (2, 4, 4, 4)), requires_grad=True)
+    leaves = [x, g, b] + p.parameters()
+    check_gradients(lambda: weighted_sum_loss(ops.multi_head_attention(x, g, b, p, 2,
+                                                                       int(masked))),
                     leaves, n_coords=4)
 
 
@@ -418,25 +432,25 @@ def test_attention_position_bias_breaks_permutation_symmetry():
     p.pos_bias.data[:] = rng.uniform(-1, 1, p.pos_bias.shape)
     x = rng.uniform(-1, 1, (1, 16, 8))
     perm = rng.permutation(16)
-    out = ops.multi_head_attention(Tensor(x), p).data
-    out_perm = ops.multi_head_attention(Tensor(x[:, perm]), p).data
+    out = attention(Tensor(x), p, None).data
+    out_perm = attention(Tensor(x[:, perm]), p, None).data
     assert np.abs(out_perm - out[:, perm]).max() > 1e-6
 
 
 def test_attention_position_bias_gradients():
     rng = np.random.default_rng(41)
-    p = ops.AttentionParams(rng, 4, 2, window=2, position_bias=True)
-    x = Tensor(rng.uniform(-1, 1, (2, 4, 4)), requires_grad=True)
-    leaves = [x, p.pos_bias]
-    check_gradients(lambda: weighted_sum_loss(ops.multi_head_attention(x, p)),
-                    leaves, n_coords=4)
+    g, b, p = _live_sublayer(rng, 4, 2, 2, True)
+    x = Tensor(rng.uniform(-1, 1, (2, 2, 4, 4)), requires_grad=True)
+    check_gradients(lambda: weighted_sum_loss(ops.multi_head_attention(x, g, b, p, 2, 1)),
+                    [x, p.pos_bias], n_coords=4)
 
 
 def test_attention_position_bias_token_count_mismatch():
+    # the table is built for 2x2 windows, the sublayer runs 3x3 ones
     rng = np.random.default_rng(42)
-    p = ops.AttentionParams(rng, 4, 2, window=2, position_bias=True)
+    g, b, p = _live_sublayer(rng, 4, 2, 2, True)
     with pytest.raises(ShapeError):
-        ops.multi_head_attention(Tensor(rng.random((1, 9, 4))), p)
+        ops.multi_head_attention(Tensor(rng.random((1, 3, 3, 4))), g, b, p, 3, 0)
 
 
 # pixel shuffle -----------------------------------------------------------------
@@ -588,38 +602,57 @@ def test_attention_bit_equal_to_the_reshape_chains(masked, position_bias):
     mask = loop_shift_mask(8, 8, 4, 2) if masked else None   # 4 windows
     x = Tensor(rng.uniform(-1, 1, (2 * 4, 16, 8)), requires_grad=True)
     leaves = [x] + p.parameters()
-    assert _output_and_grads(lambda: ops.multi_head_attention(x, p, mask), leaves) == \
+    assert _output_and_grads(lambda: attention(x, p, mask), leaves) == \
         _output_and_grads(lambda: reference_attention(x, p, mask), leaves)
+
+
+@pytest.mark.parametrize("shift", [0, 2], ids=["shift_0", "shift_half"])
+@pytest.mark.parametrize("position_bias", [False, True], ids=["no_bias", "bias"])
+def test_attention_node_bit_equal_to_the_norm_window_chain(shift, position_bias):
+    # batch 2 of an 8x8 grid in 4x4 windows: the output and the gradient of
+    # the input, the norm's parameters and every attention parameter
+    rng = np.random.default_rng(21)
+    g, b, p = _live_sublayer(rng, 8, 2, 4, position_bias)
+    x = Tensor(rng.uniform(-2, 2, (2, 8, 8, 8)), requires_grad=True)
+    leaves = [x, g, b] + p.parameters()
+    with Tape() as tape:
+        attention_chain(x, g, b, p, 4, shift)
+    assert [node.op for node in tape.nodes] == ["layer_norm", "transpose", "attention",
+                                                "transpose"]
+    assert _output_and_grads(lambda: ops.multi_head_attention(x, g, b, p, 4, shift), leaves) \
+        == _output_and_grads(lambda: attention_chain(x, g, b, p, 4, shift), leaves)
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
 @pytest.mark.parametrize("position_bias", [False, True], ids=["no_bias", "bias"])
 def test_attention_is_one_node(masked, position_bias):
     rng = np.random.default_rng(19)
-    p = ops.AttentionParams(rng, 8, 2, window=4, position_bias=position_bias)
-    mask = loop_shift_mask(8, 8, 4, 2) if masked else None
-    x = Tensor(rng.uniform(-1, 1, (2 * 4, 16, 8)), requires_grad=True)
+    g, b, p = _live_sublayer(rng, 8, 2, 4, position_bias)
+    x = Tensor(rng.uniform(-1, 1, (2, 8, 8, 8)), requires_grad=True)
     with Tape() as tape:
-        ops.multi_head_attention(x, p, mask)
+        ops.multi_head_attention(x, g, b, p, 4, 2 if masked else 0)
     assert [node.op for node in tape.nodes] == ["multi_head_attention"]
 
 
 @pytest.mark.parametrize("position_bias", [False, True], ids=["no_bias", "bias"])
-def test_attention_keeps_its_input_rows_and_probabilities(position_bias):
-    # q, k, v and the merged heads are rebuilt from the input rows in the backward
+def test_attention_keeps_the_norms_xhat_and_the_probabilities(position_bias):
+    # the norm's output, its window rows, q, k, v and the merged heads are
+    # rebuilt in the backward
     rng = np.random.default_rng(20)
-    p = ops.AttentionParams(rng, 8, 2, window=4, position_bias=position_bias)
-    x = Tensor(rng.uniform(-1, 1, (2 * 4, 16, 8)), requires_grad=True)
+    g, b, p = _live_sublayer(rng, 8, 2, 4, position_bias)
+    x = Tensor(rng.uniform(-1, 1, (2, 8, 8, 8)), requires_grad=True)
     with Tape() as tape:
-        ops.multi_head_attention(x, p, loop_shift_mask(8, 8, 4, 2))
+        ops.multi_head_attention(x, g, b, p, 4, 2)
     (node,) = tape.nodes
     reached = closure_reach(node.backward)
     assert not [obj for obj in reached if isinstance(obj, Tensor)]
-    # the parameters, and the position bias's constant one-hot lookup table
-    fixed = {id(t.data) for t in p.parameters()} | {id(p._pos_gather)}
+    # the parameters, the position bias's constant one-hot lookup table and
+    # the cached window permutations
+    fixed = ({id(t.data) for t in [g, b] + p.parameters()} | {id(p._pos_gather)}
+             | {id(a) for a in held_arrays(ops.shifted_windows(8, 8, 4, 2))})
     kept = [a for a in held_arrays(reached) if id(a) not in fixed]
-    assert sorted(a.shape for a in kept) == [(8, 2, 16, 16), (8, 16, 8)]
-    assert any(a is x.data for a in kept)
+    assert sorted(a.shape for a in kept) == [(2, 8, 8, 1), (2, 8, 8, 8), (8, 2, 16, 16)]
+    assert not any(a is x.data for a in kept)
 
 
 # pooling -----------------------------------------------------------------------
@@ -715,11 +748,12 @@ def test_conv_refuses_an_array_for_a_parameter(op, w_shape):
 # grads hold no entry for a constant, and every array has the same bytes as
 # when all inputs are live.
 
-def _attention_of(x, qkv_w, qkv_b, proj_w, proj_b, pos_bias):
-    """Shifted-window attention with position bias over the given arrays."""
+def _attention_of(x, norm_g, norm_b, qkv_w, qkv_b, proj_w, proj_b, pos_bias):
+    """A shifted-window attention sublayer with position bias over the given
+    arrays."""
     p = ops.AttentionParams(np.random.default_rng(0), 4, 2, window=2, position_bias=True)
     p.qkv_w, p.qkv_b, p.proj_w, p.proj_b, p.pos_bias = qkv_w, qkv_b, proj_w, proj_b, pos_bias
-    return ops.multi_head_attention(x, p, loop_shift_mask(4, 4, 2, 1))
+    return ops.multi_head_attention(x, norm_g, norm_b, p, 2, 1)
 
 
 def _naf_block_of(x, *params):
@@ -748,7 +782,7 @@ CONSTANT_INPUT_CASES = [
     ("joint_filter", lambda *factors: ops.joint_filter(Tensor(FILTERED), *factors, 3, 2),
      [(2, 36, 2, 3), (2, 36, 2, 3), (2, 72, 2, 3), (2, 72, 2, 3)]),
     ("multi_head_attention", _attention_of,
-     [(8, 4, 4), (4, 12), (12,), (4, 4), (4,), (9, 2)]),
+     [(2, 4, 4, 4), (4,), (4,), (4, 12), (12,), (4, 4), (4,), (9, 2)]),
     ("naf_block", _naf_block_of,
      [(2, 4, 5, 4), (4,), (4,), (8, 4, 1, 1), (8,), (8, 3, 3), (8,), (4, 4, 1, 1), (4,),
       (4, 4, 1, 1), (4,), (), (4,), (4,), (8, 4, 1, 1), (8,), (4, 4, 1, 1), (4,), ()]),

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from dmsr import ops, swin
-from dmsr.swin import SwinBackbone, SwinLayer, zero_residual_branches
-from dmsr.tensor import Tensor, Tape
+from dmsr.swin import SwinBackbone, SwinLayer
+from dmsr.tensor import Tensor, Tape, add
 
-from helpers import check_gradients, closure_reach, held_arrays, mlp_chain, weighted_sum_loss
+from helpers import (attention_chain, check_gradients, closure_reach, held_arrays, mlp_chain,
+                     weighted_sum_loss, zero_swin_residual_branches)
 
 
 def make_backbone(seed=0, in_ch=8, dim=8, window=4, heads=1, blocks=4, layers=2):
@@ -78,7 +79,7 @@ def test_backbone_shift_schedule_alternates():
 
 def test_backbone_blocks_identity_with_zeroed_residuals():
     backbone = make_backbone(dim=8)
-    zero_residual_branches(backbone)
+    zero_swin_residual_branches(backbone)
     x = Tensor(np.random.default_rng(5).uniform(-1, 1, (1, 8, 8, 8)))
     out = backbone.forward_blocks(x)
     np.testing.assert_allclose(out.data, x.data, atol=1e-12)
@@ -113,8 +114,8 @@ def test_shifted_window_masking_blocks_wraparound(monkeypatch):
     layer = SwinLayer(rng, 8, 4, 1, 2, 2.0, False)
     x = rng.uniform(-1, 1, (1, 8, 8, 8))
     out_masked = layer.forward(Tensor(x)).data
-    real = swin.shifted_windows
-    monkeypatch.setattr(swin, "shifted_windows", lambda *geometry: real(*geometry)[:2]
+    real = ops.shifted_windows
+    monkeypatch.setattr(ops, "shifted_windows", lambda *geometry: real(*geometry)[:2]
                         + (np.zeros_like(real(*geometry)[2]),))
     out_unmasked = layer.forward(Tensor(x)).data
     assert np.abs(out_masked - out_unmasked).max() > 1e-9
@@ -150,9 +151,10 @@ def test_shifted_windows_mask_equals_the_loop_mask(window):
 
 def test_shifted_windows_are_shared_between_layers_and_read_only(monkeypatch):
     masks = []
-    real = swin.multi_head_attention
-    monkeypatch.setattr(swin, "multi_head_attention",
-                        lambda x, p, mask=None: masks.append(mask) or real(x, p, mask))
+    real = ops.attention_forward
+    monkeypatch.setattr(ops, "attention_forward",
+                        lambda x, weights, h, gather, mask: masks.append(mask)
+                        or real(x, weights, h, gather, mask))
     make_backbone(blocks=2, layers=2).forward(Tensor(np.ones((1, 8, 8, 8))))
     assert masks[0] is masks[2] is None
     assert masks[1] is masks[3] is ops.shifted_windows(8, 8, 4, 2)[2]
@@ -212,57 +214,98 @@ def _output_and_grads(fn, leaves):
     return ops_recorded, out.data, [grads[t] for t in leaves]
 
 
-@pytest.mark.parametrize("frozen,chain_nodes", [((), 5), (("x",), 5),
-                                                 (("x", "fc1_w", "fc1_b"), 2)],
+def _live_norm(rng, dim):
+    """A layer norm's (gamma, beta), every value random."""
+    return tuple(Tensor(rng.uniform(-1, 1, dim), requires_grad=True) for _ in range(2))
+
+
+@pytest.mark.parametrize("frozen,chain_nodes",
+                         [((), 6), (("x",), 6),
+                          (("x", "norm_g", "norm_b", "fc1_w", "fc1_b"), 2)],
                          ids=["all", "input_constant", "fc1_frozen"])
 def test_mlp_is_one_node_byte_equal_to_the_chain(frozen, chain_nodes):
     # a 4-D (B, H, W, C) input, as a swin layer hands it over: every bias and
     # weight gradient sums over three leading axes
     rng = np.random.default_rng(30)
     mlp = _live_mlp(rng, 4, 8)
+    g, b = _live_norm(rng, 4)
     x = Tensor(rng.uniform(-2, 2, (2, 3, 5, 4)), requires_grad=True)
-    named = {"x": x, "fc1_w": mlp.fc1_w, "fc1_b": mlp.fc1_b, "fc2_w": mlp.fc2_w,
-             "fc2_b": mlp.fc2_b}
+    named = {"x": x, "norm_g": g, "norm_b": b, "fc1_w": mlp.fc1_w, "fc1_b": mlp.fc1_b,
+             "fc2_w": mlp.fc2_w, "fc2_b": mlp.fc2_b}
     for name in frozen:
         named[name].requires_grad = False
     leaves = [t for t in named.values() if t.requires_grad]
-    node_ops, got, got_grads = _output_and_grads(lambda: mlp.forward(x), leaves)
-    chain_ops, want, want_grads = _output_and_grads(lambda: mlp_chain(mlp, x), leaves)
+    node_ops, got, got_grads = _output_and_grads(lambda: mlp.forward(x, g, b), leaves)
+    chain_ops, want, want_grads = _output_and_grads(lambda: mlp_chain(mlp, x, g, b), leaves)
     assert node_ops == ["mlp"] and len(chain_ops) == chain_nodes
     assert got.tobytes() == want.tobytes()
-    for leaf, g, w in zip(leaves, got_grads, want_grads):
-        assert g.tobytes() == w.tobytes(), leaf.shape
-        assert g.strides == w.strides, leaf.shape
+    for leaf, gg, w in zip(leaves, got_grads, want_grads):
+        assert gg.tobytes() == w.tobytes(), leaf.shape
+        assert gg.strides == w.strides, leaf.shape
 
 
 def test_mlp_node_gradients():
     rng = np.random.default_rng(31)
     mlp = _live_mlp(rng, 4, 6)
+    g, b = _live_norm(rng, 4)
     x = Tensor(rng.uniform(-2, 2, (2, 2, 3, 4)), requires_grad=True)
     with Tape() as tape:
-        mlp.forward(x)
+        mlp.forward(x, g, b)
     assert [node.op for node in tape.nodes] == ["mlp"]
-    check_gradients(lambda: weighted_sum_loss(mlp.forward(x)), [x] + mlp.parameters(),
-                    n_coords=6)
+    check_gradients(lambda: weighted_sum_loss(mlp.forward(x, g, b)),
+                    [x, g, b] + mlp.parameters(), n_coords=6)
 
 
-def test_mlp_node_keeps_its_input_rows_pre_activation_and_phi():
-    # a * Phi, which the chain's second matmul kept, is rebuilt from two of them
+def test_mlp_node_keeps_the_norms_xhat_and_the_pre_activation():
+    # the norm's output and Phi(a), which the chain's fc1 and second matmul
+    # kept, are rebuilt in the backward
     rng = np.random.default_rng(32)
     mlp = _live_mlp(rng, 16, 32)
+    g, b = _live_norm(rng, 16)
     x = Tensor(rng.uniform(-1, 1, (1, 8, 8, 16)), requires_grad=True)
     with Tape() as tape:
-        mlp.forward(x)
+        mlp.forward(x, g, b)
     (node,) = tape.nodes
     reached = closure_reach(node.backward)
     assert not [obj for obj in reached if isinstance(obj, Tensor)]
-    params = {id(p.data) for p in mlp.parameters()}
+    params = {id(p.data) for p in [g, b] + mlp.parameters()}
     kept = [a for a in held_arrays(reached) if id(a) not in params]
-    assert sorted(a.shape for a in kept) == [(1, 8, 8, 16), (1, 8, 8, 32), (1, 8, 8, 32)]
-    assert any(a is x.data for a in kept)
+    assert sorted(a.shape for a in kept) == [(1, 8, 8, 1), (1, 8, 8, 16), (1, 8, 8, 32)]
+    assert not any(a is x.data for a in kept)
 
 
 def test_mlp_rejects_a_wrong_channel_count():
     mlp = swin.Mlp(np.random.default_rng(33), 4, 8)
     with pytest.raises(ops.ShapeError):
-        mlp.forward(Tensor(np.ones((1, 2, 2, 5))))
+        mlp.forward(Tensor(np.ones((1, 2, 2, 5))), *_live_norm(np.random.default_rng(34), 5))
+
+
+# the swin layer: two nodes and two residual sums -------------------------------
+
+
+def _layer_chain(layer, x):
+    """SwinLayer.forward as the 12-node chain it recorded: the attention
+    sublayer's 4 nodes and the MLP's 6, each followed by its residual sum."""
+    x = add(x, attention_chain(x, layer.norm1_g, layer.norm1_b, layer.attn, layer.window,
+                               layer.shift))
+    return add(x, mlp_chain(layer.mlp, x, layer.norm2_g, layer.norm2_b))
+
+
+@pytest.mark.parametrize("shift", [0, 2], ids=["shift_0", "shift_half"])
+@pytest.mark.parametrize("position_bias", [False, True], ids=["no_bias", "bias"])
+def test_swin_layer_is_four_nodes_byte_equal_to_the_chain(shift, position_bias):
+    # the input's gradient sums its residual path and its norm's, in the
+    # chain's order
+    rng = np.random.default_rng(35)
+    layer = SwinLayer(rng, 8, 4, 2, shift, 2.0, position_bias)
+    for t in layer.parameters():
+        t.data[...] = rng.uniform(-1, 1, t.shape)
+    x = Tensor(rng.uniform(-2, 2, (2, 8, 8, 8)), requires_grad=True)
+    leaves = [x] + layer.parameters()
+    node_ops, got, got_grads = _output_and_grads(lambda: layer.forward(x), leaves)
+    chain_ops, want, want_grads = _output_and_grads(lambda: _layer_chain(layer, x), leaves)
+    assert node_ops == ["multi_head_attention", "add", "mlp", "add"]
+    assert len(chain_ops) == 12
+    assert got.tobytes() == want.tobytes()
+    for leaf, g, w in zip(leaves, got_grads, want_grads):
+        assert g.tobytes() == w.tobytes(), leaf.shape

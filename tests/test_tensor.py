@@ -36,6 +36,25 @@ def test_sigmoid_bit_equal_to_the_three_exp_form():
     assert T.sigmoid(Tensor(x)).data.tobytes() == want.tobytes()
 
 
+def test_sigmoid_bit_equal_to_the_where_form_in_two_buffers():
+    # the np.where form allocated about four input-sized temporaries
+    rng = np.random.default_rng(26)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e-300, -1e-300]
+    for x in (np.array(special), rng.normal(0.0, 5.0, (3, 4, 5)), rng.normal(0.0, 1.0, 10**6)):
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert T.sigmoid(Tensor(x)).data.tobytes() == want.tobytes()
+    t = Tensor(x)
+    tracemalloc.start()
+    try:
+        T.sigmoid(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # e, 1 + e (the output) and the two branch masks
+    assert peak <= 2.3 * x.nbytes, f"{peak / x.nbytes:.2f} x the input"
+
+
 def test_backward_sum_of_squares():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
