@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, record, rearrange
+from .tensor import Tensor, ShapeError, record, recording, rearrange
 
 
 class Module:
@@ -283,14 +283,11 @@ def _merge_heads(probs, v):
     return np.ascontiguousarray(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(N, L, h * d)
 
 
-def attention_forward(x, weights, h, gather, mask):
-    """(out, probs) of softmax attention over the (N, L, C) rows x: weights
-    are qkv_w, qkv_b, proj_w, proj_b and, with gather (the one-hot position
-    lookup), the bias table; a mask (nW, L, L), or None, adds mask[i] to the
-    logits of window i of every batch entry. probs is the (N, h, L, L) softmax."""
-    L, d = x.shape[1], x.shape[2] // h
-    qw, qb, pw, pb = weights[:4]
-    q, kT, v = _split_heads(x, qw, qb, h, d)
+def _attention_probs(q, kT, weights, h, gather, mask):
+    """The (N, h, L, L) softmax of q kT / sqrt(d) plus, with gather (the
+    one-hot position lookup), the bias table weights[4]; a mask (nW, L, L),
+    or None, adds mask[i] to window i of every batch entry."""
+    L, d = q.shape[2], q.shape[3]
     probs = np.matmul(q, kT) * (1.0 / np.sqrt(d))
     if gather is not None:
         probs += np.matmul(gather, weights[4]).reshape(L, L, h).transpose(2, 0, 1)
@@ -300,18 +297,29 @@ def attention_forward(x, weights, h, gather, mask):
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    return np.matmul(_merge_heads(probs, v), pw) + pb, probs
+    return probs
 
 
-def attention_backward(g, x, probs, weights, h, gather):
+def attention_forward(x, weights, h, gather, mask):
+    """Softmax attention over the (N, L, C) rows x: weights are qkv_w,
+    qkv_b, proj_w, proj_b and, with gather, the position bias table; gather
+    and mask as in _attention_probs."""
+    qw, qb, pw, pb = weights[:4]
+    q, kT, v = _split_heads(x, qw, qb, h, x.shape[2] // h)
+    probs = _attention_probs(q, kT, weights, h, gather, mask)
+    return np.matmul(_merge_heads(probs, v), pw) + pb
+
+
+def attention_backward(g, x, weights, h, gather, mask):
     """The gradients of the rows x and of each of attention_forward's
-    weights, in order, from the output gradient g. q, k, v and the merged
-    heads are rebuilt from x with the forward's own helpers, and the q, k
-    and v gradients packed into one buffer."""
+    weights, in order, from the output gradient g. q, k, v, the
+    probabilities and the merged heads are rebuilt from x with the forward's
+    own helpers, and the q, k and v gradients packed into one buffer."""
     N, L, C = x.shape
     d, scale = C // h, 1.0 / np.sqrt(C // h)
     qw, qb, pw = weights[:3]
     q, kT, v = _split_heads(x, qw, qb, h, d)
+    probs = _attention_probs(q, kT, weights, h, gather, mask)
     gpw = np.matmul(np.swapaxes(_merge_heads(probs, v), -1, -2), g).sum(axis=0)
     gpb = g.sum(axis=(0, 1))
     go = np.matmul(g, pw.T).reshape(N, L, h, d).transpose(0, 2, 1, 3)
@@ -335,8 +343,8 @@ def multi_head_attention(x, norm_g, norm_b, p, window, shift):
     residual sum: layer norm, the windows of the grid shifted up and left by
     `shift`, attention in each, and the merge back. One tape node, bit-equal
     to the layer_norm, window_partition, attention, window_merge chain it
-    replaces. It keeps the norm's xhat and inv and the softmax probabilities;
-    its backward rebuilds the window rows from them."""
+    replaces. It keeps the norm's xhat and inv; its backward rebuilds the
+    window rows from them."""
     B, H, W, C = x.shape
     h, L = p.num_heads, window * window
     params = (p.qkv_w, p.qkv_b, p.proj_w, p.proj_b)
@@ -355,11 +363,11 @@ def multi_head_attention(x, norm_g, norm_b, p, window, shift):
         """The window rows of the norm's output, (B * windows, L, C)."""
         return np.take((gd * xhat + bd).reshape(tokens), index, axis=1).reshape(-1, L, C)
 
-    out, probs = attention_forward(windows(), weights, h, gather, mask)
+    out = attention_forward(windows(), weights, h, gather, mask)
 
     def backward(g):
         g = np.take(g.reshape(tokens), index, axis=1).reshape(-1, L, C)
-        gx, *gw = attention_backward(g, windows(), probs, weights, h, gather)
+        gx, *gw = attention_backward(g, windows(), weights, h, gather, mask)
         gx = np.take(gx.reshape(tokens), inverse, axis=1).reshape(B, H, W, C)
         return (*layer_norm_grads(gx, xhat, inv, gd), *gw)
 
@@ -462,9 +470,9 @@ def _corners(cy_raw, cx_raw, H, W):
     return y0, x0, y1, x1, (cy - y0)[:, None], (cx - x0)[:, None]
 
 
-def _bilinear(x, corners):
+def _bilinear(x, corners, slopes=True):
     """The (B, C, Hs, Ws) samples of x (B, C, H, W) at `corners` and their
-    derivatives along ty and tx."""
+    derivatives along ty and tx, or None for both without `slopes`."""
     y0, x0, y1, x1, ty, tx = corners
     bidx = np.arange(x.shape[0])[:, None, None]
     v00 = x[bidx, :, y0, x0].transpose(0, 3, 1, 2)         # (B, C, Hs, Ws)
@@ -473,6 +481,8 @@ def _bilinear(x, corners):
     v11 = x[bidx, :, y1, x1].transpose(0, 3, 1, 2)
     uy, ux = 1 - ty, 1 - tx
     out = uy * ux * v00 + uy * tx * v01 + ty * ux * v10 + ty * tx * v11
+    if not slopes:
+        return out, None, None
     dty = -ux * v00 - tx * v01 + ux * v10 + tx * v11
     dtx = -uy * v00 + uy * v01 - ty * v10 + ty * v11
     return out, dty, dtx
@@ -597,10 +607,10 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     factors, recorded as "bilinear_sample". It keeps the factors, the tap
     mean and, per tap, each as its own array, the samples (for the weight
     gradients), their slopes along y and x and the clamp masks (for the
-    offset gradients). Its backward frees each tap's arrays as it
-    reaches the tap, then builds the offset factors' gradients and the
-    weight factors', dropping each factor once its last reader is done. It
-    runs once; a second call raises RuntimeError.
+    offset gradients); with no tape recording it, none of them. Its backward
+    frees each tap's arrays as it reaches the tap, then builds the offset
+    factors' gradients and the weight factors', dropping each factor once
+    its last reader is done. It runs once; a second call raises RuntimeError.
     """
     if x.requires_grad:
         raise ValueError("joint_filter: the filtered image is data and takes no gradient")
@@ -627,18 +637,22 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
         off = tap_offsets(ogd, otd, t, r)
         return off[:, 0] + (rows + dy), off[:, 1] + (cols + dx)
 
+    taped = recording(inputs)
     samples, slopes = [], []                # per tap s, and (dty, dtx, ymask, xmask)
     out = None
     for t in range(kk):
         cy_raw, cx_raw = coords(t)
-        s, sy, sx = _bilinear(xd, _corners(cy_raw, cx_raw, H, W))
+        s, sy, sx = _bilinear(xd, _corners(cy_raw, cx_raw, H, W), slopes=taped)
         term = weight(t) * s
         if out is None:
             out = term
         else:
             out += term
-        samples.append(s)
-        slopes.append((sy, sx, *_in_range(cy_raw, cx_raw, H, W)))
+        if taped:
+            samples.append(s)
+            slopes.append((sy, sx, *_in_range(cy_raw, cx_raw, H, W)))
+    if not taped:
+        return record("bilinear_sample", inputs, out, None)
     swept = False
 
     def backward(g):

@@ -23,9 +23,9 @@ class Mlp(Module):
         """A swin layer's MLP sublayer over the last axis of x, before its
         residual sum: layer norm, fc1 and its bias, exact GELU, fc2 and its
         bias. One "mlp" tape node, bit-equal to the layer_norm, matmul, add,
-        gelu, matmul, add chain it replaces. It keeps the norm's xhat and inv
-        and the pre-activation a; its backward rebuilds Phi(a) and the norm's
-        output."""
+        gelu, matmul, add chain it replaces. It keeps the norm's xhat and inv;
+        its backward rebuilds the norm's output, the pre-activation a and
+        Phi(a)."""
         inputs = (x, norm_g, norm_b, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b)
         if x.shape[-1] != self.fc1_w.shape[0]:
             raise ShapeError(f"mlp: input {x.shape} vs {self.fc1_w.shape[0]} channels")
@@ -35,13 +35,16 @@ class Mlp(Module):
         out = np.matmul(a * gelu_cdf(a), w2) + b2
 
         def backward(g):
+            n = gd * xhat + bd
+            a = np.matmul(n, w1) + b1           # the forward's expression, so its bytes
             cdf = gelu_cdf(a)
             gw2 = unbroadcast(np.matmul(np.swapaxes(a * cdf, -1, -2), g), w2.shape)
             gb2 = unbroadcast(g, b2.shape)
             ga = np.matmul(g, np.swapaxes(w2, -1, -2)) * gelu_slope(a, cdf)
-            del cdf
+            del a, cdf
             gb1 = unbroadcast(ga, b1.shape)
-            gw1 = unbroadcast(np.matmul(np.swapaxes(gd * xhat + bd, -1, -2), ga), w1.shape)
+            gw1 = unbroadcast(np.matmul(np.swapaxes(n, -1, -2), ga), w1.shape)
+            del n
             gx = np.matmul(ga, np.swapaxes(w1, -1, -2))
             return (*layer_norm_grads(gx, xhat, inv, gd), gw1, gb1, gw2, gb2)
 

@@ -128,7 +128,11 @@ class Tape:
                     continue
                 acc = local.get(t)
                 local[t] = g if acc is None else acc + g
-        self.grads = {t: g.copy() for t, g in local.items()}
+        # each leaf's gradient leaves `local` as it is copied, so the end of the
+        # sweep holds one set and one copy; copied, since add hands one array
+        # to both its inputs
+        for t in list(local):
+            self.grads[t] = local.pop(t).copy()
         return self.grads
 
 
@@ -137,6 +141,13 @@ def _grad_key(t):
     if t.handle is not None:
         return t.handle
     return t if t.requires_grad else None
+
+
+def recording(inputs):
+    """Whether an op over `inputs` records a node: a tape is open on this
+    thread and an input requires a gradient. An op that records none keeps
+    nothing for a backward."""
+    return bool(getattr(_TAPE_STACK, "tapes", None)) and any(t.requires_grad for t in inputs)
 
 
 def record(op, inputs, out_data, backward):
@@ -151,11 +162,10 @@ def record(op, inputs, out_data, backward):
     it keeps the shapes and arrays it reads, nothing more.
     """
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    tapes = getattr(_TAPE_STACK, "tapes", None)
-    if tapes and out.requires_grad:
+    if recording(inputs):
         out.handle = GradHandle(out.shape)
-        tapes[-1].nodes.append(TapeNode(op, tuple(map(_grad_key, inputs)), out.handle,
-                                        backward))
+        _TAPE_STACK.tapes[-1].nodes.append(TapeNode(op, tuple(map(_grad_key, inputs)),
+                                                    out.handle, backward))
     return out
 
 

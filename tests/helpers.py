@@ -269,9 +269,9 @@ def attention(x, p, mask):
     if gather is not None:
         params.append(p.pos_bias)
     xd, weights = x.data, tuple(t.data for t in params)
-    out, probs = attention_forward(xd, weights, p.num_heads, gather, mask)
+    out = attention_forward(xd, weights, p.num_heads, gather, mask)
     return record("attention", (x, *params), out,
-                  lambda g: attention_backward(g, xd, probs, weights, p.num_heads, gather))
+                  lambda g: attention_backward(g, xd, weights, p.num_heads, gather, mask))
 
 
 def attention_chain(x, norm_g, norm_b, p, window, shift):

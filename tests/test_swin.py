@@ -256,9 +256,9 @@ def test_mlp_node_gradients():
                     [x, g, b] + mlp.parameters(), n_coords=6)
 
 
-def test_mlp_node_keeps_the_norms_xhat_and_the_pre_activation():
-    # the norm's output and Phi(a), which the chain's fc1 and second matmul
-    # kept, are rebuilt in the backward
+def test_mlp_node_keeps_only_the_norms_xhat_and_inv():
+    # the norm's output, the pre-activation a and Phi(a), which the chain's
+    # fc1, GELU and second matmul kept, are rebuilt in the backward
     rng = np.random.default_rng(32)
     mlp = _live_mlp(rng, 16, 32)
     g, b = _live_norm(rng, 16)
@@ -270,7 +270,7 @@ def test_mlp_node_keeps_the_norms_xhat_and_the_pre_activation():
     assert not [obj for obj in reached if isinstance(obj, Tensor)]
     params = {id(p.data) for p in [g, b] + mlp.parameters()}
     kept = [a for a in held_arrays(reached) if id(a) not in params]
-    assert sorted(a.shape for a in kept) == [(1, 8, 8, 1), (1, 8, 8, 16), (1, 8, 8, 32)]
+    assert sorted(a.shape for a in kept) == [(1, 8, 8, 1), (1, 8, 8, 16)]
     assert not any(a is x.data for a in kept)
 
 

@@ -139,6 +139,29 @@ def test_backward_peak_does_not_grow_with_chain_length():
     assert peaks[32] < 6.0, peaks
 
 
+def test_sweep_hands_each_leaf_gradient_over_as_it_copies_it():
+    # the end of the sweep holds the leaf gradients and one copy at a time,
+    # not two full sets; add hands one array to both its inputs, which is
+    # why each leaf gets a copy
+    leaves = [Tensor(np.linspace(-1.0, 1.0, 2**16) + i, requires_grad=True)   # 0.5 MB
+              for i in range(12)]
+    with Tape() as tape:
+        loss = tsum(T.add(leaves[0], leaves[1]))
+        for x in leaves[2:]:
+            loss = T.add(loss, tsum(T.sigmoid(x)))
+    tracemalloc.start()
+    try:
+        grads = tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    total = sum(g.nbytes for g in grads.values()) / 1e6
+    assert peak < 1.5 * total, f"sweep {peak:.1f} MB, leaf gradients {total:.1f} MB"
+    held = [grads[x] for x in leaves]
+    assert not [(i, j) for i in range(12) for j in range(i)
+                if np.shares_memory(held[i], held[j])]
+
+
 def test_non_broadcastable_shapes_rejected():
     with pytest.raises(ShapeError):
         T.add(Tensor(np.ones((3,))), Tensor(np.ones((4,))))
