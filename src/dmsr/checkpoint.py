@@ -161,8 +161,10 @@ def config_from_metadata(metadata):
 
 
 def _entry(arrays, name, shape):
-    """arrays[name] as float64, checked against the shape it must have and
-    for NaN and inf; a float64 entry is returned as it is, not copied."""
+    """arrays[name] as float64, checked to be there, against the shape it must
+    have and for NaN and inf; a float64 entry is returned as it is, not copied."""
+    if name not in arrays:
+        raise CheckpointError(f"missing entry {name}")
     if arrays[name].shape != shape:
         raise CheckpointError(f"entry {name} has shape {arrays[name].shape}, expected {shape}")
     if not np.isfinite(arrays[name]).all():
@@ -172,14 +174,19 @@ def _entry(arrays, name, shape):
 
 def restore_model(path):
     """Rebuild (model, arrays, metadata) from a checkpoint file. The model's
-    float64 parameters are the very arrays in `arrays`."""
+    float64 parameters are the very arrays in `arrays`; an entry that is
+    neither a parameter nor one of its two optimizer moments raises
+    CheckpointError."""
     arrays, metadata = load_checkpoint(path)
     cfg = config_from_metadata(metadata)
     model = DmsrModel(cfg, seed=0)
+    known = set()
     for name, p in model.named_parameters():
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing parameter {name}")
         p.data = _entry(arrays, name, p.data.shape)
+        known.update((name, f"optim.m.{name}", f"optim.v.{name}"))
+    unknown = [name for name in arrays if name not in known]
+    if unknown:
+        raise CheckpointError(f"entry {unknown[0]} is not a model parameter or a moment of one")
     return model, arrays, metadata
 
 
@@ -205,6 +212,5 @@ def restore_optimizer(model, arrays, metadata):
     opt.step_count = metadata_value(metadata, "optim.step", int, 0)
     for name, p in opt.named_params:
         for key, moments in ((f"optim.m.{name}", opt.m), (f"optim.v.{name}", opt.v)):
-            if key in arrays:
-                moments[name] = _entry(arrays, key, p.data.shape)
+            moments[name] = _entry(arrays, key, p.data.shape)
     return opt

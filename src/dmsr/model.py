@@ -15,8 +15,8 @@ import numpy as np
 from . import naf as naf_mod
 from . import swin as swin_mod
 from .data import bicubic_resize
-from .ops import (Module, param_conv, zeros_param, conv2d, joint_filter, pixel_unshuffle,
-                  tap_mean, tap_offsets, tap_weight)
+from .ops import (Module, param_conv, zeros_param, conv2d, joint_filter, pixel_shuffle,
+                  pixel_unshuffle, tap_mean, tap_weight)
 from .tensor import Tensor, ShapeError, sigmoid
 
 BACKBONES = ("swin", "naf")
@@ -112,9 +112,9 @@ class KernelField:
     of factor r: the sigmoid weight factors w_guide and w_target
     (B, k*k*r*r, H/r, W/r) and the raw offset factors o_guide and o_target
     (B, 2*k*k*r*r, H/r, W/r). The joint filter forms each tap's weight and
-    displacement from them; `weights` (B, k*k, H, W), summing to one over
-    the taps, and `offsets` (B, 2*k*k, H, W), (dy, dx) pixel displacements
-    per tap, build the whole full-resolution field the same way."""
+    displacement from them in that layout; `weights` (B, k*k, H, W), summing
+    to one over the taps, and `offsets` (B, 2*k*k, H, W), (dy, dx) pixel
+    displacements per tap, pixel_shuffle the whole field to full resolution."""
 
     w_guide: Tensor
     w_target: Tensor
@@ -122,21 +122,17 @@ class KernelField:
     o_target: Tensor
     r: int
 
-    def _k(self):
-        return math.isqrt(self.w_guide.shape[1] // (self.r * self.r))
-
     @property
     def weights(self):
-        k, wg, wt = self._k(), self.w_guide.data, self.w_target.data
+        wg, wt = self.w_guide.data, self.w_target.data
+        k = math.isqrt(wg.shape[1] // (self.r * self.r))
         mean = tap_mean(wg, wt, k)
-        return Tensor(np.concatenate([tap_weight(wg, wt, mean, t, k, self.r)
-                                      for t in range(k * k)], axis=1))
+        return pixel_shuffle(Tensor(np.concatenate([tap_weight(wg, wt, mean, t, k)
+                                                    for t in range(k * k)], axis=1)), self.r)
 
     @property
     def offsets(self):
-        og, ot = self.o_guide.data, self.o_target.data
-        return Tensor(np.concatenate([tap_offsets(og, ot, t, self.r)
-                                      for t in range(self._k() ** 2)], axis=1))
+        return pixel_shuffle(Tensor(self.o_guide.data * self.o_target.data), self.r)
 
 
 class HeadConvs(Module):

@@ -515,31 +515,13 @@ def bilinear_sample(x, coords):
 
 
 # ---------------------------------------------------------------------------
-# the kernel field, tap by tap from the heads' sub-pixel factors
+# the kernel field, tap by tap, in the heads' sub-pixel layout
 #
 # The heads predict the field in pixel_shuffle's sub-pixel layout: channel
 # block t (r*r channels) of a (B, n*r*r, h, w) factor is full-resolution
-# channel t. tap_mean, tap_weight and tap_offsets form one tap's
-# full-resolution planes from the factors; joint_filter and
-# model.KernelField share them.
-
-
-def _blocks(full, r):
-    """The (..., r, r, h, w) view of a full-resolution (..., h*r, w*r) array,
-    in the sub-pixel order of pixel_shuffle's input."""
-    *lead, H, W = full.shape
-    n = len(lead)
-    return full.reshape(*lead, H // r, r, W // r, r).transpose(
-        *range(n), n + 1, n + 3, n, n + 2)
-
-
-def _full_resolution(sub, r):
-    """pixel_shuffle of the (..., r*r, h, w) sub-pixel array `sub` as an array:
-    (..., h*r, w*r)."""
-    *lead, _, h, w = sub.shape
-    out = np.empty((*lead, h * r, w * r))
-    _blocks(out, r)[...] = sub.reshape(*lead, r, r, h, w)
-    return out
+# channel t. joint_filter weighs, samples and differentiates each tap in that
+# layout, so only pixel_shuffle and pixel_unshuffle know the sub-pixel order;
+# joint_filter and model.KernelField share tap_mean and tap_weight.
 
 
 def tap_mean(wg, wt, k):
@@ -555,36 +537,27 @@ def tap_mean(wg, wt, k):
     return total
 
 
-def tap_weight(wg, wt, mean, t, k, r):
-    """Tap t's (B, 1, H, W) weight, (wg * wt - mean) + 1/k^2 on its sub-pixel
-    channels: over the taps the weights sum to one at every pixel."""
-    n = r * r
+def tap_weight(wg, wt, mean, t, k):
+    """Tap t's (B, r*r, h, w) weight, (wg * wt - mean) + 1/k^2 on its
+    sub-pixel channels: over the taps the weights sum to one at every pixel."""
+    n = mean.shape[1]
     p = wg[:, t * n:(t + 1) * n] * wt[:, t * n:(t + 1) * n]
     p -= mean
     p += 1.0 / (k * k)
-    return _full_resolution(p[:, None], r)
+    return p
 
 
-def tap_offsets(og, ot, t, r):
-    """Tap t's (B, 2, H, W) (dy, dx) displacement: og * ot on its sub-pixel
-    channels."""
-    B, _, h, w = og.shape
-    n = r * r
-    c = slice(2 * t * n, (2 * t + 2) * n)
-    return _full_resolution((og[:, c] * ot[:, c]).reshape(B, 2, n, h, w), r)
-
-
-def _factor_grad(planes, other, r, consume):
-    """The gradient of one factor of a product, in the factors' sub-pixel
-    layout, from the product's full-resolution gradient `planes`, one
-    (B, H, W) plane per channel: each plane times the other factor's
-    channels. With `consume`, each plane leaves the list once read."""
+def _factor_grad(planes, other, consume):
+    """The gradient of one factor of a product from the product's gradient
+    `planes`, one (B, r*r*h, w) plane per channel block of the factors: each
+    plane times the other factor's block. With `consume`, each plane leaves
+    the list once read."""
     B, C, h, w = other.shape
     n = len(planes)
-    out = np.empty((B, n, r, r, h, w))
+    out = np.empty((B, n, C // n, h, w))
     other = other.reshape(out.shape)
     for c in range(n):
-        np.multiply(_blocks(planes[c], r), other[:, c], out=out[:, c])
+        np.multiply(planes[c].reshape(other[:, c].shape), other[:, c], out=out[:, c])
         if consume:
             planes[c] = None
     return out.reshape(B, C, h, w)
@@ -599,8 +572,11 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     The field comes as the heads' factors in the sub-pixel layout: the
     sigmoid weight factors w_guide and w_target (B, k*k*r*r, H/r, W/r) and
     the raw offset factors o_guide and o_target (B, 2*k*k*r*r, H/r, W/r).
-    Tap t's weight (tap_weight) and displacement (tap_offsets) are formed at
-    full resolution for that tap only, so no full-resolution field exists.
+    Each tap is weighed (tap_weight), sampled and differentiated in that
+    layout, as (B, r*r*H/r, W/r) planes whose coordinates are its offset
+    factors' product plus each plane's pixel_unshuffled row and column. The
+    summed output is pixel_shuffled once, and the backward pixel_unshuffles
+    its gradient once, so no full-resolution field exists.
 
     x is data, the bicubic-upsampled depth, and takes no gradient: an x
     that requires one raises ValueError. One tape node over the four
@@ -615,7 +591,7 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     if x.requires_grad:
         raise ValueError("joint_filter: the filtered image is data and takes no gradient")
     inputs = wg, wt, og, ot = w_guide, w_target, o_guide, o_target
-    B, _, H, W = x.shape
+    B, C, H, W = x.shape
     kk, n, h, w = k * k, r * r, H // r, W // r
     if H % r or W % r or wg.shape != (B, kk * n, h, w) or wt.shape != wg.shape:
         raise ShapeError(f"joint_filter: weight factors {wg.shape} and {wt.shape} vs "
@@ -626,16 +602,17 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     xd = x.data
     wgd, wtd, ogd, otd = (t.data for t in inputs)
     mean = tap_mean(wgd, wtd, k)
-    rows, cols = np.arange(H)[:, None] - k // 2, np.arange(W) - k // 2
-
-    def weight(t):
-        return tap_weight(wgd, wtd, mean, t, k, r)
+    # each sub-pixel plane's full-resolution rows (r*r, h, 1) and columns (r*r, 1, w)
+    rows = pixel_unshuffle(Tensor(np.broadcast_to(np.arange(H)[:, None], (1, 1, H, r))), r)
+    cols = pixel_unshuffle(Tensor(np.broadcast_to(np.arange(W), (1, 1, r, W))), r)
+    rows, cols = rows.data[0] - k // 2, cols.data[0] - k // 2
 
     def coords(t):
-        """Tap t's raw (B, H, W) sampling coordinates (y, x)."""
+        """Tap t's raw (B, r*r*h, w) sampling coordinates (y, x)."""
         dy, dx = divmod(t, k)
-        off = tap_offsets(ogd, otd, t, r)
-        return off[:, 0] + (rows + dy), off[:, 1] + (cols + dx)
+        ys, xs = slice(2 * t * n, (2 * t + 1) * n), slice((2 * t + 1) * n, (2 * t + 2) * n)
+        return ((ogd[:, ys] * otd[:, ys] + (rows + dy)).reshape(B, -1, w),
+                (ogd[:, xs] * otd[:, xs] + (cols + dx)).reshape(B, -1, w))
 
     taped = recording(inputs)
     samples, slopes = [], []                # per tap s, and (dty, dtx, ymask, xmask)
@@ -643,7 +620,7 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
     for t in range(kk):
         cy_raw, cx_raw = coords(t)
         s, sy, sx = _bilinear(xd, _corners(cy_raw, cx_raw, H, W), slopes=taped)
-        term = weight(t) * s
+        term = tap_weight(wgd, wtd, mean, t, k).reshape(B, 1, n * h, w) * s
         if out is None:
             out = term
         else:
@@ -651,6 +628,7 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
         if taped:
             samples.append(s)
             slopes.append((sy, sx, *_in_range(cy_raw, cx_raw, H, W)))
+    out = pixel_shuffle(Tensor(out.reshape(B, C * n, h, w)), r).data
     if not taped:
         return record("bilinear_sample", inputs, out, None)
     swept = False
@@ -660,20 +638,22 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
         if swept:
             raise RuntimeError("joint_filter: this node's backward already ran")
         swept = True
+        g = pixel_unshuffle(Tensor(g), r).data.reshape(B, C, n * h, w)
         gw, go = [], []         # per tap the gradient of its weight, of its dy and dx
         for t in range(kk):
             s, samples[t] = samples[t], None
             gw.append((g * s).sum(axis=1))
             del s
-            gs = g * weight(t)                  # the gradient of tap t's samples
+            # the gradient of tap t's samples
+            gs = g * tap_weight(wgd, wtd, mean, t, k).reshape(B, 1, n * h, w)
             (sy, sx, ymask, xmask), slopes[t] = slopes[t], None
             go.append((gs * sy).sum(axis=1) * ymask)
             go.append((gs * sx).sum(axis=1) * xmask)
             del sy, sx, ymask, xmask
         mean = samples = slopes = gs = None
-        gog = _factor_grad(go, otd, r, consume=False)
+        gog = _factor_grad(go, otd, consume=False)
         otd = None
-        got = _factor_grad(go, ogd, r, consume=True)
+        got = _factor_grad(go, ogd, consume=True)
         ogd = None
         # the tap mean's gradient: the taps' sum in tap order, over k*k
         total = gw[0].copy()
@@ -683,9 +663,9 @@ def joint_filter(x, w_guide, w_target, o_guide, o_target, k, r):
         for p in gw:
             p -= total
         del p, total
-        gwg = _factor_grad(gw, wtd, r, consume=False)
+        gwg = _factor_grad(gw, wtd, consume=False)
         wtd = None
-        gwt = _factor_grad(gw, wgd, r, consume=True)
+        gwt = _factor_grad(gw, wgd, consume=True)
         wgd = None
         return gwg, gwt, gog, got
 

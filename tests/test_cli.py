@@ -429,15 +429,24 @@ def _bench_with_metadata_line_repeated(tmp_path, trained):
             "--repeats", "3"]
 
 
-def _resume_with_moment_of_shape(shape):
-    def argv(tmp_path, trained):
-        from dmsr.checkpoint import load_checkpoint, save_checkpoint
-        arrays, meta = load_checkpoint(trained)
-        arrays["optim.m.guide_backbone.conv_in_b"] = np.zeros(shape)
-        save_checkpoint(str(tmp_path / "bad.dmsr"), arrays, meta)
-        return [*TINY_RESUME, str(tmp_path / "bad.dmsr"),
-                "--out", str(tmp_path / "o")]
-    return argv
+def _with_entries(tmp_path, trained, changes):
+    """The trained checkpoint with each entry of `changes` set to its array,
+    or dropped where the array is None."""
+    from dmsr.checkpoint import load_checkpoint, save_checkpoint
+    arrays, meta = load_checkpoint(trained)
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    path = str(tmp_path / "bad.dmsr")
+    save_checkpoint(path, arrays, meta)
+    return path
+
+
+def _resume_with_entries(changes):
+    return lambda tmp_path, trained: [
+        *TINY_RESUME, _with_entries(tmp_path, trained, changes), "--out", str(tmp_path / "o")]
 
 
 def _with_entry_value(tmp_path, trained, name, value):
@@ -641,8 +650,20 @@ BAD_INPUTS = [
      "entry guide_backbone.conv_in_w repeats"),
     ("metadata-key-repeats", _bench_with_metadata_line_repeated, None, 3, "error: data:",
      "metadata key model.k repeats"),
-    ("resume-optim-moment-wrong-shape", _resume_with_moment_of_shape((3,)), None, 3,
+    ("resume-optim-moment-wrong-shape",
+     _resume_with_entries({"optim.m.guide_backbone.conv_in_b": np.zeros(3)}), None, 3,
      "error: data:", "entry optim.m.guide_backbone.conv_in_b has shape (3,), expected (8,)"),
+    ("resume-optim-moments-missing",
+     _resume_with_entries({"optim.m.guide_backbone.conv_in_b": None,
+                           "optim.v.guide_backbone.conv_in_b": None}), None, 3,
+     "error: data:", "missing entry optim.m.guide_backbone.conv_in_b"),
+    ("eval-entry-not-a-parameter",
+     lambda tmp_path, trained: [
+         "eval", _with_entries(tmp_path, trained, {
+             "guide_backbone.blocks.0.layers.0.attn.pos_bias": np.zeros((49, 1))}),
+         str(tmp_path / "manifest.txt")],
+     None, 3, "error: data:",
+     "entry guide_backbone.blocks.0.layers.0.attn.pos_bias is not a model parameter"),
     ("eval-parameter-nan",
      lambda tmp_path, trained: [
          "eval", _with_entry_value(tmp_path, trained, "target_head.w4", np.nan),

@@ -215,12 +215,14 @@ def test_apply_joint_filter_matches_per_tap_loop_exactly(k):
         np.testing.assert_array_equal(g, w)
 
 
-def test_apply_joint_filter_matches_per_tap_loop_over_channels():
-    # C > 1: each tap's weight and offset gradients sum over the channels
+@pytest.mark.parametrize("r", [2, 3], ids=["r2", "r3"])
+def test_apply_joint_filter_matches_per_tap_loop_over_channels(r):
+    # C > 1: each tap's weight and offset gradients sum over the channels.
+    # h != w, and r = 3 as well as 2, so a swapped sub-pixel index shows
     rng = np.random.default_rng(11)
-    target = Tensor(rng.random((2, 3, 4, 6)))
-    factors = _factors(rng, 2, 3, 2, 2, 3)
-    got, want = (_filter_and_factor_grads(fn, target, factors, 3, 2)
+    target = Tensor(rng.random((2, 3, 2 * r, 3 * r)))
+    factors = _factors(rng, 2, 3, r, 2, 3)
+    got, want = (_filter_and_factor_grads(fn, target, factors, 3, r)
                  for fn in (apply_joint_filter, per_tap_joint_filter))
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
