@@ -172,6 +172,14 @@ def _entry(arrays, name, shape):
     return arrays[name].astype(np.float64, copy=False)
 
 
+class _Unwritten:
+    """Stands in for the rng of a model whose every parameter a checkpoint
+    replaces: each draw is an unwritten array of its shape."""
+
+    def normal(self, loc, scale, size):
+        return np.empty(size)
+
+
 def restore_model(path):
     """Rebuild (model, arrays, metadata) from a checkpoint file. The model's
     float64 parameters are the very arrays in `arrays`; an entry that is
@@ -179,7 +187,7 @@ def restore_model(path):
     CheckpointError."""
     arrays, metadata = load_checkpoint(path)
     cfg = config_from_metadata(metadata)
-    model = DmsrModel(cfg, seed=0)
+    model = DmsrModel(cfg, rng=_Unwritten())
     known = set()
     for name, p in model.named_parameters():
         p.data = _entry(arrays, name, p.data.shape)

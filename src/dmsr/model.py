@@ -224,8 +224,11 @@ class DmsrModel(Module):
     """Two-path joint-filtering network: guidance RGB + low-res depth in,
     super-resolved depth out."""
 
-    def __init__(self, cfg, seed=0):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    def __init__(self, cfg, seed=0, rng=None):
+        """`rng`, when given, draws the initial weights in place of the
+        generator seeded with `seed`."""
+        if rng is None:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
         r = cfg.resample_factor
         self.cfg = cfg
         self.guide_backbone = make_backbone(rng, cfg, 3 * r * r)

@@ -35,22 +35,16 @@ def _gate_grad(g, a):
     return out
 
 
-def _norm_out(xhat, gamma, beta):
-    """The layer norm output gamma * xhat + beta of the channels-last xhat,
-    written as contiguous NCHW."""
+def _channel_norm(x, gamma, beta):
+    """LayerNorm over the channel axis of (B, C, H, W), computed channels-last:
+    (the output gamma * xhat + beta as contiguous NCHW, xhat, inv)."""
+    xhat, inv = normalize(np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
     B, H, W, C = xhat.shape
     out = np.empty((B, C, H, W))
     nhwc = out.transpose(0, 2, 3, 1)
     np.multiply(gamma, xhat, out=nhwc)
     nhwc += beta
-    return out
-
-
-def _channel_norm(x, gamma, beta):
-    """LayerNorm over the channel axis of (B, C, H, W), computed channels-last:
-    (the output as NCHW, xhat, inv)."""
-    xhat, inv = normalize(np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
-    return _norm_out(xhat, gamma, beta), xhat, inv
+    return out, xhat, inv
 
 
 def _channel_norm_grads(g, xhat, inv, gamma):
@@ -89,9 +83,8 @@ class NafBlock(Module):
         Forward and backward do the arithmetic of the block written as a
         chain of transpose, layer_norm, conv2d, depthwise_conv2d, SimpleGate,
         mean, mul and add nodes, op for op and in the same memory orders, so
-        the output and every gradient are bit-equal to that chain's. The
-        backward keeps each layer norm's xhat and inv, the depthwise output
-        and SCA's pooled vector and scale, and recomputes the rest from them.
+        the output and every gradient are bit-equal to that chain's. The node
+        keeps only the input array; its backward re-runs the block on it.
         """
         if x.ndim != 4 or x.shape[1] != self.norm1_g.shape[0]:
             raise ShapeError(f"naf_block: input {x.shape} vs {self.norm1_g.shape[0]} channels")
@@ -100,46 +93,46 @@ class NafBlock(Module):
                   self.norm2_g, self.norm2_b, self.pw3_w, self.pw3_b, self.pw4_w, self.pw4_b,
                   self.gamma)
         params = tuple(t.data for t in inputs[1:])
-        out, kept = _block_forward(x.data, params)
+        xd = x.data
         # through the module attribute, so a wrapper installed on tensor.record (as
         # perfbench/tracing.py does) counts this node with the other tensor ops
-        return tensor.record("naf_block", inputs, out,
-                             lambda g: _block_backward(g, params, kept))
+        return tensor.record("naf_block", inputs, _block(xd, params)[0],
+                             lambda g: _block_backward(g, xd, params))
 
 
-def _block_forward(x, params):
-    """The block's output and the arrays its backward keeps. Parameter names:
-    gN, bN are layer norm N's gamma and beta; wN, cN a conv's weight and bias
-    (d the depthwise conv, s SCA's)."""
+def _block(x, params):
+    """(the block's output, xhat1, inv1, n1, p1, d, s1, pooled, scale, a, o2,
+    xhat2, inv2, n2, p3, s2, o4): the output and every intermediate the
+    backward reads. Parameter names: gN, bN are layer norm N's gamma and beta;
+    wN, cN a conv's weight and bias (d the depthwise conv, s SCA's). No conv
+    output is scaled in place, so the backward reads each as it was made."""
     g1, b1, w1, c1, wd, cd, ws, cs, w2, c2, beta, g2, b2, w3, c3, w4, c4, gamma = params
     n1, xhat1, inv1 = _channel_norm(x, g1, b1)
-    d = depthwise_forward(conv2d_forward(n1, w1, c1, 0), wd, cd, 1)
+    p1 = conv2d_forward(n1, w1, c1, 0)
+    d = depthwise_forward(p1, wd, cd, 1)
     s1 = _gate(d)
     pooled = s1.mean(axis=(2, 3), keepdims=True)
     scale = conv2d_forward(pooled, ws, cs, 0)
-    o2 = conv2d_forward(s1 * scale, w2, c2, 0)
-    o2 *= beta
-    y = x + o2
+    a = s1 * scale
+    o2 = conv2d_forward(a, w2, c2, 0)
+    y = x + o2 * beta
     n2, xhat2, inv2 = _channel_norm(y, g2, b2)
-    o4 = conv2d_forward(_gate(conv2d_forward(n2, w3, c3, 0)), w4, c4, 0)
-    o4 *= gamma
-    o4 += y
-    return o4, (xhat1, inv1, d, pooled, scale, xhat2, inv2)
-
-
-def _block_backward(g, params, kept):
-    """The gradient of each input of the block, indexed as the inputs of
-    NafBlock.forward's node. Each layer norm's output and every conv output
-    but the depthwise one are recomputed from the kept arrays, the same bits
-    as in the forward."""
-    g1, b1, w1, c1, wd, cd, ws, cs, w2, c2, beta, g2, b2, w3, c3, w4, c4, gamma = params
-    xhat1, inv1, d, pooled, scale, xhat2, inv2 = kept
-    grads = [None] * 19
-
-    n2 = _norm_out(xhat2, g2, b2)
     p3 = conv2d_forward(n2, w3, c3, 0)
     s2 = _gate(p3)
     o4 = conv2d_forward(s2, w4, c4, 0)
+    out = o4 * gamma
+    out += y
+    return out, xhat1, inv1, n1, p1, d, s1, pooled, scale, a, o2, xhat2, inv2, n2, p3, s2, o4
+
+
+def _block_backward(g, x, params):
+    """The gradient of each input of the block, indexed as the inputs of
+    NafBlock.forward's node, from the block re-run on its kept input x."""
+    g1, b1, w1, c1, wd, cd, ws, cs, w2, c2, beta, g2, b2, w3, c3, w4, c4, gamma = params
+    (_, xhat1, inv1, n1, p1, d, s1, pooled, scale, a, o2, xhat2, inv2, n2, p3, s2,
+     o4) = _block(x, params)
+    grads = [None] * 19
+
     o4 *= g
     grads[18] = o4.sum(axis=(0, 1, 2, 3)).reshape(())
     g4 = g * gamma
@@ -149,11 +142,6 @@ def _block_backward(g, params, kept):
     gy, grads[12], grads[13] = _channel_norm_grads(gn2, xhat2, inv2, g2)
     gy = g + gy
 
-    n1 = _norm_out(xhat1, g1, b1)
-    p1 = conv2d_forward(n1, w1, c1, 0)
-    s1 = _gate(d)
-    a = s1 * scale
-    o2 = conv2d_forward(a, w2, c2, 0)
     o2 *= gy
     grads[11] = o2.sum(axis=(0, 1, 2, 3)).reshape(())
     g2o = gy * beta

@@ -137,13 +137,14 @@ def conv2d_grads(g, x, w, p, x_grad):
 
 
 def depthwise_forward(x, w, b, p):
-    """The taps' multiply-adds, summed in row-major order."""
+    """The taps' multiply-adds, summed in row-major order. einsum forms each
+    tap's product, the same bits as a broadcast multiply in less time."""
     Ho, Wo, taps = _taps(x.shape, w.shape, p)
     xp = _pad(x, p)
-    wt = w.reshape(len(w), -1, 1, 1)     # (C, taps, 1, 1)
+    wt = w.reshape(len(w), -1)           # (C, taps)
     out = np.zeros((x.shape[0], len(w), Ho, Wo))
     for n, t in enumerate(taps):
-        out += xp[t] * wt[:, n]
+        out += np.einsum("bchw,c->bchw", xp[t], wt[:, n])
     return _add_bias(out, b)
 
 

@@ -207,6 +207,29 @@ def naf_block_chain(block, x):
     return add(y, mul(h2, block.gamma))
 
 
+def depthwise_reference(x, w, b, g, p):
+    """(out, gx, gw, gb) of the stride-1 depthwise conv zero-padded by p, as a
+    tap loop over np.pad written apart from dmsr.ops: each tap's product a
+    broadcast multiply, the output's taps and the input gradient's summed in
+    row-major order, each weight gradient one einsum over its window."""
+    C, kh, kw = w.shape
+    H, W = x.shape[2:]
+    Ho, Wo = H + 2 * p - kh + 1, W + 2 * p - kw + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.zeros(x.shape[:2] + (Ho, Wo))
+    gxp = np.zeros(xp.shape)
+    gw = np.empty(w.shape)
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[..., i:i + Ho, j:j + Wo]
+            wij = w[:, i, j].reshape(C, 1, 1)
+            out += window * wij
+            gxp[..., i:i + Ho, j:j + Wo] += g * wij
+            gw[:, i, j] = np.einsum("bchw,bchw->c", g, window)
+    out += b.reshape(1, C, 1, 1)
+    return out, gxp[..., p:p + H, p:p + W], gw, g.sum(axis=(0, 2, 3))
+
+
 # The GELU node and the linear layer that dmsr had before each swin MLP became
 # one node, and the MLP as the chain of nodes they built: references for tests
 # that compare the node against that chain.

@@ -10,8 +10,8 @@ from dmsr.naf import NafBlock
 from dmsr.tensor import Tensor, Tape, ShapeError, add, matmul, record, sub
 
 from helpers import (adaptive_avg_pool_global, attention, attention_chain, check_gradients,
-                     closure_reach, held_arrays, linear, mul, slice_axis, softmax_lastaxis,
-                     weighted_sum_loss)
+                     closure_reach, depthwise_reference, held_arrays, linear, mul, slice_axis,
+                     softmax_lastaxis, weighted_sum_loss)
 from test_swin import loop_shift_mask
 
 
@@ -156,6 +156,32 @@ def test_depthwise_conv2d_matches_einsum_reference(B, pad):
         np.testing.assert_array_equal(gw, want_gw)
     else:           # the 6-D einsum groups the batch sum differently
         assert np.abs(gw - want_gw).max() < 1e-13
+
+
+@pytest.mark.parametrize("values", ["plain", "special"])
+@pytest.mark.parametrize("k,pad", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2)])
+def test_depthwise_kernels_byte_equal_to_the_tap_loop_reference(k, pad, values):
+    # the NAF block node calls these kernels directly, so its chain
+    # comparisons cannot see a change of bits inside them
+    rng = np.random.default_rng(34)
+    x = rng.uniform(-1, 1, (2, 4, 7, 6))
+    w = rng.uniform(-1, 1, (4, k, k))
+    b = rng.uniform(-1, 1, (4,))
+    g = rng.uniform(-1, 1, (2, 4, 7 + 2 * pad - k + 1, 6 + 2 * pad - k + 1))
+    if values == "special":
+        x[0, 0, 2:5, 1:4] = 0.0
+        x[1, 1, 3, 3] = -0.0
+        x[0, 2, 1, 2] = np.inf
+        x[1, 3, 4, 0] = np.nan
+        w[1, k // 2, 0] = -0.0
+        w[2, 0, k - 1] = 0.0
+    with np.errstate(invalid="ignore"):         # inf times a zero weight
+        out = ops.depthwise_forward(x, w, b, pad)
+        grads = ops.depthwise_grads(g, x, w, pad, True)
+        want = depthwise_reference(x, w, b, g, pad)
+    for name, a, ref in zip(("out", "gx", "gw", "gb"), (out, *grads), want):
+        assert a.shape == ref.shape, name
+        assert a.tobytes() == ref.tobytes(), name
 
 
 def test_conv2d_channel_mismatch():
