@@ -186,8 +186,10 @@ def restore_model(path):
     neither a parameter nor one of its two optimizer moments raises
     CheckpointError."""
     arrays, metadata = load_checkpoint(path)
-    cfg = config_from_metadata(metadata)
-    model = DmsrModel(cfg, rng=_Unwritten())
+    try:
+        model = DmsrModel(config_from_metadata(metadata), rng=_Unwritten())
+    except ConfigError as e:
+        raise CheckpointError(f"bad model metadata: {e}")
     known = set()
     for name, p in model.named_parameters():
         p.data = _entry(arrays, name, p.data.shape)

@@ -226,15 +226,21 @@ class DmsrModel(Module):
 
     def __init__(self, cfg, seed=0, rng=None):
         """`rng`, when given, draws the initial weights in place of the
-        generator seeded with `seed`."""
+        generator seeded with `seed`. A model whose weights cannot be
+        allocated raises ConfigError."""
         if rng is None:
             rng = np.random.default_rng(np.random.SeedSequence(seed))
         r = cfg.resample_factor
         self.cfg = cfg
-        self.guide_backbone = make_backbone(rng, cfg, 3 * r * r)
-        self.target_backbone = make_backbone(rng, cfg, r * r)
-        self.guide_head = HeadConvs(rng, cfg.embed_dim, cfg.k, r)
-        self.target_head = HeadConvs(rng, cfg.embed_dim, cfg.k, r)
+        # numpy raises MemoryError for a weight the host cannot hold, and
+        # ValueError for one larger than any array can be
+        try:
+            self.guide_backbone = make_backbone(rng, cfg, 3 * r * r)
+            self.target_backbone = make_backbone(rng, cfg, r * r)
+            self.guide_head = HeadConvs(rng, cfg.embed_dim, cfg.k, r)
+            self.target_head = HeadConvs(rng, cfg.embed_dim, cfg.k, r)
+        except (MemoryError, ValueError) as e:
+            raise ConfigError(f"the model does not fit in memory: {e}")
 
     def check_extents(self, H, W, lr_h, lr_w):
         cfg = self.cfg

@@ -57,12 +57,12 @@ def ones_param(shape):
 # ---------------------------------------------------------------------------
 # convolution (stride 1)
 #
-# Array-level kernels, shared by the recorded ops below and by the NAF
-# block's one node: conv2d_forward and depthwise_forward take the input, the
-# weight, the bias and the padding and return the output; conv2d_grads and
-# depthwise_grads take the output gradient, the input, the weight, the
-# padding and whether the input needs a gradient, and return (input gradient
-# or None, weight gradient, bias gradient).
+# Array-level kernels of the recorded ops below: conv2d_forward and
+# depthwise_forward take the input, the weight, the bias and the padding and
+# return the output; conv2d_grads and depthwise_grads take the output
+# gradient, the input, the weight, the padding and whether the input needs a
+# gradient, and return (input gradient or None, weight gradient, bias
+# gradient).
 
 
 def _taps(x_shape, w_shape, p):

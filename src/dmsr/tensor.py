@@ -105,18 +105,30 @@ class Tape:
         return False
 
     def backward(self, loss):
-        """Reverse sweep from a scalar loss; returns self.grads, the leaf
-        gradients. The sweep consumes the tape: each node is popped off
-        self.nodes as it is swept, so its closure and saved arrays are freed
-        before the next node runs, and its output gradient, final once the
-        node is swept (its consumers were recorded after it), goes with it.
-        A tape is swept once; a second call raises RuntimeError."""
+        """Reverse sweep from a scalar loss; returns self.grads, a copy of
+        each leaf gradient. The sweep consumes the tape (see sweep). A tape is
+        swept once; a second call raises RuntimeError."""
         if self.grads is not None:
             raise RuntimeError("this tape was already swept; record the step again")
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         self.grads = {}         # a sweep that raises midway is spent too
-        local = {loss.handle or loss: np.ones_like(loss.data)}
+        local = self.sweep(loss.handle or loss, np.ones_like(loss.data))
+        # each leaf's gradient leaves `local` as it is copied, so the end of the
+        # sweep holds one set and one copy; copied, since add hands one array
+        # to both its inputs
+        for t in list(local):
+            self.grads[t] = local.pop(t).copy()
+        return self.grads
+
+    def sweep(self, out, grad):
+        """Reverse sweep from the key `out` (an output's GradHandle or a leaf)
+        with gradient `grad`; returns {key: gradient} for the keys no node of
+        the tape produced, the leaves, uncopied. Each node is popped off
+        self.nodes as it is swept, so its closure and saved arrays are freed
+        before the next node runs, and its output gradient, final once the
+        node is swept (its consumers were recorded after it), goes with it."""
+        local = {out: grad}
         nodes = self.nodes
         while nodes:
             node = nodes.pop()
@@ -128,12 +140,7 @@ class Tape:
                     continue
                 acc = local.get(t)
                 local[t] = g if acc is None else acc + g
-        # each leaf's gradient leaves `local` as it is copied, so the end of the
-        # sweep holds one set and one copy; copied, since add hands one array
-        # to both its inputs
-        for t in list(local):
-            self.grads[t] = local.pop(t).copy()
-        return self.grads
+        return local
 
 
 def _grad_key(t):
@@ -169,6 +176,33 @@ def record(op, inputs, out_data, backward):
     return out
 
 
+def segment(op, fn, inputs):
+    """fn(*inputs) as one `op` node that keeps only the input arrays: a
+    recompute segment (gradient checkpointing). The forward runs fn with this
+    thread's tapes suspended, so fn's ops record and keep nothing. The
+    backward wraps the kept arrays as fresh leaves, re-runs fn on them under
+    an inner Tape and sweeps it from the node's output gradient; it hands the
+    leaf gradients over uncopied, in the memory order fn's ops made them, so
+    they are the bits and strides of fn recorded flat. fn must read every
+    input and close over no Tensor."""
+    tapes = vars(_TAPE_STACK).setdefault("tapes", [])
+    _TAPE_STACK.tapes = []
+    try:
+        out = fn(*inputs).data
+    finally:
+        _TAPE_STACK.tapes = tapes
+    arrays = tuple(t.data for t in inputs)
+
+    def backward(g):
+        leaves = tuple(Tensor(a, requires_grad=True) for a in arrays)
+        with Tape() as inner:
+            key = fn(*leaves).handle        # the re-run output's data is dropped here
+        grads = inner.sweep(key, g)
+        return tuple(grads[t] for t in leaves)
+
+    return record(op, inputs, out, backward)
+
+
 def unbroadcast(g, shape):
     """Sum a gradient down to `shape` after numpy stretch-extent-1 broadcasting."""
     extra = g.ndim - len(shape)
@@ -202,6 +236,13 @@ def sub(a, b):
     sa, sb = a.shape, b.shape
     return record("sub", (a, b), _binary_data(a, b, np.subtract),
                   lambda g: (unbroadcast(g, sa), unbroadcast(-g, sb)))
+
+
+def mul(a, b):
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    # each gradient reads the other operand
+    return record("mul", (a, b), _binary_data(a, b, np.multiply),
+                  lambda g: (unbroadcast(g * bd, sa), unbroadcast(g * ad, sb)))
 
 
 def sigmoid(a):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 
 from dmsr.imageio import MalformedHeaderError, _payload, _read_image
+from dmsr.naf import simple_gate
 from dmsr.ops import (_bilinear, _corners, _in_range, attention_backward, attention_forward,
                       conv2d, depthwise_conv2d, layer_norm, pixel_shuffle, shifted_windows,
                       window_merge, window_partition)
-from dmsr.tensor import (ShapeError, Tape, Tensor, add, gelu_cdf, gelu_slope, matmul, record,
-                         sub, tmean, transpose, unbroadcast)
+from dmsr.tensor import (Tape, Tensor, add, gelu_cdf, gelu_slope, matmul, mul, record, sub,
+                         tmean, transpose)
 
 
 def numeric_grad(fn, tensor, idx, eps=1e-4):
@@ -46,20 +47,6 @@ def check_gradients(build, leaves, rel_tol=1e-4, n_coords=6, seed=0):
             worst = max(worst, err)
     assert worst < rel_tol, f"gradient mismatch: rel err {worst:.3e} >= {rel_tol}"
     return worst
-
-
-def mul(a, b):
-    """a * b, numpy-broadcast, as one "mul" node: the product dmsr.tensor
-    recorded until the joint filter took the kernel field's factors, kept
-    for the tests' losses and reference chains."""
-    try:
-        out = np.multiply(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"shapes {a.shape} and {b.shape} are not broadcastable")
-    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
-    # each gradient reads the other operand
-    return record("mul", (a, b), out,
-                  lambda g: (unbroadcast(g * bd, sa), unbroadcast(g * ad, sb)))
 
 
 def tsum(a):
@@ -156,20 +143,10 @@ def softmax_lastaxis(a):
                   lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))
 
 
-# The SimpleGate, SCA, channel layer norm and global pool ops that dmsr had
-# before the NAF block became one node, and the block as the chain of nodes
-# they built: references for tests that compare the node against that chain.
-
-
-def simple_gate(x):
-    """Split (B, C, H, W) into channel halves y, z and return y * z, as one
-    "mul" node whose backward joins (g * z, g * y) along the channels."""
-    C = x.shape[1]
-    if C % 2:
-        raise ShapeError(f"simple_gate: odd channel count {C}")
-    y, z = x.data[:, :C // 2], x.data[:, C // 2:]
-    return record("mul", (x,), y * z,
-                  lambda g: (np.concatenate((g * z, g * y), axis=1),))
+# The SCA, channel layer norm and global pool ops that dmsr had before the NAF
+# block became one node, and the block as the chain of nodes they built with
+# dmsr.naf.simple_gate: references for tests that compare the node against
+# that chain.
 
 
 def adaptive_avg_pool_global(x):

@@ -21,10 +21,10 @@ from dmsr.model import (DmsrModel, KernelField, ModelConfig, apply_joint_filter,
 from dmsr.ops import (AttentionParams, bilinear_sample, conv2d, layer_norm,
                       multi_head_attention, pixel_shuffle, pixel_unshuffle,
                       window_merge, window_partition)
-from dmsr.tensor import Tensor
+from dmsr.tensor import Tensor, mul
 from dmsr.train import Adam, evaluate, psnr, train_epochs
 
-from helpers import (check_gradients, gelu, load_pfm, mul, naf_block_chain, weighted_sum_loss,
+from helpers import (check_gradients, gelu, load_pfm, naf_block_chain, weighted_sum_loss,
                      zero_naf_residual_branches, zero_swin_residual_branches)
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,

@@ -487,6 +487,29 @@ def _bench_with_metadata(key, value):
         "--width", "32", "--height", "32", "--repeats", "3"]
 
 
+# a model no host can allocate: its first weight, guide_backbone.conv_in_w, is
+# 1e9 x 3e6 x 3 x 3 float64 (192 PiB), beyond any address space, so numpy
+# refuses it at once whatever the host's overcommit policy, and nothing is
+# written; with resample factor 10000 it is beyond the largest array numpy makes
+BEYOND_MEMORY = {"model.embed_dim": "1000000000", "model.resample_factor": "1000"}
+
+
+def _bench_with_config(text):
+    def argv(tmp_path, trained):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(text + "\n")
+        return ["bench", "--config", str(cfgfile), "--width", "32", "--height", "32",
+                "--repeats", "3"]
+    return argv
+
+
+def _bench_with_metadata_beyond_memory(tmp_path, trained):
+    path = trained
+    for key, value in BEYOND_MEMORY.items():
+        path = _with_metadata(tmp_path, path, key, value)
+    return ["bench", "--checkpoint", path, "--width", "32", "--height", "32", "--repeats", "3"]
+
+
 def _infer_with_depth_header(header):
     """infer on a valid 32x32 guidance and a depth file holding `header`."""
     def argv(tmp_path, trained):
@@ -584,6 +607,14 @@ BAD_INPUTS = [
      "error: data:", "model.embed_dim * model.mlp_ratio is 8e+300"),
     ("metadata-mlp-ratio-1e18", _bench_with_metadata("model.mlp_ratio", "1e18"), None, 3,
      "error: data:", "model.embed_dim * model.mlp_ratio is 8e+18"),
+    ("model-beyond-memory",
+     _bench_with_config("\n".join(f"{k} = {v}" for k, v in BEYOND_MEMORY.items())), None, 2,
+     "error: config:", "the model does not fit in memory: Unable to allocate"),
+    ("model-beyond-any-array",
+     _bench_with_config("model.embed_dim = 1000000000\nmodel.resample_factor = 10000"), None,
+     2, "error: config:", "the model does not fit in memory: array is too big"),
+    ("metadata-model-beyond-memory", _bench_with_metadata_beyond_memory, None, 3,
+     "error: data:", "bad model metadata: the model does not fit in memory"),
     ("bench-k-99999",
      lambda tmp_path, trained: ["bench", "--k", "99999", "--width", "32", "--height", "32",
                                 "--repeats", "3"],

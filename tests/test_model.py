@@ -11,11 +11,11 @@ from dmsr.model import (DmsrModel, KernelField, ModelConfig, apply_joint_filter,
                         combine_offsets, combine_weights, identity_field,
                         upsample_lr)
 from dmsr.ops import bilinear_sample, joint_filter, pixel_shuffle
-from dmsr.tensor import GradHandle, Tape, Tensor, ShapeError, add, rearrange
+from dmsr.tensor import GradHandle, Tape, Tensor, ShapeError, add, mul, rearrange
 from dmsr.data import DatasetSplit, ScenePair
 from dmsr.train import Adam, l1_loss, train_epochs
 
-from helpers import (check_gradients, closure_reach, held_arrays, mul, reference_backward,
+from helpers import (check_gradients, closure_reach, held_arrays, reference_backward,
                      reference_field, reference_joint_filter, slice_axis, weighted_sum_loss)
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,

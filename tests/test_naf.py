@@ -4,11 +4,11 @@ the block as one tape node against the chain of nodes it replaced."""
 import numpy as np
 import pytest
 
-from dmsr.naf import NafBackbone, NafBlock, ScaParams
-from dmsr.tensor import Tensor, Tape, ShapeError
+from dmsr.naf import NafBackbone, NafBlock, ScaParams, simple_gate
+from dmsr.tensor import Tensor, Tape, ShapeError, mul
 
-from helpers import (check_gradients, closure_reach, held_arrays, mul, naf_block_chain, sca,
-                     simple_gate, slice_axis, weighted_sum_loss)
+from helpers import (check_gradients, closure_reach, held_arrays, naf_block_chain, sca,
+                     slice_axis, weighted_sum_loss)
 
 ACTIVATION_OPS = {"gelu", "sigmoid", "tanh", "softmax", "relu", "erf", "exp"}
 
@@ -66,8 +66,8 @@ def test_simple_gate_is_one_mul_node_byte_equal_to_slices_and_mul():
     assert [node.op for node in tape.nodes] == ["mul"]
 
 
-# SimpleGate and SCA are the record-based references in helpers; the block
-# computes both inside its one node
+# SCA is the record-based reference in helpers; the block runs the same ops
+# inside its one segment node
 
 
 def test_sca_identity_conv_on_constant():

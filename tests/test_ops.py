@@ -7,10 +7,10 @@ import pytest
 
 from dmsr import ops
 from dmsr.naf import NafBlock
-from dmsr.tensor import Tensor, Tape, ShapeError, add, matmul, record, sub
+from dmsr.tensor import Tensor, Tape, ShapeError, add, matmul, mul, record, sub
 
 from helpers import (adaptive_avg_pool_global, attention, attention_chain, check_gradients,
-                     closure_reach, depthwise_reference, held_arrays, linear, mul, slice_axis,
+                     closure_reach, depthwise_reference, held_arrays, linear, slice_axis,
                      softmax_lastaxis, weighted_sum_loss)
 from test_swin import loop_shift_mask
 

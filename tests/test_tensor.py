@@ -8,9 +8,9 @@ import pytest
 from scipy.special import erf
 
 from dmsr import tensor as T
-from dmsr.tensor import Tensor, Tape, ShapeError
+from dmsr.tensor import Tensor, Tape, ShapeError, mul
 
-from helpers import check_gradients, gelu, mul, tsum, weighted_sum_loss
+from helpers import check_gradients, closure_reach, gelu, held_arrays, tsum, weighted_sum_loss
 
 
 def square(x):
@@ -160,6 +160,98 @@ def test_sweep_hands_each_leaf_gradient_over_as_it_copies_it():
     held = [grads[x] for x in leaves]
     assert not [(i, j) for i in range(12) for j in range(i)
                 if np.shares_memory(held[i], held[j])]
+
+
+def _segment_body(a, b, c, d):
+    """add, mul and transpose, with a broadcast operand, a value read twice
+    and a constant (d)."""
+    h = mul(mul(a, b), d)
+    return T.add(h, mul(h, T.transpose(c, (0, 3, 1, 2))))
+
+
+def _segment_inputs(rng):
+    # a is a channels-last view
+    a = Tensor(rng.uniform(-1, 1, (2, 4, 5, 3)).transpose(0, 3, 1, 2), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, (1, 3, 1, 1)), requires_grad=True)
+    c = Tensor(rng.uniform(-1, 1, (2, 4, 5, 3)), requires_grad=True)
+    return a, b, c, Tensor(rng.uniform(-1, 1, (2, 3, 4, 5)))
+
+
+def test_segment_is_its_function_recorded_flat_bytes_and_strides():
+    rng = np.random.default_rng(27)
+    inputs = _segment_inputs(rng)
+    g = rng.uniform(-1, 1, (2, 4, 5, 3)).transpose(0, 3, 1, 2)   # a channels-last view
+    results = []
+    for forward in (_segment_body, lambda *t: T.segment("seg", _segment_body, t)):
+        with Tape() as tape:
+            out = forward(*inputs)
+        n_nodes = len(tape.nodes)
+        results.append((out, tape.sweep(out.handle, g), n_nodes))
+    (flat, want, n_flat), (seg, got, n_seg) = results
+    assert (n_flat, n_seg) == (5, 1)
+    assert seg.requires_grad and seg.data.tobytes() == flat.data.tobytes()
+    assert set(got) == set(want) == set(inputs[:3])     # the constant's is dropped
+    assert not want[inputs[2]].flags.c_contiguous       # transpose's view: a copy would show
+    for leaf in inputs[:3]:
+        assert got[leaf].tobytes() == want[leaf].tobytes(), leaf.shape
+        assert got[leaf].strides == want[leaf].strides, leaf.shape
+
+
+def test_segment_node_keeps_only_its_input_arrays():
+    inputs = _segment_inputs(np.random.default_rng(28))
+    with Tape() as tape:
+        T.segment("seg", _segment_body, inputs)
+    (node,) = tape.nodes
+    assert node.op == "seg"
+    reached = closure_reach(node.backward)
+    assert not [obj for obj in reached if isinstance(obj, Tensor)]
+    kept = {id(a) for a in held_arrays(reached)}
+    assert kept == {id(a) for a in held_arrays([t.data for t in inputs])}
+
+
+def test_segment_restores_the_tape_stack_when_its_function_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+
+    def fails(a):
+        square(a)
+        raise ValueError("inside the segment")
+
+    with Tape() as outer, Tape() as tape:
+        stack = T._TAPE_STACK.tapes
+        with pytest.raises(ValueError, match="inside the segment"):
+            T.segment("seg", fails, (x,))
+        assert T._TAPE_STACK.tapes is stack and stack == [outer, tape]
+        square(x)
+    assert outer.nodes == [] and [node.op for node in tape.nodes] == ["mul"]
+
+
+def test_segment_suspends_only_this_threads_tapes():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    inside, recorded = threading.Event(), threading.Event()
+    worker_ops = []
+
+    def body(a):
+        out = square(a)
+        inside.set()
+        recorded.wait(10)
+        return out
+
+    def worker():
+        with Tape() as own:
+            inside.wait(10)
+            T.sigmoid(x)            # while the other thread runs the segment's body
+            recorded.set()
+        worker_ops.extend(node.op for node in own.nodes)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    with Tape() as tape:
+        loss = tsum(T.segment("seg", body, (x,)))
+    thread.join(10)
+    assert not thread.is_alive()
+    assert worker_ops == ["sigmoid"]
+    assert [node.op for node in tape.nodes] == ["seg", "sum"]
+    np.testing.assert_array_equal(tape.backward(loss)[x], [2.0, 4.0])
 
 
 def test_non_broadcastable_shapes_rejected():
