@@ -112,9 +112,9 @@ class KernelField:
     of factor r: the sigmoid weight factors w_guide and w_target
     (B, k*k*r*r, H/r, W/r) and the raw offset factors o_guide and o_target
     (B, 2*k*k*r*r, H/r, W/r). The joint filter forms each tap's weight and
-    displacement from them in that layout; `weights` (B, k*k, H, W), summing
-    to one over the taps, and `offsets` (B, 2*k*k, H, W), (dy, dx) pixel
-    displacements per tap, pixel_shuffle the whole field to full resolution."""
+    displacement from them in that layout; `weights` pixel_shuffles the
+    whole weight field to full resolution, (B, k*k, H, W), summing to one
+    over the taps."""
 
     w_guide: Tensor
     w_target: Tensor
@@ -129,10 +129,6 @@ class KernelField:
         mean = tap_mean(wg, wt, k)
         return pixel_shuffle(Tensor(np.concatenate([tap_weight(wg, wt, mean, t, k)
                                                     for t in range(k * k)], axis=1)), self.r)
-
-    @property
-    def offsets(self):
-        return pixel_shuffle(Tensor(self.o_guide.data * self.o_target.data), self.r)
 
 
 class HeadConvs(Module):

@@ -30,9 +30,6 @@ class Module:
                         out.extend(item.named_parameters(f"{full}.{i}."))
         return out
 
-    def parameters(self):
-        return [t for _, t in self.named_parameters()]
-
 
 def param(rng, shape, std=0.02):
     """Gaussian-initialized trainable tensor."""
@@ -237,7 +234,7 @@ def layer_norm(x, gamma, beta):
 
 class AttentionParams(Module):
     """QKV/output projections; with position_bias, a learned relative-position
-    bias over the square token window."""
+    bias table over the square window, each token pair reading its _pos_index row."""
 
     def __init__(self, rng, embed_dim, num_heads, window, position_bias):
         if embed_dim % num_heads != 0:
@@ -249,22 +246,21 @@ class AttentionParams(Module):
         self.proj_w = param(rng, (embed_dim, embed_dim))
         self.proj_b = zeros_param((embed_dim,))
         self.pos_bias = None
-        self._pos_gather = None
+        self._pos_index = None
         if position_bias:
-            table_size = (2 * window - 1) ** 2
-            self.pos_bias = param(rng, (table_size, num_heads))
-            idx = _relative_index(window).reshape(-1)
-            gather = np.zeros((idx.size, table_size))
-            gather[np.arange(idx.size), idx] = 1.0
-            self._pos_gather = gather                      # one-hot row lookup
+            self.pos_bias = param(rng, ((2 * window - 1) ** 2, num_heads))
+            self._pos_index = _relative_index(window)
 
 
+@lru_cache
 def _relative_index(window):
-    """(w*w, w*w) lookup into the (2w-1)^2 relative-displacement table."""
-    coords = np.stack(np.meshgrid(np.arange(window), np.arange(window),
-                                  indexing="ij"), axis=-1).reshape(-1, 2)
-    rel = coords[:, None, :] - coords[None, :, :] + window - 1
-    return rel[..., 0] * (2 * window - 1) + rel[..., 1]
+    """(w^4,): the (2w-1)^2 displacement table's row of each (query, key) token
+    pair of a w x w window. Cached and read-only: one copy per window."""
+    row, col = np.divmod(np.arange(window * window), window)  # each token's row, column
+    index = ((row[:, None] - row + window - 1) * (2 * window - 1)
+             + col[:, None] - col + window - 1).flatten()
+    index.flags.writeable = False
+    return index
 
 
 def _split_heads(x, w, b, h, d):
@@ -284,14 +280,14 @@ def _merge_heads(probs, v):
     return np.ascontiguousarray(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(N, L, h * d)
 
 
-def _attention_probs(q, kT, weights, h, gather, mask):
-    """The (N, h, L, L) softmax of q kT / sqrt(d) plus, with gather (the
-    one-hot position lookup), the bias table weights[4]; a mask (nW, L, L),
-    or None, adds mask[i] to window i of every batch entry."""
+def _attention_probs(q, kT, weights, h, pos_index, mask):
+    """The (N, h, L, L) softmax of q kT / sqrt(d) plus, with pos_index, each
+    token pair's row of the bias table weights[4]; a mask (nW, L, L), or
+    None, adds mask[i] to window i of every batch entry."""
     L, d = q.shape[2], q.shape[3]
     probs = np.matmul(q, kT) * (1.0 / np.sqrt(d))
-    if gather is not None:
-        probs += np.matmul(gather, weights[4]).reshape(L, L, h).transpose(2, 0, 1)
+    if pos_index is not None:
+        probs += weights[4][pos_index].reshape(L, L, h).transpose(2, 0, 1)
     if mask is not None:
         windows = probs.reshape(-1, mask.shape[0], h, L, L)
         windows += mask[:, None]
@@ -301,17 +297,17 @@ def _attention_probs(q, kT, weights, h, gather, mask):
     return probs
 
 
-def attention_forward(x, weights, h, gather, mask):
+def attention_forward(x, weights, h, pos_index, mask):
     """Softmax attention over the (N, L, C) rows x: weights are qkv_w,
-    qkv_b, proj_w, proj_b and, with gather, the position bias table; gather
-    and mask as in _attention_probs."""
+    qkv_b, proj_w, proj_b and, with pos_index, the position bias table;
+    pos_index and mask as in _attention_probs."""
     qw, qb, pw, pb = weights[:4]
     q, kT, v = _split_heads(x, qw, qb, h, x.shape[2] // h)
-    probs = _attention_probs(q, kT, weights, h, gather, mask)
+    probs = _attention_probs(q, kT, weights, h, pos_index, mask)
     return np.matmul(_merge_heads(probs, v), pw) + pb
 
 
-def attention_backward(g, x, weights, h, gather, mask):
+def attention_backward(g, x, weights, h, pos_index, mask):
     """The gradients of the rows x and of each of attention_forward's
     weights, in order, from the output gradient g. q, k, v, the
     probabilities and the merged heads are rebuilt from x with the forward's
@@ -320,14 +316,16 @@ def attention_backward(g, x, weights, h, gather, mask):
     d, scale = C // h, 1.0 / np.sqrt(C // h)
     qw, qb, pw = weights[:3]
     q, kT, v = _split_heads(x, qw, qb, h, d)
-    probs = _attention_probs(q, kT, weights, h, gather, mask)
+    probs = _attention_probs(q, kT, weights, h, pos_index, mask)
     gpw = np.matmul(np.swapaxes(_merge_heads(probs, v), -1, -2), g).sum(axis=0)
     gpb = g.sum(axis=(0, 1))
     go = np.matmul(g, pw.T).reshape(N, L, h, d).transpose(0, 2, 1, 3)
     gp = np.matmul(go, np.swapaxes(v, -1, -2))
     glogits = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
-    gpos = () if gather is None else (
-        np.matmul(gather.T, glogits.sum(axis=0).transpose(1, 2, 0).reshape(L * L, h)),)
+    gpos = ()
+    if pos_index is not None:           # each pair's logit gradient added into its row
+        gpos = (np.zeros(weights[4].shape),)
+        np.add.at(gpos[0], pos_index, glogits.sum(axis=0).transpose(1, 2, 0).reshape(L * L, h))
     glogits *= scale
     gqkv = np.empty((N, 3 * h, L, d))
     gqkv[:, :h] = np.matmul(glogits, np.swapaxes(kT, -1, -2))
@@ -349,10 +347,10 @@ def multi_head_attention(x, norm_g, norm_b, p, window, shift):
     B, H, W, C = x.shape
     h, L = p.num_heads, window * window
     params = (p.qkv_w, p.qkv_b, p.proj_w, p.proj_b)
-    gather = p._pos_gather
-    if gather is not None:
-        if gather.shape[0] != L * L:
-            raise ShapeError(f"position bias built for {len(gather)} token pairs, got {L * L}")
+    pos_index = p._pos_index
+    if pos_index is not None:
+        if pos_index.size != L * L:
+            raise ShapeError(f"position bias built for {pos_index.size} pairs, got {L * L}")
         params += (p.pos_bias,)
     index, inverse, mask = shifted_windows(H, W, window, shift)
     weights = tuple(t.data for t in params)
@@ -364,11 +362,11 @@ def multi_head_attention(x, norm_g, norm_b, p, window, shift):
         """The window rows of the norm's output, (B * windows, L, C)."""
         return np.take((gd * xhat + bd).reshape(tokens), index, axis=1).reshape(-1, L, C)
 
-    out = attention_forward(windows(), weights, h, gather, mask)
+    out = attention_forward(windows(), weights, h, pos_index, mask)
 
     def backward(g):
         g = np.take(g.reshape(tokens), index, axis=1).reshape(-1, L, C)
-        gx, *gw = attention_backward(g, windows(), weights, h, gather, mask)
+        gx, *gw = attention_backward(g, windows(), weights, h, pos_index, mask)
         gx = np.take(gx.reshape(tokens), inverse, axis=1).reshape(B, H, W, C)
         return (*layer_norm_grads(gx, xhat, inv, gd), *gw)
 

@@ -13,6 +13,17 @@ from dmsr.tensor import (Tape, Tensor, add, gelu_cdf, gelu_slope, matmul, mul, r
                          tmean, transpose)
 
 
+def parameters(module):
+    """The trainable tensors of a dmsr Module, in named_parameters order."""
+    return [t for _, t in module.named_parameters()]
+
+
+def offsets(field):
+    """A model.KernelField's (B, 2*k*k, H, W) sampling offsets: its offset
+    factors' product, pixel_shuffled to full resolution."""
+    return pixel_shuffle(Tensor(field.o_guide.data * field.o_target.data), field.r)
+
+
 def numeric_grad(fn, tensor, idx, eps=1e-4):
     """Central difference of scalar fn() w.r.t. one coordinate of a leaf."""
     orig = tensor.data[idx]
@@ -265,13 +276,13 @@ def attention(x, p, mask):
     """Softmax attention over the (N, L, C) rows x, mask (nW, L, L) or None,
     as one "attention" node on ops.attention_forward and attention_backward."""
     params = [p.qkv_w, p.qkv_b, p.proj_w, p.proj_b]
-    gather = p._pos_gather
-    if gather is not None:
+    pos_index = p._pos_index
+    if pos_index is not None:
         params.append(p.pos_bias)
     xd, weights = x.data, tuple(t.data for t in params)
-    out = attention_forward(xd, weights, p.num_heads, gather, mask)
+    out = attention_forward(xd, weights, p.num_heads, pos_index, mask)
     return record("attention", (x, *params), out,
-                  lambda g: attention_backward(g, xd, weights, p.num_heads, gather, mask))
+                  lambda g: attention_backward(g, xd, weights, p.num_heads, pos_index, mask))
 
 
 def attention_chain(x, norm_g, norm_b, p, window, shift):

@@ -24,8 +24,9 @@ from dmsr.ops import (AttentionParams, bilinear_sample, conv2d, layer_norm,
 from dmsr.tensor import Tensor, mul
 from dmsr.train import Adam, evaluate, psnr, train_epochs
 
-from helpers import (check_gradients, gelu, load_pfm, naf_block_chain, weighted_sum_loss,
-                     zero_naf_residual_branches, zero_swin_residual_branches)
+from helpers import (check_gradients, gelu, load_pfm, naf_block_chain, parameters,
+                     weighted_sum_loss, zero_naf_residual_branches,
+                     zero_swin_residual_branches)
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,
             k=3, scale=4)
@@ -82,18 +83,18 @@ def test_criterion_1_gradient_suite():
     ga, ba = (Tensor(arng.uniform(0.5, 1.5, (4,)), requires_grad=True) for _ in range(2))
     xa = Tensor(rng.uniform(-1, 1, (1, 2, 6, 4)), requires_grad=True)
     check_gradients(lambda: weighted_sum_loss(multi_head_attention(xa, ga, ba, ap, 2, 1)),
-                    [xa, ga, ba] + ap.parameters(), n_coords=3)
+                    [xa, ga, ba] + parameters(ap), n_coords=3)
 
     # the swin MLP node: layer norm, fc1, exact GELU and fc2 over the last
     # axis of a 4-D input
     mrng = np.random.default_rng(104)
     mp = swin_mod.Mlp(mrng, 4, 8)
-    for t in mp.parameters():
+    for t in parameters(mp):
         t.data[...] = mrng.uniform(-1, 1, t.shape)
     gm, bm = (Tensor(mrng.uniform(0.5, 1.5, (4,)), requires_grad=True) for _ in range(2))
     xm = Tensor(mrng.uniform(-1, 1, (2, 2, 3, 4)), requires_grad=True)
     check_gradients(lambda: weighted_sum_loss(mp.forward(xm, gm, bm)),
-                    [xm, gm, bm] + mp.parameters(), n_coords=3)
+                    [xm, gm, bm] + parameters(mp), n_coords=3)
 
     xs = Tensor(rng.uniform(-1, 1, (1, 2, 6, 6)))             # data: the image takes no gradient
     coords = rng.uniform(0.8, 4.2, (1, 3, 3, 2))
@@ -107,7 +108,7 @@ def test_criterion_1_gradient_suite():
     nb.beta.data[...], nb.gamma.data[...] = 0.4, -0.3
     xn = Tensor(rng.uniform(-1, 1, (1, 4, 4, 4)), requires_grad=True)
     check_gradients(lambda: weighted_sum_loss(nb.forward(xn)),
-                    [xn] + nb.parameters(), n_coords=2)
+                    [xn] + parameters(nb), n_coords=2)
 
     # the factor-form joint filter at r = 2: the raw weight tensors through
     # combine_weights' sigmoids, each tap's weight normalised over the taps,

@@ -15,7 +15,7 @@ from dmsr.tensor import GradHandle, Tape, Tensor, ShapeError, add, mul, rearrang
 from dmsr.data import DatasetSplit, ScenePair
 from dmsr.train import Adam, l1_loss, train_epochs
 
-from helpers import (check_gradients, closure_reach, held_arrays, reference_backward,
+from helpers import (check_gradients, closure_reach, held_arrays, offsets, reference_backward,
                      reference_field, reference_joint_filter, slice_axis, weighted_sum_loss)
 
 TINY = dict(embed_dim=8, window=4, heads=1, num_blocks=1, layers_per_block=1,
@@ -71,7 +71,7 @@ def test_combine_offsets_multiplicative_identity():
     rng = np.random.default_rng(2)
     ot = Tensor(rng.uniform(-2, 2, (1, 18 * 16, 3, 3)))
     ones = Tensor(np.ones((1, 18 * 16, 3, 3)))
-    got = _offset_field(ones, ot).offsets
+    got = offsets(_offset_field(ones, ot))
     want = pixel_shuffle(ot, 4)
     np.testing.assert_array_equal(got.data, want.data)
     assert got.shape == (1, 18, 12, 12)
@@ -81,7 +81,7 @@ def test_combine_offsets_zero_guide_collapses_to_grid():
     rng = np.random.default_rng(3)
     ot = Tensor(rng.uniform(-2, 2, (1, 18 * 16, 2, 2)))
     zero = Tensor(np.zeros((1, 18 * 16, 2, 2)))
-    np.testing.assert_allclose(_offset_field(zero, ot).offsets.data, 0.0)
+    np.testing.assert_allclose(offsets(_offset_field(zero, ot)).data, 0.0)
 
 
 def naive_joint_filter(target, weights, k):
@@ -129,7 +129,7 @@ def test_identity_field_reproduces_the_target_exactly(k):
     assert field.r == 1 and field.w_guide.data.tobytes() == want.tobytes()
     assert (field.w_target.data == 1).all() and (field.o_target.data == 1).all()
     assert field.weights.data.tobytes() == want.tobytes()
-    assert not field.offsets.data.any()
+    assert not offsets(field).data.any()
     out = apply_joint_filter(target, field, k)
     assert out.data.tobytes() == target.data.tobytes()
 

@@ -7,8 +7,8 @@ import pytest
 from dmsr.naf import NafBackbone, NafBlock, ScaParams, simple_gate
 from dmsr.tensor import Tensor, Tape, ShapeError, mul
 
-from helpers import (check_gradients, closure_reach, held_arrays, naf_block_chain, sca,
-                     slice_axis, weighted_sum_loss)
+from helpers import (check_gradients, closure_reach, held_arrays, naf_block_chain, parameters,
+                     sca, slice_axis, weighted_sum_loss)
 
 ACTIVATION_OPS = {"gelu", "sigmoid", "tanh", "softmax", "relu", "erf", "exp"}
 
@@ -206,7 +206,7 @@ def test_naf_block_is_one_node_bit_equal_to_the_chain(beta, gamma, layout):
     (chain, want, n_chain), (node, got, n_node) = _chain_and_node_sweeps(blocks, x, g)
     assert (n_chain, n_node) == (40, 2)
     assert node.data.tobytes() == chain.data.tobytes()
-    leaves = [x] + [p for block in blocks for p in block.parameters()]
+    leaves = [x] + [p for block in blocks for p in parameters(block)]
     for leaf in leaves:
         assert got[leaf].tobytes() == want[leaf].tobytes(), leaf.shape
         # the same memory order too, so whatever sums it upstream rounds alike
@@ -225,7 +225,7 @@ def test_naf_block_keeps_only_its_input():
     (node,) = tape.nodes
     reached = closure_reach(node.backward)
     assert not [obj for obj in reached if isinstance(obj, Tensor)]
-    params = {id(p.data) for p in block.parameters()}
+    params = {id(p.data) for p in parameters(block)}
     kept = [a for a in held_arrays(reached) if id(a) not in params]
     assert [a.shape for a in kept] == [(1, 32, 32, 32)]
     assert kept[0] is x.data
@@ -243,7 +243,7 @@ def test_naf_block_at_one_pixel_is_the_chain_and_leaves_its_input_alone():
     (chain, want, _), (node, got, _) = _chain_and_node_sweeps(blocks, x, g)
     assert x.data.tobytes() == before.tobytes()
     assert node.data.tobytes() == chain.data.tobytes()
-    for leaf in [x] + blocks[0].parameters():
+    for leaf in [x] + parameters(blocks[0]):
         assert got[leaf].tobytes() == want[leaf].tobytes(), leaf.shape
 
 
@@ -259,7 +259,7 @@ def test_naf_block_gradients():
     block.beta.data[...] = 0.3
     block.gamma.data[...] = -0.2
     x = Tensor(rng.uniform(-1, 1, (1, 4, 4, 4)), requires_grad=True)
-    leaves = [x] + block.parameters()
+    leaves = [x] + parameters(block)
     check_gradients(lambda: weighted_sum_loss(block.forward(x)),
                     leaves, n_coords=3)
 
@@ -271,6 +271,6 @@ def test_backbone_end_to_end_gradients_tiny_config():
         block.beta.data[...] = 0.4
         block.gamma.data[...] = 0.4
     x = Tensor(rng.uniform(-1, 1, (1, 4, 4, 4)), requires_grad=True)
-    leaves = [x] + backbone.parameters()
+    leaves = [x] + parameters(backbone)
     check_gradients(lambda: weighted_sum_loss(backbone.forward(x)),
                     leaves, n_coords=2)

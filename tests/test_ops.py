@@ -1,5 +1,6 @@
 """nn ops: conv, layer norm, windowing, attention, shuffling, sampling."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,8 @@ from dmsr.naf import NafBlock
 from dmsr.tensor import Tensor, Tape, ShapeError, add, matmul, mul, record, sub
 
 from helpers import (adaptive_avg_pool_global, attention, attention_chain, check_gradients,
-                     closure_reach, depthwise_reference, held_arrays, linear, slice_axis,
-                     softmax_lastaxis, weighted_sum_loss)
+                     closure_reach, depthwise_reference, held_arrays, linear, parameters,
+                     slice_axis, softmax_lastaxis, weighted_sum_loss)
 from test_swin import loop_shift_mask
 
 
@@ -393,7 +394,7 @@ def _live_sublayer(rng, dim, heads, window, position_bias):
     """(norm_g, norm_b, attention params), every value random."""
     p = _attn_params(rng, dim, heads, window, position_bias)
     norm = Tensor(np.ones(dim), requires_grad=True), Tensor(np.zeros(dim), requires_grad=True)
-    for t in norm + tuple(p.parameters()):
+    for t in norm + tuple(parameters(p)):
         t.data[...] = rng.uniform(-1, 1, t.shape)
     return (*norm, p)
 
@@ -452,7 +453,7 @@ def test_attention_gradients(masked):
     rng = np.random.default_rng(14)
     g, b, p = _live_sublayer(rng, 4, 2, 2, False)
     x = Tensor(rng.uniform(-1, 1, (2, 4, 4, 4)), requires_grad=True)
-    leaves = [x, g, b] + p.parameters()
+    leaves = [x, g, b] + parameters(p)
     check_gradients(lambda: weighted_sum_loss(ops.multi_head_attention(x, g, b, p, 2,
                                                                        int(masked))),
                     leaves, n_coords=4)
@@ -576,7 +577,10 @@ def reference_attention(x, p, mask=None):
     q, k, v = (chain_reshape(slice_axis(qkv, 0, i, i + 1), (N, h, L, d)) for i in range(3))
     logits = mul(matmul(q, chain_transpose(k, (0, 1, 3, 2))), Tensor(1.0 / np.sqrt(d)))
     if p.pos_bias is not None:
-        bias = matmul(Tensor(p._pos_gather), p.pos_bias)
+        # the bias table's rows looked up by a one-hot (L*L, table) matmul
+        gather = np.zeros((L * L, len(p.pos_bias.data)))
+        gather[np.arange(L * L), ops._relative_index(math.isqrt(L))] = 1.0
+        bias = matmul(Tensor(gather), p.pos_bias)
         bias = chain_transpose(chain_reshape(bias, (L, L, h)), (2, 0, 1))
         logits = add(logits, chain_reshape(bias, (1, h, L, L)))
     if mask is not None:
@@ -624,16 +628,26 @@ def test_rearrangement_is_one_node_bit_equal_to_its_chain(name, op, reference, s
         _output_and_grads(lambda: reference(x), [x])
 
 
-@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
-@pytest.mark.parametrize("position_bias", [False, True], ids=["no_bias", "bias"])
-def test_attention_bit_equal_to_the_reshape_chains(masked, position_bias):
+# windows 2 to 5, each unmasked and masked, with and without position bias;
+# an id names the window where it is not the default 4
+CHAIN_CASES = [pytest.param(window, masked, bias, id="-".join(
+                   [("no_bias", "bias")[bias], ("unmasked", "masked")[masked]]
+                   + ([] if window == 4 else [f"window_{window}"])))
+               for window in (2, 3, 4, 5) for bias in (False, True) for masked in (True, False)]
+
+
+@pytest.mark.parametrize("window,masked,position_bias", CHAIN_CASES)
+def test_attention_bit_equal_to_the_reshape_chains(window, masked, position_bias):
+    # the output and every gradient, the position bias table's included:
+    # reading the table by index is bit-equal to the one-hot matmul here
     rng = np.random.default_rng(18)
-    p = ops.AttentionParams(rng, 8, 2, window=4, position_bias=position_bias)
-    for t in p.parameters():
+    p = ops.AttentionParams(rng, 8, 2, window=window, position_bias=position_bias)
+    for t in parameters(p):
         t.data[...] = rng.uniform(-1, 1, t.shape)
-    mask = loop_shift_mask(8, 8, 4, 2) if masked else None   # 4 windows
-    x = Tensor(rng.uniform(-1, 1, (2 * 4, 16, 8)), requires_grad=True)
-    leaves = [x] + p.parameters()
+    grid = 2 * window                                          # 4 windows
+    mask = loop_shift_mask(grid, grid, window, window // 2) if masked else None
+    x = Tensor(rng.uniform(-1, 1, (2 * 4, window * window, 8)), requires_grad=True)
+    leaves = [x] + parameters(p)
     assert _output_and_grads(lambda: attention(x, p, mask), leaves) == \
         _output_and_grads(lambda: reference_attention(x, p, mask), leaves)
 
@@ -646,7 +660,7 @@ def test_attention_node_bit_equal_to_the_norm_window_chain(shift, position_bias)
     rng = np.random.default_rng(21)
     g, b, p = _live_sublayer(rng, 8, 2, 4, position_bias)
     x = Tensor(rng.uniform(-2, 2, (2, 8, 8, 8)), requires_grad=True)
-    leaves = [x, g, b] + p.parameters()
+    leaves = [x, g, b] + parameters(p)
     with Tape() as tape:
         attention_chain(x, g, b, p, 4, shift)
     assert [node.op for node in tape.nodes] == ["layer_norm", "transpose", "attention",
@@ -678,9 +692,9 @@ def test_attention_keeps_only_the_norms_xhat_and_inv(position_bias):
     (node,) = tape.nodes
     reached = closure_reach(node.backward)
     assert not [obj for obj in reached if isinstance(obj, Tensor)]
-    # the parameters, the position bias's constant one-hot lookup table and
-    # the cached window permutations
-    fixed = ({id(t.data) for t in [g, b] + p.parameters()} | {id(p._pos_gather)}
+    # the parameters, the position bias's cached table index and the cached
+    # window permutations
+    fixed = ({id(t.data) for t in [g, b] + parameters(p)} | {id(ops._relative_index(4))}
              | {id(a) for a in held_arrays(ops.shifted_windows(8, 8, 4, 2))})
     kept = [a for a in held_arrays(reached) if id(a) not in fixed]
     assert sorted(a.shape for a in kept) == [(2, 8, 8, 1), (2, 8, 8, 8)]

@@ -113,7 +113,7 @@ def test_only_the_tape_and_the_data_inputs_read_requires_grad():
 # The non-blank, non-comment lines of src/dmsr, as counted by
 #   grep -v '^\s*$' src/dmsr/*.py | grep -v ':\s*#' | wc -l
 # A change that raises the bound says why in CHANGES.md.
-SRC_LINE_BOUND = 2240
+SRC_LINE_BOUND = 2235
 
 
 def test_source_stays_within_its_line_bound():

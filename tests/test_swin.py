@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from dmsr import ops, swin
+from dmsr.model import DmsrModel, ModelConfig
 from dmsr.swin import SwinBackbone, SwinLayer
 from dmsr.tensor import Tensor, Tape, add
 
 from helpers import (attention_chain, check_gradients, closure_reach, held_arrays, mlp_chain,
-                     weighted_sum_loss, zero_swin_residual_branches)
+                     parameters, weighted_sum_loss, zero_swin_residual_branches)
 
 
 def make_backbone(seed=0, in_ch=8, dim=8, window=4, heads=1, blocks=4, layers=2):
@@ -102,7 +103,7 @@ def test_backbone_end_to_end_gradients_tiny_config():
     rng = np.random.default_rng(7)
     backbone = make_backbone(in_ch=4, dim=8, window=4, heads=1, blocks=1, layers=2)
     x = Tensor(rng.uniform(-1, 1, (1, 4, 4, 4)), requires_grad=True)
-    leaves = [x] + backbone.parameters()
+    leaves = [x] + parameters(backbone)
     check_gradients(lambda: weighted_sum_loss(backbone.forward(x)),
                     leaves, n_coords=2, rel_tol=1e-4)
 
@@ -198,7 +199,7 @@ def test_forward_in_threads_at_two_sizes_matches_the_sequential_run():
 
 def _live_mlp(rng, dim, hidden):
     mlp = swin.Mlp(rng, dim, hidden)
-    for t in mlp.parameters():
+    for t in parameters(mlp):
         t.data[...] = rng.uniform(-1, 1, t.shape)
     return mlp
 
@@ -253,7 +254,7 @@ def test_mlp_node_gradients():
         mlp.forward(x, g, b)
     assert [node.op for node in tape.nodes] == ["mlp"]
     check_gradients(lambda: weighted_sum_loss(mlp.forward(x, g, b)),
-                    [x, g, b] + mlp.parameters(), n_coords=6)
+                    [x, g, b] + parameters(mlp), n_coords=6)
 
 
 def test_mlp_node_keeps_only_the_norms_xhat_and_inv():
@@ -268,7 +269,7 @@ def test_mlp_node_keeps_only_the_norms_xhat_and_inv():
     (node,) = tape.nodes
     reached = closure_reach(node.backward)
     assert not [obj for obj in reached if isinstance(obj, Tensor)]
-    params = {id(p.data) for p in [g, b] + mlp.parameters()}
+    params = {id(p.data) for p in [g, b] + parameters(mlp)}
     kept = [a for a in held_arrays(reached) if id(a) not in params]
     assert sorted(a.shape for a in kept) == [(1, 8, 8, 1), (1, 8, 8, 16)]
     assert not any(a is x.data for a in kept)
@@ -298,10 +299,10 @@ def test_swin_layer_is_four_nodes_byte_equal_to_the_chain(shift, position_bias):
     # chain's order
     rng = np.random.default_rng(35)
     layer = SwinLayer(rng, 8, 4, 2, shift, 2.0, position_bias)
-    for t in layer.parameters():
+    for t in parameters(layer):
         t.data[...] = rng.uniform(-1, 1, t.shape)
     x = Tensor(rng.uniform(-2, 2, (2, 8, 8, 8)), requires_grad=True)
-    leaves = [x] + layer.parameters()
+    leaves = [x] + parameters(layer)
     node_ops, got, got_grads = _output_and_grads(lambda: layer.forward(x), leaves)
     chain_ops, want, want_grads = _output_and_grads(lambda: _layer_chain(layer, x), leaves)
     assert node_ops == ["multi_head_attention", "add", "mlp", "add"]
@@ -309,3 +310,18 @@ def test_swin_layer_is_four_nodes_byte_equal_to_the_chain(shift, position_bias):
     assert got.tobytes() == want.tobytes()
     for leaf, g, w in zip(leaves, got_grads, want_grads):
         assert g.tobytes() == w.tobytes(), leaf.shape
+
+
+def test_window_8_position_bias_shares_one_table_index():
+    # beside its parameters, every attention module of a window-8 model holds
+    # only the one cached (4096,) index into its bias table, 32 KiB
+    model = DmsrModel(ModelConfig(backbone="swin", window=8, position_bias=True))
+    attns = [layer.attn for backbone in (model.guide_backbone, model.target_backbone)
+             for block in backbone.blocks for layer in block.layers]
+    arrays = {id(a): a for attn in attns for a in vars(attn).values()
+              if isinstance(a, np.ndarray)}
+    assert len(attns) == 16
+    assert all(attn._pos_index is attns[0]._pos_index for attn in attns)
+    assert list(arrays) == [id(attns[0]._pos_index)]
+    assert sum(a.nbytes for a in arrays.values()) < 2 ** 20
+    assert not attns[0]._pos_index.flags.writeable
