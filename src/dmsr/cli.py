@@ -106,6 +106,14 @@ def _csv_cell(c):
 # commands
 
 
+def _check_extents(model, H, W, error, what):
+    """model.check_extents on H x W and its LR extents, raising `error`."""
+    try:
+        model.check_extents(H, W, H // model.cfg.scale, W // model.cfg.scale)
+    except ShapeError as e:
+        raise error(f"{what}: {e}")
+
+
 def cmd_train(args):
     flat = effective_config(args)
     cfg = ModelConfig.from_flat(flat)
@@ -142,8 +150,10 @@ def cmd_train(args):
             if recorded != n:
                 raise ConfigError(f"--synthetic {args.synthetic} gives {key} = {n}, "
                                   f"the resumed checkpoint has {recorded}")
-        split = synth_split(args.synthetic, n_eval, flat["data.synth_height"],
-                            flat["data.synth_width"], scale, noise, seed)
+        # before any scene is made; a resumed run's extents are its checkpoint's
+        H, W = flat["data.synth_height"], flat["data.synth_width"]
+        _check_extents(model, H, W, DataError if args.resume else ConfigError, "synthetic")
+        split = synth_split(args.synthetic, n_eval, H, W, scale, noise, seed)
     else:
         train_pairs = load_manifest_pairs(args.data, scale, noise, seed)
         eval_pairs = (load_manifest_pairs(args.eval_data, scale, noise, seed)
@@ -247,11 +257,7 @@ def cmd_bench(args):
         model = DmsrModel(ModelConfig.from_flat(flat), seed=flat["train.seed"])
     cfg = model.cfg
     flat.update(cfg.to_flat_dict())
-    try:
-        model.check_extents(args.height, args.width,
-                            args.height // cfg.scale, args.width // cfg.scale)
-    except ShapeError as e:
-        raise ConfigError(f"bench: {e}")
+    _check_extents(model, args.height, args.width, ConfigError, "bench")
     samples, stats = bench(model, args.height, args.width, args.repeats,
                            seed=flat["train.seed"])
     print(f"backbone={cfg.backbone} B={cfg.num_blocks} k={cfg.k} scale={cfg.scale} "
@@ -267,16 +273,17 @@ def cmd_bench(args):
 
 def cmd_synth(args):
     flat = effective_config(args)
+    scale = ModelConfig.from_flat(flat).scale
+    H, W = flat["data.synth_height"], flat["data.synth_width"]
+    if H % scale or W % scale:          # before any scene is made or written
+        raise ConfigError(f"synthetic extents {H}x{W} not divisible by scale {scale}")
     os.makedirs(args.out, exist_ok=True)
     seed = flat["train.seed"]
-    scale = ModelConfig.from_flat(flat).scale
     children = np.random.SeedSequence(seed).spawn(args.count)
     lines = ["# pair_id guidance_path depth_path"]
     for i in range(args.count):
         pid = f"scene{i:03d}"
-        pair = synth_scene(children[i], flat["data.synth_height"],
-                           flat["data.synth_width"], scale,
-                           flat["data.noise_sigma"], pair_id=pid)
+        pair = synth_scene(children[i], H, W, scale, flat["data.noise_sigma"], pair_id=pid)
         save_ppm(os.path.join(args.out, f"{pid}_rgb.ppm"), pair.guidance)
         save_pgm16(os.path.join(args.out, f"{pid}_depth.pgm"), pair.depth_hr)
         lines.append(f"{pid} {pid}_rgb.ppm {pid}_depth.pgm")

@@ -226,16 +226,10 @@ def load_manifest_pairs(path, scale, noise_sigma=0.0, seed=0):
     for i, (pid, gpath, dpath) in enumerate(entries):
         guidance = load_ppm(gpath)
         depth_hr = load_pgm16(dpath)
-        lr = degrade(depth_hr, scale, noise_sigma,
-                     np.random.SeedSequence((seed, i)))
-        lr = quantize16(lr)
-        pairs.append(ScenePair(pid, guidance, depth_hr, lr))
+        lr = degrade(depth_hr, scale, noise_sigma, np.random.SeedSequence((seed, i)))
+        # snapped to the 16-bit grid, as a PGM round trip of [0, 1] values is
+        pairs.append(ScenePair(pid, guidance, depth_hr, np.round(lr * 65535.0) / 65535.0))
     return pairs
-
-
-def quantize16(x):
-    """Snap [0,1] values to the 16-bit integer grid (what a PGM round trip does)."""
-    return np.round(np.clip(x, 0.0, 1.0) * 65535.0) / 65535.0
 
 
 def to_tensors(pair):

@@ -70,24 +70,27 @@ def _taps(x_shape, w_shape, p):
     return Ho, Wo, [np.s_[..., i:i + Ho, j:j + Wo] for i in range(kh) for j in range(kw)]
 
 
-def _pad(x, p):
-    if not p:
+def _pad(x, ph, pw):
+    """x zero-padded by ph rows and pw columns on each side; a negative one crops."""
+    x = x[..., max(-ph, 0):x.shape[2] + min(ph, 0), max(-pw, 0):x.shape[3] + min(pw, 0)]
+    ph, pw = max(ph, 0), max(pw, 0)
+    if not ph and not pw:
         return x
     B, C, H, W = x.shape
-    xp = np.zeros((B, C, H + 2 * p, W + 2 * p))
-    xp[..., p:p + H, p:p + W] = x
+    xp = np.zeros((B, C, H + 2 * ph, W + 2 * pw))
+    xp[..., ph:ph + H, pw:pw + W] = x
     return xp
 
 
-def _input_grad(tap_grads, taps, x_shape, p):
-    """The input gradient from the gradients of its tap windows in tap order,
-    each added in before the next is drawn."""
+def _input_grad(planes, taps, x_shape, p):
+    """The input gradient from its tap windows' gradients, (taps, B, C, Ho,
+    Wo), added into a zeroed padded buffer in tap order."""
     B, C, H, W = x_shape
     if len(taps) == 1:                # a 1x1 kernel's one window is all of xp
-        (gxp,) = tap_grads
+        gxp = planes[0]
     else:
         gxp = np.zeros((B, C, H + 2 * p, W + 2 * p))
-        for t, gt in zip(taps, tap_grads):
+        for t, gt in zip(taps, planes):
             gxp[t] += gt
     return gxp[..., p:p + H, p:p + W]
 
@@ -95,7 +98,7 @@ def _input_grad(tap_grads, taps, x_shape, p):
 def _im2col(x, w_shape, p):
     """(B, C * taps, Ho * Wo); the one window of a 1x1 kernel is xp itself."""
     Ho, Wo, taps = _taps(x.shape, w_shape, p)
-    xp = _pad(x, p)
+    xp = _pad(x, p, p)
     if len(taps) == 1:
         return xp.reshape(x.shape[0], -1, Ho * Wo)
     cols = np.empty((*x.shape[:2], len(taps), Ho, Wo))
@@ -133,27 +136,39 @@ def conv2d_grads(g, x, w, p, x_grad):
     return gx, gw[0].reshape(w.shape), g.sum(axis=(0, 2, 3))
 
 
+def _tap_sum(xp, w, taps):
+    """The sum from +0.0, in tap order, of each tap's window of xp times its
+    (C,) column of w: the forward's multiply-adds, and the input gradient's."""
+    # einsum forms each product in less time than a broadcast multiply, into
+    # one buffer; the two differ only in a zero's sign, which the sum drops
+    out = np.zeros(xp[taps[0]].shape)
+    product = np.empty(out.shape)
+    for t, wn in zip(taps, w.reshape(len(w), -1).T):
+        out += np.einsum("bchw,c->bchw", xp[t], wn, out=product)
+    return out
+
+
 def depthwise_forward(x, w, b, p):
-    """The taps' multiply-adds, summed in row-major order. einsum forms each
-    tap's product, the same bits as a broadcast multiply in less time."""
-    Ho, Wo, taps = _taps(x.shape, w.shape, p)
-    xp = _pad(x, p)
-    wt = w.reshape(len(w), -1)           # (C, taps)
-    out = np.zeros((x.shape[0], len(w), Ho, Wo))
-    for n, t in enumerate(taps):
-        out += np.einsum("bchw,c->bchw", xp[t], wt[:, n])
-    return _add_bias(out, b)
+    _, _, taps = _taps(x.shape, w.shape, p)
+    return _add_bias(_tap_sum(_pad(x, p, p), w, taps), b)
 
 
 def depthwise_grads(g, x, w, p, x_grad):
-    _, _, taps = _taps(x.shape, w.shape, p)
+    """The input gradient is a gather: the forward's tap loop over g padded
+    by k - 1 - p (cropped where negative), tap (i, j) reading its window at
+    (k - 1 - i, k - 1 - j). An inf or NaN weight puts NaN into border entries
+    that a scatter of each tap's product would leave finite; training never
+    gets there, since train_epochs stops on a non-finite loss first."""
+    # Every write is contiguous. The sum starts at +0.0, so it never becomes
+    # -0.0, the padding's +-0.0 products leave it as it is, and the valid
+    # products are the scatter's own, added in the same order: the same bits.
     gx = None
     if x_grad:
-        wt = w.reshape(len(w), -1, 1, 1)
-        gt = np.empty(g.shape)           # one buffer for every tap's gradient
-        gx = _input_grad((np.multiply(g, wt[:, n], out=gt) for n in range(len(taps))),
-                         taps, x.shape, p)
-    xp = _pad(x, p)                      # padded again, not kept from the forward
+        gp = _pad(g, *(k - 1 - p for k in w.shape[-2:]))
+        # gp's windows in reverse row-major order: (k - 1 - i, k - 1 - j) for tap (i, j)
+        gx = _tap_sum(gp, w, _taps(gp.shape, w.shape, 0)[2][::-1])
+    _, _, taps = _taps(x.shape, w.shape, p)
+    xp = _pad(x, p, p)                   # padded again, not kept from the forward
     gw = np.stack([np.einsum("bchw,bchw->c", g, xp[t]) for t in taps], axis=1)
     return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 

@@ -98,10 +98,6 @@ class Adam:
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def _order_rng(seed, epoch):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(epoch,)))
-
-
 def worker_count():
     """Evaluation fan-out: DMSR_THREADS, a positive integer (unset: 1)."""
     text = os.environ.get("DMSR_THREADS", "1")
@@ -153,7 +149,8 @@ def train_epochs(model, optimizer, split, epochs, seed, start_epoch=0,
     log = log if log is not None else TrainLog()
     step = optimizer.step_count
     for epoch in range(start_epoch, epochs):
-        order = _order_rng(seed, epoch).permutation(len(split.train))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(epoch,)))
+        order = rng.permutation(len(split.train))
         for idx in order:
             guidance, depth_lr, depth_hr = to_tensors(split.train[idx])
             with Tape() as tape:
@@ -181,10 +178,6 @@ def train_epochs(model, optimizer, split, epochs, seed, start_epoch=0,
     return log
 
 
-def host_description():
-    return f"{platform.platform()} / {platform.processor() or 'unknown-cpu'}"
-
-
 def bench(model, height, width, repeats, seed=0):
     """Per-image forward latency: one discarded warm-up then `repeats` timed
     runs on a fixed random input. Returns sample list and summary stats."""
@@ -192,7 +185,9 @@ def bench(model, height, width, repeats, seed=0):
         raise ConfigError(f"bench: need repeats >= 3, got {repeats}")
     rng = np.random.default_rng(seed)
     s = model.cfg.scale
-    guidance, depth_lr, _ = to_tensors(_bench_pair(rng, height, width, s))
+    pair = ScenePair("bench", rng.random((3, height, width)), rng.random((1, height, width)),
+                     rng.random((1, height // s, width // s)))
+    guidance, depth_lr, _ = to_tensors(pair)
     model.forward(guidance, depth_lr)  # warm-up, discarded
     samples = []
     for _ in range(repeats):
@@ -203,12 +198,6 @@ def bench(model, height, width, repeats, seed=0):
         "min_ms": min(samples),
         "median_ms": float(np.median(samples)),
         "mean_ms": float(np.mean(samples)),
-        "host": host_description(),
+        "host": f"{platform.platform()} / {platform.processor() or 'unknown-cpu'}",
     }
     return samples, stats
-
-
-def _bench_pair(rng, height, width, scale):
-    return ScenePair("bench", rng.random((3, height, width)),
-                     rng.random((1, height, width)),
-                     rng.random((1, height // scale, width // scale)))

@@ -92,10 +92,12 @@ def test_missing_data_exits_3(tmp_path):
     assert code == 3
 
 
-def test_indivisible_synthetic_extents_exit_3(tmp_path):
+def test_indivisible_synthetic_extents_exit_2(tmp_path):
+    # extents from flags are config, checked before any scene is made, as
+    # bench checks its --height and --width
     code = main(["train", "--synthetic", "1", "--height", "40", "--width", "40",
                  *TINY_FLAGS[:-4], "--out", str(tmp_path / "o")])
-    assert code == 3
+    assert code == 2
 
 
 def test_diverged_training_exits_4(tmp_path, trained):
@@ -656,6 +658,11 @@ BAD_INPUTS = [
      "error: data:", "train.seed must be >= 0"),
     ("resume-synth-height-0", _resume_with_metadata("data.synth_height", "0"), None, 3,
      "error: data:", "data.synth_height must be >= 1"),
+    ("resume-synth-height-indivisible", _resume_with_metadata("data.synth_height", "40"),
+     None, 3, "error: data:", "synthetic: extents 40x32 not divisible by 16"),
+    ("synth-height-indivisible",
+     lambda tmp_path, trained: ["synth", "1", "--height", "12", "--out", str(tmp_path / "o")],
+     None, 2, "error: config:", "synthetic extents 12x64 not divisible by scale 8"),
     # `trained` recorded data.n_train = 2; TINY_TRAIN asks for 1 scene
     ("resume-scene-count-disagrees",
      lambda tmp_path, trained: [*TINY_TRAIN, "--resume", trained, "--out", str(tmp_path / "o")],

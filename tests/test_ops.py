@@ -160,10 +160,11 @@ def test_depthwise_conv2d_matches_einsum_reference(B, pad):
 
 
 @pytest.mark.parametrize("values", ["plain", "special"])
-@pytest.mark.parametrize("k,pad", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2)])
+@pytest.mark.parametrize("k,pad", [(k, pad) for k in (1, 3, 5) for pad in range(k + 2)])
 def test_depthwise_kernels_byte_equal_to_the_tap_loop_reference(k, pad, values):
     # the NAF block node calls these kernels directly, so its chain
-    # comparisons cannot see a change of bits inside them
+    # comparisons cannot see a change of bits inside them; a padding above
+    # k - 1 crops g for the input gradient's gather instead of padding it
     rng = np.random.default_rng(34)
     x = rng.uniform(-1, 1, (2, 4, 7, 6))
     w = rng.uniform(-1, 1, (4, k, k))
@@ -176,6 +177,15 @@ def test_depthwise_kernels_byte_equal_to_the_tap_loop_reference(k, pad, values):
         x[1, 3, 4, 0] = np.nan
         w[1, k // 2, 0] = -0.0
         w[2, 0, k - 1] = 0.0
+        g[0, 1, :2, :2] = 0.0
+        g[1, 0, 0, 0] = -0.0
+        g[0, 2, 1, 1] = np.inf
+        g[1, 1, 0, 1] = np.nan
+        # all -0.0 against positive weights: a broadcast multiply's products
+        # are -0.0 (einsum's are +0.0), and only a sum that starts from +0.0
+        # gives the reference's +0.0 whichever of the two forms them
+        w[3] = np.abs(w[3]) + 0.1
+        g[:, 3] = -0.0
     with np.errstate(invalid="ignore"):         # inf times a zero weight
         out = ops.depthwise_forward(x, w, b, pad)
         grads = ops.depthwise_grads(g, x, w, pad, True)
@@ -183,6 +193,37 @@ def test_depthwise_kernels_byte_equal_to_the_tap_loop_reference(k, pad, values):
     for name, a, ref in zip(("out", "gx", "gw", "gb"), (out, *grads), want):
         assert a.shape == ref.shape, name
         assert a.tobytes() == ref.tobytes(), name
+
+
+def test_depthwise_backward_peak_is_pinned_and_reuses_one_product_buffer(monkeypatch):
+    # the gather holds the padded g, the sum and one product buffer (1.64 MB
+    # here), then the weight gradient pads x; the call peaks at 1.72 MB, so
+    # any array more in flight breaks the pin. A fresh product per tap is
+    # freed before the next is made and leaves the peak where it is, so the
+    # einsum calls are checked to write one buffer
+    rng = np.random.default_rng(35)
+    x = rng.uniform(-1, 1, (1, 64, 32, 32))
+    w = rng.uniform(-1, 1, (64, 3, 3))
+    g = rng.uniform(-1, 1, x.shape)
+    ops.depthwise_grads(g, x, w, 1, True)           # warm numpy's caches
+    tracemalloc.start()
+    try:
+        ops.depthwise_grads(g, x, w, 1, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75e6, f"{peak / 1e6:.3f} MB"
+    einsum, outs = np.einsum, []
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "bchw,c->bchw":
+            outs.append(kwargs.get("out"))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    ops.depthwise_grads(g, x, w, 1, True)
+    assert len(outs) == 9 and outs[0] is not None
+    assert all(o is outs[0] for o in outs)
 
 
 def test_conv2d_channel_mismatch():
